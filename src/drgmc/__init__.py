@@ -17,8 +17,8 @@ from .lis import LISState, adaptation_step, local_spectrum, update_lis
 from .operators import (CovarianceOperator, GaussianSample, LowRankSpectrum,
                         apply_invK_hat, apply_K_hat, apply_sqrtK_hat,
                         build_prior_covariance, forstner_distance,
-                        generalized_eig, logdet_K_hat, prior_based_K_hat,
-                        randomized_eig, sample_prior, unwhiten, whiten)
+                        generalized_eig, logdet_K_hat, randomized_eig,
+                        sample_prior, unwhiten, whiten)
 from .proposals import (DiliOperators, ProposalOutput, StepParams, Trajectory,
                         dili_connection_operators, dili_operators,
                         dili_propose, dr_mhmc_propose, dr_mmala_propose,

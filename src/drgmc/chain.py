@@ -6,6 +6,9 @@ that every kernel works in. One chain = one RNG stream; the randomized
 eigensolver reuses a single probe block drawn at chain start, so the local
 spectrum is a deterministic function of position and detailed balance is
 unaffected by the randomization.
+
+The eight samplers share one Metropolis-Hastings step; each kernel only
+maps the current state to a candidate and its log acceptance ratio.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from .proposals import (StepParams, dili_operators, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
                         inf_mala_propose, pcn_propose)
 
-ALGORITHMS = ("pcn", "inf-mala", "inf-hmc", "dr-inf-mmala", "dr-inf-mhmc",
-              "dili", "adr-inf-mmala", "adr-inf-mhmc")
-
-GRADIENT_FREE = ("pcn",)
 ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
-POSITION_SPECIFIC = ("dr-inf-mmala", "dr-inf-mhmc")
 HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 
 
@@ -103,10 +101,7 @@ class KernelContext:
 
 
 _REJECTABLE = (FloatingPointError, np.linalg.LinAlgError, OverflowError)
-
-
-def _rejected():
-    return AcceptDecision(float("-inf"), False, 1.0)
+_REJECTED = AcceptDecision(float("-inf"), False, 1.0)
 
 
 def _ensure_spec(ctx, state):
@@ -142,125 +137,96 @@ def _hmc_callbacks(ctx, state):
     def spec_fn(v):
         return _ensure_spec(ctx, ensure(v))
 
-    def resolve(v_prime):
-        st = cache["last"]
-        if st is not None and st.v is v_prime:
-            return st
-        return ensure(v_prime)
-
-    return grad_fn, spec_fn, resolve
+    return ensure, grad_fn, spec_fn
 
 
-def _step_pcn(ctx, state):
+# Kernels: (ctx, state) -> (candidate, log acceptance ratio). DR kernels hold
+# the global LIS spectrum fixed when the chain adapts one (ctx.lis set).
+# Proposals and ratios are looked up as module globals at call time, so
+# wrappers installed on this module (bench/layers.py) see every call.
+
+def _pcn(ctx, state):
     out = pcn_propose(state.v, ctx.params, ctx.rng)
     cand = ctx.model.state(out.v_prime)
-    try:
-        lr = pcn_log_ratio(state.phi, cand.phi)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(lr, ctx.rng)
-    return (cand if dec.accept else state), dec
+    return cand, pcn_log_ratio(state.phi, cand.phi)
 
 
-def _step_inf_mala(ctx, state):
+def _inf_mala(ctx, state):
     out = inf_mala_propose(state.v, state.grad, ctx.params, ctx.rng)
     cand = ctx.model.state(out.v_prime)
-    try:
-        lr = inf_mala_log_ratio(state.v, cand.v, state.grad, cand.grad,
-                                state.phi, cand.phi, ctx.params)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(lr, ctx.rng)
-    return (cand if dec.accept else state), dec
+    return cand, inf_mala_log_ratio(state.v, cand.v, state.grad, cand.grad,
+                                    state.phi, cand.phi, ctx.params)
 
 
-def _step_inf_hmc(ctx, state):
+def _inf_hmc(ctx, state):
     params = _randomize_steps(ctx)
-    grad_fn, _, resolve = _hmc_callbacks(ctx, state)
-    try:
-        out = inf_hmc_propose(state.v, params, grad_fn, ctx.rng)
-        cand = resolve(out.v_prime)
-        delta = dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(-delta, ctx.rng)
-    return (cand if dec.accept else state), dec
+    ensure, grad_fn, _ = _hmc_callbacks(ctx, state)
+    out = inf_hmc_propose(state.v, params, grad_fn, ctx.rng)
+    cand = ensure(out.v_prime)
+    return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
-def _step_dr_mmala(ctx, state, spec_v=None, spec_fixed=False):
-    try:
-        spec_v = spec_v if spec_v is not None else _ensure_spec(ctx, state)
-        out = dr_mmala_propose(state.v, state.grad, spec_v, ctx.params, ctx.rng)
-        cand = ctx.model.state(out.v_prime)
-        spec_vp = spec_v if spec_fixed else _ensure_spec(ctx, cand)
-        lr = dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
-                                state.grad, cand.grad, state.phi, cand.phi,
-                                ctx.params)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(lr, ctx.rng)
-    return (cand if dec.accept else state), dec
+def _dr_mmala(ctx, state):
+    fixed = ctx.lis is not None
+    spec_v = ctx.lis.spectrum if fixed else _ensure_spec(ctx, state)
+    out = dr_mmala_propose(state.v, state.grad, spec_v, ctx.params, ctx.rng)
+    cand = ctx.model.state(out.v_prime)
+    spec_vp = spec_v if fixed else _ensure_spec(ctx, cand)
+    return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
+                                    state.grad, cand.grad, state.phi, cand.phi,
+                                    ctx.params)
 
 
-def _step_adr_mmala(ctx, state):
-    spec = ctx.lis.spectrum
-    state.spec = spec
-    return _step_dr_mmala(ctx, state, spec_v=spec, spec_fixed=True)
-
-
-def _step_dr_mhmc(ctx, state, spec_fixed=False):
+def _dr_mhmc(ctx, state):
     params = _randomize_steps(ctx)
-    grad_fn, spec_fn, resolve = _hmc_callbacks(ctx, state)
-    try:
-        spec_v = _ensure_spec(ctx, state) if not spec_fixed else state.spec
-        out = dr_mhmc_propose(state.v, spec_v, params, grad_fn, ctx.rng,
-                              spec_fn=None if spec_fixed else spec_fn)
-        cand = resolve(out.v_prime)
-        delta = dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(-delta, ctx.rng)
-    if dec.accept and spec_fixed:
-        cand.spec = state.spec
-    elif dec.accept and cand.spec is None:
-        cand.spec = out.trajectory.specs[-1]
-    return (cand if dec.accept else state), dec
+    ensure, grad_fn, spec_fn = _hmc_callbacks(ctx, state)
+    if ctx.lis is not None:
+        spec_v, spec_fn = ctx.lis.spectrum, None
+    else:
+        spec_v = _ensure_spec(ctx, state)
+    out = dr_mhmc_propose(state.v, spec_v, params, grad_fn, ctx.rng,
+                          spec_fn=spec_fn)
+    cand = ensure(out.v_prime)
+    cand.spec = out.trajectory.specs[-1]
+    return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
-def _step_adr_mhmc(ctx, state):
-    state.spec = ctx.lis.spectrum
-    return _step_dr_mhmc(ctx, state, spec_fixed=True)
-
-
-def _step_dili(ctx, state):
+def _dili(ctx, state):
     spec = ctx.lis.spectrum
     if ctx.dili_ops is None:
         ctx.dili_ops = dili_operators(spec, ctx.h_r, ctx.h_perp, ctx.params.gamma_r)
     grad_needed = bool(ctx.params.gamma_r) and spec.r > 0
-    try:
-        grad = state.grad if grad_needed else None
-        out = dili_propose(state.v, grad, spec, ctx.h_r, ctx.h_perp,
-                           ctx.params.gamma_r, ctx.rng, operators=ctx.dili_ops)
-        cand = ctx.model.state(out.v_prime)
-        grad_p = cand.grad if grad_needed else None
-        lr = dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
-                                  state.phi, cand.phi, ctx.dili_ops)
-    except _REJECTABLE:
-        return state, _rejected()
-    dec = decide(lr, ctx.rng)
-    return (cand if dec.accept else state), dec
+    grad = state.grad if grad_needed else None
+    out = dili_propose(state.v, grad, spec, ctx.h_r, ctx.h_perp,
+                       ctx.params.gamma_r, ctx.rng, operators=ctx.dili_ops)
+    cand = ctx.model.state(out.v_prime)
+    grad_p = cand.grad if grad_needed else None
+    return cand, dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
+                                      state.phi, cand.phi, ctx.dili_ops)
 
 
-_STEPPERS = {
-    "pcn": _step_pcn,
-    "inf-mala": _step_inf_mala,
-    "inf-hmc": _step_inf_hmc,
-    "dr-inf-mmala": _step_dr_mmala,
-    "dr-inf-mhmc": _step_dr_mhmc,
-    "dili": _step_dili,
-    "adr-inf-mmala": _step_adr_mmala,
-    "adr-inf-mhmc": _step_adr_mhmc,
+_KERNELS = {
+    "pcn": _pcn,
+    "inf-mala": _inf_mala,
+    "inf-hmc": _inf_hmc,
+    "dr-inf-mmala": _dr_mmala,
+    "dr-inf-mhmc": _dr_mhmc,
+    "dili": _dili,
+    "adr-inf-mmala": _dr_mmala,
+    "adr-inf-mhmc": _dr_mhmc,
 }
+ALGORITHMS = tuple(_KERNELS)
+
+
+def _mh_step(kernel, ctx, state):
+    """One Metropolis-Hastings step; a solver or arithmetic failure while
+    proposing or scoring the candidate rejects it."""
+    try:
+        cand, log_ratio = kernel(ctx, state)
+    except _REJECTABLE:
+        return state, _REJECTED
+    dec = decide(log_ratio, ctx.rng)
+    return (cand if dec.accept else state), dec
 
 
 def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
@@ -294,7 +260,7 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
     if algorithm in ADAPTIVE:
         ctx.lis = LISState.initial(n, rho_g=threshold, delta_lis=delta_lis,
                                    m_max=m_max, n_lag=n_lag)
-    step = _STEPPERS[algorithm]
+    kernel = _KERNELS[algorithm]
 
     state = model.state(np.zeros(n) if v0 is None else np.asarray(v0, dtype=float))
     samples = np.empty((iterations, n))
@@ -305,7 +271,7 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
 
     for it in range(iterations):
         t0 = time.perf_counter()
-        state, dec = step(ctx, state)
+        state, dec = _mh_step(kernel, ctx, state)
         if ctx.lis is not None and it < burn_in:
             before = ctx.lis
             ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(

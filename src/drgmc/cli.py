@@ -31,7 +31,7 @@ _OVERRIDABLE = {
     "h": float, "h_r": float, "h_perp": float, "n_leapfrog": int,
     "eps": float, "gamma_r": int, "gamma_perp": int, "rank": int,
     "threshold": float, "max_rank": int, "iterations": int, "burn_in": int,
-    "n_lag": int, "m_max": int, "delta_lis": float, "n_b": int,
+    "n_lag": int, "m_max": int, "delta_lis": float,
     "seed": int, "data_seed": int, "sigma_u": float, "s_0": float,
     "lin_n": int, "lin_m": int,
 }
@@ -100,10 +100,15 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    records = {}
+    records, dirs = {}, {}
     for run in args.runs:
         record, _cfg = runio.load_record(run)
-        records[record.meta["algorithm"]] = record
+        algorithm = record.meta["algorithm"]
+        if algorithm in dirs:
+            print(f"runs {dirs[algorithm]} and {run} are both '{algorithm}'; "
+                  "compare takes one run per algorithm", file=sys.stderr)
+            return 1
+        records[algorithm], dirs[algorithm] = record, run
     if args.baseline not in records:
         print(f"baseline '{args.baseline}' missing from supplied runs", file=sys.stderr)
         return 1

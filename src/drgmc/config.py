@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import yaml
 
-ALGORITHMS = ("pcn", "inf-mala", "inf-hmc", "dr-inf-mmala", "dr-inf-mhmc",
-              "dili", "adr-inf-mmala", "adr-inf-mhmc")
+from .chain import ALGORITHMS
 
 MODELS = ("elliptic", "linear-gaussian")
 
@@ -59,7 +58,6 @@ class RunConfig:
     n_lag: int = 200
     m_max: int = 100
     delta_lis: float = 1e-5
-    n_b: int = 50
     seed: int = 0
     data_seed: int = 20260815
     # linear-gaussian model shape (ignored by the elliptic model)
@@ -99,7 +97,7 @@ class RunConfig:
             bad("rank", "ranks must be >= 1")
         if not 0 < self.threshold:
             bad("threshold", "must be positive")
-        if self.n_lag < 1 or self.m_max < 1 or self.n_b < 1:
+        if self.n_lag < 1 or self.m_max < 1:
             bad("n_lag", "adaptation cadences must be >= 1")
         if self.delta_lis <= 0:
             bad("delta_lis", "must be positive")

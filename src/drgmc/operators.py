@@ -18,14 +18,6 @@ import numpy as np
 import scipy.linalg as sla
 
 
-def exponential_kernel(nodes, sigma_u, s_0):
-    """Raw kernel matrix c(s, s') = sigma_u^2 exp(-|s - s'| / (2 s_0)), no jitter."""
-    pts = np.asarray(nodes, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    return sigma_u ** 2 * np.exp(-dist / (2.0 * s_0))
-
-
 class CovarianceOperator:
     """Dense SPD covariance with a cached symmetric factor S, S @ S = C.
 
@@ -303,40 +295,6 @@ def apply_invK_hat(v, spec):
 
 def logdet_K_hat(spec):
     return float(np.sum(np.log(spec.D)))
-
-
-class PriorBasedKHat:
-    """Prior-eigenbasis Gaussian-approximation covariance.
-
-    K_hat(u) = C + U_r L_r^{1/2} (D_r - I_r) L_r^{1/2} U_r^T with
-    Hhat_r = L_r^{1/2} (U_r^T H U_r) L_r^{1/2} and D_r = (Hhat_r + I_r)^{-1},
-    built from the r leading eigenpairs (L_r, U_r) of the prior covariance.
-    """
-
-    def __init__(self, u, prior_spec, apply_H, cov):
-        del u  # H is evaluated at u by the bound action
-        U = prior_spec.basis
-        lam = prior_spec.eigenvalues
-        HU = np.column_stack([np.asarray(apply_H(U[:, j]), dtype=float)
-                              for j in range(prior_spec.r)])
-        root = np.sqrt(lam)
-        self.Hhat_r = root[:, None] * (U.T @ HU) * root[None, :]
-        self.Hhat_r = 0.5 * (self.Hhat_r + self.Hhat_r.T)
-        eye = np.eye(prior_spec.r)
-        try:
-            self.D_r = np.linalg.inv(self.Hhat_r + eye)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("D_r inversion failed; action not PSD?") from exc
-        self._mid = root[:, None] * (self.D_r - eye) * root[None, :]
-        self._U = U
-        self._cov = cov
-
-    def apply(self, x):
-        return self._cov.apply(x) + self._U @ (self._mid @ (self._U.T @ x))
-
-
-def prior_based_K_hat(u, prior_spec, apply_H, cov):
-    return PriorBasedKHat(u, prior_spec, apply_H, cov)
 
 
 def forstner_distance(spec_a, spec_b):

@@ -195,7 +195,9 @@ def load_record(run_dir):
     samples = read_samples(run_dir / "samples.bin")
     summary = json.loads((run_dir / "summary.json").read_text())
     meta = {"algorithm": summary["algorithm"], "h": summary["h"],
-            "burn_in": summary["burn_in"]}
+            "burn_in": summary["burn_in"], "seed": cfg.seed}
+    if (run_dir / "lis.json").exists():
+        meta["lis"] = json.loads((run_dir / "lis.json").read_text())
     record = ChainRecord(samples=samples, potentials=trace["phi"],
                          accepts=trace["accept"].astype(bool),
                          wall_times=trace["wall_time"],

@@ -7,6 +7,7 @@ from drgmc import elliptic, linear_model
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
+from drgmc.operators import CovarianceOperator
 
 
 def linear_whitened(n=4, m=3, seed=1):
@@ -141,6 +142,53 @@ class TestAdaptation:
         model, _ = linear_whitened()
         rec = run_small(model, "dr-inf-mmala")
         assert "lis" not in rec.meta
+
+
+class _FailingState:
+    """Finite only at u = 0; phi, grad and gnh_action raise `error` elsewhere."""
+
+    def __init__(self, u, error):
+        self.u = u
+        self._error = error
+
+    def _check(self):
+        if np.any(self.u):
+            raise self._error("synthetic failure off the origin")
+
+    @property
+    def phi(self):
+        self._check()
+        return 0.5 * float(self.u @ self.u)
+
+    @property
+    def grad(self):
+        self._check()
+        return self.u.copy()
+
+    def gnh_action(self, w):
+        self._check()
+        return np.array(w, dtype=float)
+
+
+def failing_whitened(error, n=4):
+    return WhitenedModel(CovarianceOperator(np.eye(n)),
+                         lambda u: _FailingState(u, error))
+
+
+class TestRejectionPath:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_solver_failures_reject_and_stay_at_start(self, algorithm):
+        rec = run_small(failing_whitened(FloatingPointError), algorithm,
+                        iterations=60)
+        assert len(rec.samples) == 60
+        assert not rec.accepts.any()
+        assert not rec.samples.any()
+        assert not rec.potentials.any()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_other_errors_propagate(self, algorithm):
+        with pytest.raises(ValueError, match="synthetic failure"):
+            run_small(failing_whitened(ValueError), algorithm, iterations=60)
 
 
 class TestRobustness:

@@ -1,0 +1,95 @@
+"""Fixed-seed golden runs: every kernel on both models must reproduce the
+stored chains.
+
+A refactor that claims to leave the samplers unchanged must keep these
+16 chains: the same accept/reject sequence, the same PDE solve counts and
+the same samples to 1e-10. With one BLAS thread, a change that keeps the
+order of arithmetic reproduces the samples bit for bit; other thread
+counts move elliptic samples by about 1e-13. Regenerate the data file only
+when a change is meant to alter what a chain samples:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from drgmc import linear_model
+from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
+from drgmc.config import DEFAULT_STEPS, RunConfig
+from drgmc.harness import build_elliptic
+
+DATA = Path(__file__).parent / "data" / "golden_runs.npz"
+
+# criterion 02's step sizes on its n=8 linear-Gaussian model
+LINEAR_STEPS = {
+    "pcn": dict(h=0.01),
+    "inf-mala": dict(h=0.02),
+    "inf-hmc": dict(h=0.02, n_leapfrog=3),
+    "dr-inf-mmala": dict(h=2.0),
+    "dr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
+    "dili": dict(h_r=0.5, h_perp=0.5),
+    "adr-inf-mmala": dict(h=2.0),
+    "adr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
+}
+ELLIPTIC_ITERATIONS = {"dr-inf-mmala": 15, "dr-inf-mhmc": 10}
+
+
+def linear_run(algorithm):
+    lm = linear_model.random_model(n=8, m=4, seed=20260815, noise_scale=0.5)
+    model = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
+    return run_chain(model, algorithm, iterations=300, burn_in=100, rank=4,
+                     n_lag=20, seed=7, **LINEAR_STEPS[algorithm])
+
+
+def elliptic_run(algorithm):
+    model, _ = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
+    iterations = ELLIPTIC_ITERATIONS.get(algorithm, 60)
+    return run_chain(model, algorithm, iterations=iterations,
+                     burn_in=iterations // 2, n_lag=5, seed=11,
+                     **DEFAULT_STEPS[algorithm])
+
+
+RUNS = {"linear": linear_run, "elliptic": elliptic_run}
+CASES = [(name, algorithm) for name in RUNS for algorithm in ALGORITHMS]
+
+
+def _key(name, algorithm, field):
+    return f"{name}/{algorithm}/{field}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(DATA) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("name,algorithm", CASES)
+def test_golden_run(golden, name, algorithm):
+    record = RUNS[name](algorithm)
+    assert np.array_equal(record.accepts, golden[_key(name, algorithm, "accepts")])
+    assert np.array_equal(record.pde_solves, golden[_key(name, algorithm, "pde_solves")])
+    expected = golden[_key(name, algorithm, "samples")]
+    assert record.samples.shape == expected.shape
+    assert np.max(np.abs(record.samples - expected)) <= 1e-10
+
+
+def regenerate():
+    arrays = {}
+    for name, algorithm in CASES:
+        record = RUNS[name](algorithm)
+        for field in ("accepts", "pde_solves", "samples"):
+            arrays[_key(name, algorithm, field)] = getattr(record, field)
+    DATA.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(DATA, **arrays)
+    return arrays
+
+
+if __name__ == "__main__":
+    arrays = regenerate()
+    for name, algorithm in CASES:
+        rate = arrays[_key(name, algorithm, "accepts")].mean()
+        print(f"{name:9s}{algorithm:14s} accept rate {rate:.2f}")
+    print(f"wrote {DATA}")

@@ -241,6 +241,16 @@ class TestRunDirectory:
         assert rows[0] == "update,m,r,d_F"
         assert len(rows) == 1 + len(lis["history"])
 
+    def test_load_record_keeps_seed_and_lis(self, tmp_path):
+        cfg = small_linear_config(algorithm="adr-inf-mmala", h=1.0, rank=3,
+                                  iterations=80, burn_in=40, n_lag=10,
+                                  threshold=1e-8, seed=17)
+        record = run_from_config(cfg)
+        back, _ = runio.load_record(runio.write_run(tmp_path / "a", record, cfg))
+        assert back.meta["seed"] == record.meta["seed"] == 17
+        assert record.meta["lis"]["m"] >= 1
+        assert back.meta["lis"] == record.meta["lis"]
+
     def test_reproducible_bytes(self, tmp_path):
         paths = []
         for name in ("one", "two"):
@@ -316,6 +326,18 @@ class TestCli:
         assert table.splitlines()[0].startswith("algorithm,")
         assert "pcn" in table and "dr-inf-mmala" in table
         assert (out / "table.txt").exists()
+
+    def test_compare_refuses_two_runs_of_one_algorithm(self, tmp_path, capsys):
+        dirs = []
+        for seed in (3, 4):
+            cfg = small_linear_config(seed=seed)
+            record = run_from_config(cfg)
+            dirs.append(str(runio.write_run(tmp_path / f"pcn{seed}", record, cfg)))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", *dirs, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert dirs[0] in err and dirs[1] in err
+        assert not out.exists()
 
     def test_compare_missing_baseline(self, tmp_path, capsys):
         record, cfg = tiny_record()
