@@ -14,7 +14,7 @@ from .diagnostics import (BoundReport, ChainRecord, bound_report, ess,
                           ess_per_coordinate, summary_table)
 from .harness import build_model, run_from_config
 from .lis import LISState, adaptation_step, local_spectrum, update_lis
-from .operators import (CovarianceOperator, GaussianSample, LowRankSpectrum,
+from .operators import (CovarianceOperator, LowRankSpectrum,
                         apply_invK_hat, apply_K_hat, apply_sqrtK_hat,
                         build_prior_covariance, forstner_distance,
                         generalized_eig, logdet_K_hat, randomized_eig,

@@ -220,7 +220,7 @@ ALGORITHMS = tuple(_KERNELS)
 
 def _mh_step(kernel, ctx, state):
     """One Metropolis-Hastings step; a solver or arithmetic failure while
-    proposing or scoring the candidate rejects it."""
+    proposing or scoring the candidate rejects it and returns _REJECTED."""
     try:
         cand, log_ratio = kernel(ctx, state)
     except _REJECTABLE:
@@ -268,10 +268,13 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
     accepts = np.zeros(iterations, dtype=bool)
     wall = np.empty(iterations)
     solves = np.zeros(iterations, dtype=np.int64)
+    error_rejects = 0
 
     for it in range(iterations):
         t0 = time.perf_counter()
         state, dec = _mh_step(kernel, ctx, state)
+        if dec is _REJECTED:
+            error_rejects += 1
         if ctx.lis is not None and it < burn_in:
             before = ctx.lis
             ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
@@ -289,7 +292,7 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
 
     meta = {"algorithm": algorithm, "h": base_h, "burn_in": burn_in,
             "seed": seed, "gamma_r": gamma_r, "gamma_perp": gamma_perp,
-            "n_leapfrog": n_leapfrog}
+            "n_leapfrog": n_leapfrog, "error_rejects": error_rejects}
     if h_r is not None:
         meta["h_r"], meta["h_perp"] = ctx.h_r, ctx.h_perp
     if ctx.lis is not None:

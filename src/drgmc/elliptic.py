@@ -8,9 +8,11 @@ observations are bilinear interpolants of p at 25 interior sensors.
 
 The potential is the Gaussian data misfit Phi(u) = 0.5 |y - G(u)|^2 / sigma^2.
 Its gradient comes from one adjoint solve against the exact discrete system,
-and Gauss-Newton Hessian actions from one tangent plus one adjoint solve,
-all reusing the factorization cached at u. A shared counter tallies every
-linear solve so runs can report PDE-solution counts.
+and Gauss-Newton Hessian actions on a vector or an n x k block from one
+tangent plus one adjoint solve per direction, all reusing the factorization
+cached at u; edge-to-node scatters are products with incidence matrices
+built once per problem. A shared counter tallies every linear solve so runs
+can report PDE-solution counts.
 """
 
 from __future__ import annotations
@@ -127,6 +129,12 @@ def _observation_matrix(mesh, sensors):
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(sensors), mesh.n_nodes))
 
 
+def _incidence(ends, n):
+    """n x E CSR matrix scattering edge values onto the given endpoint nodes."""
+    m = len(ends)
+    return sp.csr_matrix((np.ones(m), (ends, np.arange(m))), shape=(n, m))
+
+
 class SolveCounter:
     """Counts linear solves with the (augmented) stiffness operator."""
 
@@ -149,8 +157,12 @@ class EllipticProblem:
         self.forcing = np.asarray(self.forcing, dtype=float)
         self.sensors = np.asarray(self.sensors, dtype=float)
         self._ea, self._eb, self._geow = _edge_arrays(self.mesh)
+        # node x edge incidence: (_to_a @ x)[i] sums x over edges whose a-end is i
+        self._to_a = _incidence(self._ea, self.n)
+        self._to_b = _incidence(self._eb, self.n)
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
+        self._OT = self.O.T.tocsr()
         self.b = self.areas * self.forcing
         total = float(self.forcing @ self.areas)
         if abs(total) > 1e-6:
@@ -273,13 +285,12 @@ def potential(u, problem, result=None):
 
 
 def _chain_rule_assemble(problem, result, q):
-    """Nodal vector with entries -q^T (dA/du_k) p, shared by gradient and GNH."""
-    ea, eb = problem._ea, problem._eb
-    s = result.dpe * (q[ea] - q[eb])
-    g = np.zeros(problem.n)
-    np.add.at(g, ea, -result.ca * s)
-    np.add.at(g, eb, -result.cb * s)
-    return g
+    """Entries -q^T (dA/du_k) p for a nodal vector q or for each column of an
+    n x k block; shared by gradient and GNH."""
+    Q = q.reshape(problem.n, -1)
+    s = result.dpe[:, None] * (Q[problem._ea] - Q[problem._eb])
+    return -(problem._to_a @ (result.ca[:, None] * s)
+             + problem._to_b @ (result.cb[:, None] * s)).reshape(q.shape)
 
 
 def gradient(u, problem, result=None):
@@ -287,25 +298,24 @@ def gradient(u, problem, result=None):
     if result is None:
         result = assemble_and_solve(u, problem)
     res = observe(result, problem) - problem.y
-    rhs = problem.O.T @ (res / problem.sigma_eta ** 2)
-    q = result.solve(rhs)
+    q = result.solve(problem._OT @ (res / problem.sigma_eta ** 2))
     return _chain_rule_assemble(problem, result, q)
 
 
 def gnh_action(u, w, problem, result=None):
-    """Gauss-Newton Hessian action: one tangent and one adjoint solve at u."""
+    """Gauss-Newton Hessian action on a vector or on each column of an n x k
+    block: one tangent and one adjoint solve per direction at u."""
     if result is None:
         result = assemble_and_solve(u, problem)
-    ea, eb = problem._ea, problem._eb
     w = np.asarray(w, dtype=float)
-    dt = result.ca * w[ea] + result.cb * w[eb]
-    r = np.zeros(problem.n)
-    np.add.at(r, ea, dt * result.dpe)
-    np.add.at(r, eb, -dt * result.dpe)
-    pdot = result.solve(-r)
-    jw = problem.O @ pdot
-    qdot = result.solve(problem.O.T @ (jw / problem.sigma_eta ** 2))
-    return _chain_rule_assemble(problem, result, qdot)
+    W = w.reshape(problem.n, -1)
+    flux = result.dpe[:, None] * (result.ca[:, None] * W[problem._ea]
+                                  + result.cb[:, None] * W[problem._eb])
+    r = problem._to_a @ flux - problem._to_b @ flux
+    pdot = np.column_stack([result.solve(-c) for c in r.T])
+    rhs = problem._OT @ (problem.O @ pdot / problem.sigma_eta ** 2)
+    qdot = np.column_stack([result.solve(c) for c in rhs.T])
+    return _chain_rule_assemble(problem, result, qdot).reshape(w.shape)
 
 
 class EllipticState:

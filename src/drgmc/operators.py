@@ -12,7 +12,6 @@ Euclidean on nodal coefficients, low-rank bases are column-orthonormal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,17 +84,10 @@ def build_prior_covariance(nodes, sigma_u, s_0):
         return CovarianceOperator(C)
 
 
-@dataclass(frozen=True)
-class GaussianSample:
-    coefficients: np.ndarray
-    seed: int
-
-
 def sample_prior(cov, seed):
     """Draw u = S z with z standard normal, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(cov.n)
-    return GaussianSample(coefficients=cov.S @ z, seed=seed)
+    return cov.S @ rng.standard_normal(cov.n)
 
 
 def whiten(u, cov):
@@ -194,8 +186,11 @@ def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
     subspace iteration is an order of magnitude less accurate at equal q on
     i^{-2}-type spectra). Exact to roundoff for actions of rank <= r.
 
-    apply_A may take a vector or an n x k block; non-symmetric actions are
-    rejected by a Galerkin symmetry test.
+    apply_A must be a block action: given an n x k array it returns the
+    n x k array of its column images. It is called once per block, at most
+    q + 2 times in all. A result of any other shape raises ValueError, and
+    exceptions raised by apply_A propagate unchanged. Non-symmetric actions
+    are rejected by a Galerkin symmetry test.
     """
     if r < 0 or r > n:
         raise ValueError("rank r must lie in [0, n]")
@@ -212,14 +207,10 @@ def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
             raise ValueError("probe block must be n x (r+p)")
 
     def apply_block(B):
-        try:
-            out = np.asarray(apply_A(B), dtype=float)
-        except Exception:
-            out = None
-        if out is None or out.shape != B.shape:
-            # vector-only action: apply column by column
-            out = np.column_stack([np.asarray(apply_A(B[:, j]), dtype=float)
-                                   for j in range(B.shape[1])])
+        out = np.asarray(apply_A(B), dtype=float)
+        if out.shape != B.shape:
+            raise ValueError(f"block action mapped a {B.shape} block to shape "
+                             f"{out.shape}; apply_A must take n x k blocks")
         return out
 
     Y = apply_block(probe)

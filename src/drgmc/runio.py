@@ -177,6 +177,7 @@ def write_run(run_dir, record, config, summary_extra=None):
         "maxESS": float(np.max(ecoord)),
         "minESS_per_s": float(np.min(ecoord)) / total_time,
         "PDEsolns": int(record.pde_solves[-1]),
+        "error_rejects": int(record.meta.get("error_rejects", 0)),
         "wall_time": total_time,
         "config_hash": config.hash(),
     }

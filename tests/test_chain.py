@@ -66,6 +66,15 @@ class TestWhitening:
         w = np.random.default_rng(1).standard_normal(5)
         assert np.allclose(state.gnh_action(w), S @ gnh_u(S @ v, S @ w), atol=1e-11)
 
+    def test_elliptic_block_action_matches_columns(self):
+        model, _ = elliptic_whitened(8)
+        rng = np.random.default_rng(2)
+        state = model.state(0.5 * rng.standard_normal(model.n))
+        W = rng.standard_normal((model.n, 6))
+        cols = np.column_stack([state.gnh_action(W[:, j]) for j in range(6)])
+        block = state.gnh_action(W)
+        assert np.abs(block - cols).max() <= 1e-12 * np.abs(cols).max()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("algorithm", ["pcn", "inf-mala", "dr-inf-mmala",
@@ -93,6 +102,7 @@ class TestAllKernelsRun:
         assert rec.samples.shape == (120, 4)
         assert np.isfinite(rec.potentials).all()
         assert rec.meta["algorithm"] == algorithm
+        assert rec.meta["error_rejects"] == 0
         # every kernel must move off the start on this easy target
         assert np.mean(rec.accepts) > 0.0
 
@@ -170,6 +180,20 @@ class _FailingState:
         return np.array(w, dtype=float)
 
 
+class _BlockFailingState:
+    """Quadratic target whose GNH action raises on every n x k block."""
+
+    def __init__(self, u):
+        self.u = u
+        self.phi = 0.5 * float(u @ u)
+        self.grad = u.copy()
+
+    def gnh_action(self, w):
+        if np.ndim(w) == 2:
+            raise FloatingPointError("synthetic block failure")
+        return np.array(w, dtype=float)
+
+
 def failing_whitened(error, n=4):
     return WhitenedModel(CovarianceOperator(np.eye(n)),
                          lambda u: _FailingState(u, error))
@@ -184,6 +208,15 @@ class TestRejectionPath:
         assert not rec.accepts.any()
         assert not rec.samples.any()
         assert not rec.potentials.any()
+        assert rec.meta["error_rejects"] == 60
+
+    def test_block_action_failure_rejects(self):
+        # a GNH action that fails on blocks is not retried column by column:
+        # its FloatingPointError reaches the MH step, which rejects
+        model = WhitenedModel(CovarianceOperator(np.eye(4)), _BlockFailingState)
+        rec = run_small(model, "dr-inf-mmala", iterations=30)
+        assert not rec.accepts.any()
+        assert rec.meta["error_rejects"] == 30
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_other_errors_propagate(self, algorithm):

@@ -169,6 +169,50 @@ class TestAdjointCalculus:
         lam = np.linalg.eigvalsh(0.5 * (H_dense + H_dense.T))
         assert np.sum(lam > 1e-10 * lam.max()) <= 25
 
+    def test_block_action_matches_columns(self):
+        mesh, problem, _ = small_problem(10)
+        rng = np.random.default_rng(4)
+        u = 0.3 * rng.standard_normal(problem.n)
+        res = elliptic.assemble_and_solve(u, problem)
+        W = rng.standard_normal((problem.n, 7))
+        cols = np.column_stack([elliptic.gnh_action(u, W[:, j], problem, res)
+                                for j in range(7)])
+        block = elliptic.gnh_action(u, W, problem, res)
+        assert block.shape == W.shape
+        assert np.abs(block - cols).max() <= 1e-12 * np.abs(cols).max()
+
+    def test_incidence_scatters_match_add_at_reference(self):
+        # the per-edge loop the sparse incidence products replace
+        mesh, problem, _ = small_problem(7)
+        rng = np.random.default_rng(6)
+        u = 0.3 * rng.standard_normal(problem.n)
+        res = elliptic.assemble_and_solve(u, problem)
+        ea, eb = problem._ea, problem._eb
+
+        def assemble_ref(q):
+            s = res.dpe * (q[ea] - q[eb])
+            g = np.zeros(problem.n)
+            np.add.at(g, ea, -res.ca * s)
+            np.add.at(g, eb, -res.cb * s)
+            return g
+
+        def gnh_ref(w):
+            dt = res.ca * w[ea] + res.cb * w[eb]
+            r = np.zeros(problem.n)
+            np.add.at(r, ea, dt * res.dpe)
+            np.add.at(r, eb, -dt * res.dpe)
+            jw = problem.O @ res.solve(-r)
+            return assemble_ref(res.solve(problem.O.T @ (jw / problem.sigma_eta ** 2)))
+
+        q = rng.standard_normal(problem.n)
+        ref = assemble_ref(q)
+        got = elliptic._chain_rule_assemble(problem, res, q)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        w = rng.standard_normal(problem.n)
+        ref = gnh_ref(w)
+        got = elliptic.gnh_action(u, w, problem, res)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestSolveAccounting:
     def test_unit_costs(self):
@@ -184,3 +228,24 @@ class TestSolveAccounting:
         assert problem.solves.count == 2  # one adjoint against the same factorization
         state.gnh_action(np.ones(problem.n))
         assert problem.solves.count == 4  # tangent + adjoint
+
+    def test_block_costs_two_solves_per_column(self, monkeypatch):
+        mesh, problem, _ = small_problem(6)
+        state = elliptic.make_state(problem, np.zeros(problem.n))
+        state.phi
+        # the traced bench counts ForwardSolveResult.solve calls and requires
+        # them to equal the counter's increments
+        calls = []
+        solve = elliptic.ForwardSolveResult.solve
+
+        def counted(self, rhs):
+            calls.append(np.shape(rhs))
+            return solve(self, rhs)
+
+        monkeypatch.setattr(elliptic.ForwardSolveResult, "solve", counted)
+        k = 5
+        before = problem.solves.count
+        state.gnh_action(np.random.default_rng(0).standard_normal((problem.n, k)))
+        assert problem.solves.count - before == 2 * k
+        assert len(calls) == 2 * k
+        assert set(calls) == {(problem.n,)}

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,14 @@ class TestRunDirectory:
         assert summary["minESS"] <= summary["medESS"] <= summary["maxESS"]
         assert summary["config_hash"] == cfg.hash()
         assert summary["PDEsolns"] == int(record.pde_solves[-1])
+        assert summary["error_rejects"] == record.meta["error_rejects"] == 0
+
+    def test_summary_counts_error_rejects(self, run, tmp_path):
+        _, record, cfg = run
+        failed = replace(record, meta={**record.meta, "error_rejects": 7})
+        runio.write_run(tmp_path / "out", failed, cfg)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["error_rejects"] == 7
 
     def test_manifest(self, run):
         run_dir, _, cfg = run

@@ -49,14 +49,14 @@ class TestPriorCovariance:
 
     def test_whiten_roundtrip(self):
         cov = build_prior_covariance(grid_nodes(4), sigma_u=1.25, s_0=0.0625)
-        u = sample_prior(cov, seed=3).coefficients
+        u = sample_prior(cov, seed=3)
         assert np.allclose(unwhiten(whiten(u, cov), cov), u, atol=1e-9)
 
     def test_sample_prior_reproducible(self):
         cov = build_prior_covariance(grid_nodes(4), sigma_u=1.0, s_0=0.1)
-        a = sample_prior(cov, seed=11).coefficients
-        b = sample_prior(cov, seed=11).coefficients
-        c = sample_prior(cov, seed=12).coefficients
+        a = sample_prior(cov, seed=11)
+        b = sample_prior(cov, seed=11)
+        c = sample_prior(cov, seed=12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -157,14 +157,33 @@ class TestRandomizedEig:
         spec = randomized_eig(lambda x: A @ x, n, r=r, rng=np.random.default_rng(1))
         assert np.allclose(spec.eigenvalues, spec_true.eigenvalues, atol=1e-9)
 
-    def test_block_and_vector_actions_agree(self):
+    @pytest.mark.parametrize("action", [
+        lambda A, B: A @ B[:, 0],      # vector-only: images the first column
+        lambda A, B: (A @ B).T,        # transposed block
+        lambda A, B: A @ B[:, :-1],    # drops a column
+        lambda A, B: np.diag(A) * B,   # vector-only scaling: cannot broadcast
+    ])
+    def test_action_must_map_blocks_to_blocks(self, action):
         n = 15
         A, _ = self.decay_operator(n, seed=3)
-        probe = np.random.default_rng(5).standard_normal((n, min(6 + 5, n)))
-        s_blk = randomized_eig(lambda B: A @ B, n, r=6, probe=probe.copy())
-        s_vec = randomized_eig(lambda x: A @ x if x.ndim == 1 else (_ for _ in ()).throw(ValueError),
-                               n, r=6, probe=probe.copy())
-        assert np.allclose(s_blk.eigenvalues, s_vec.eigenvalues, atol=1e-12)
+        with pytest.raises(ValueError):
+            randomized_eig(lambda B: action(A, B), n, r=6,
+                           rng=np.random.default_rng(5))
+
+    def test_action_errors_propagate_unchanged(self):
+        # the chain rejects a candidate on FloatingPointError, so the
+        # eigensolver must neither swallow nor retry it
+        err = FloatingPointError("singular stiffness factorization")
+        calls = []
+
+        def failing(B):
+            calls.append(B.shape)
+            raise err
+
+        with pytest.raises(FloatingPointError) as info:
+            randomized_eig(failing, 12, r=3, rng=np.random.default_rng(0))
+        assert info.value is err
+        assert calls == [(12, 8)]
 
     def test_probe_shape_enforced(self):
         A, _ = self.decay_operator(10, seed=0)
