@@ -268,7 +268,7 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
     accepts = np.zeros(iterations, dtype=bool)
     wall = np.empty(iterations)
     solves = np.zeros(iterations, dtype=np.int64)
-    error_rejects = 0
+    error_rejects = update_errors = 0
 
     for it in range(iterations):
         t0 = time.perf_counter()
@@ -277,9 +277,13 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
             error_rejects += 1
         if ctx.lis is not None and it < burn_in:
             before = ctx.lis
-            ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
-                state.gnh_action, n, threshold=ctx.threshold,
-                max_rank=ctx.max_rank, probe=ctx.probe))
+            try:
+                ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
+                    state.gnh_action, n, threshold=ctx.threshold,
+                    max_rank=ctx.max_rank, probe=ctx.probe))
+            except _REJECTABLE:
+                # a failed update leaves the subspace as it was
+                update_errors += 1
             if ctx.lis is not before:
                 ctx.dili_ops = None
             if it + 1 == burn_in and not ctx.lis.frozen:
@@ -303,6 +307,7 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
             "frozen": ctx.lis.frozen,
             "history": [list(row) for row in ctx.lis.history],
             "eigenvalues": ctx.lis.spectrum.eigenvalues.tolist(),
+            "update_errors": update_errors,
         }
         meta["lis_state"] = ctx.lis
     return ChainRecord(samples=samples, potentials=potentials, accepts=accepts,

@@ -3,7 +3,6 @@
 Subcommands:
     run          execute one configured chain into a run directory
     compare      build the efficiency table from several run directories
-    verify       run the property suites (fast | full)
     lis-inspect  print the adapted subspace eigenvalues and d_F history
 
 The default output root is $DRGMC_OUTPUT_ROOT (falling back to ./runs).
@@ -15,14 +14,12 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import config as config_mod
 from . import runio
 from .diagnostics import summary_table, table_to_csv, table_to_text
 from .harness import run_from_config
-from .verify import run_verify
 
 OUTPUT_ROOT_ENV = "DRGMC_OUTPUT_ROOT"
 
@@ -56,10 +53,6 @@ def _build_parser():
     p_cmp.add_argument("runs", nargs="+", help="run directories (pCN baseline required)")
     p_cmp.add_argument("--out", help="directory for table.csv/table.txt")
     p_cmp.add_argument("--baseline", default="pcn")
-
-    p_ver = sub.add_parser("verify", help="run property suites")
-    p_ver.add_argument("--level", choices=("fast", "full"), default="fast")
-    p_ver.add_argument("--json", dest="json_path", help="write the report here")
 
     p_lis = sub.add_parser("lis-inspect", help="dump LIS eigenvalues and d_F history")
     p_lis.add_argument("run", help="run directory of an adaptive chain")
@@ -122,17 +115,6 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_verify(args):
-    t0 = time.perf_counter()
-    report = run_verify(args.level)
-    report["seconds"] = round(time.perf_counter() - t0, 3)
-    text = json.dumps(report, indent=1)
-    if args.json_path:
-        Path(args.json_path).write_text(text)
-    print(text)
-    return 0 if report["passed"] else 1
-
-
 def cmd_lis_inspect(args):
     run_dir = Path(args.run)
     lis_path = run_dir / "lis.json"
@@ -153,7 +135,7 @@ def cmd_lis_inspect(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    handlers = {"run": cmd_run, "compare": cmd_compare, "verify": cmd_verify,
+    handlers = {"run": cmd_run, "compare": cmd_compare,
                 "lis-inspect": cmd_lis_inspect}
     return handlers[args.command](args)
 

@@ -79,10 +79,12 @@ class RunConfig:
             bad("algorithm", f"must be one of {ALGORITHMS}")
         if self.iterations <= self.burn_in or self.burn_in < 0:
             bad("iterations", "must exceed burn_in, and burn_in must be >= 0")
-        if self.nx < 2 or self.ny < 2:
-            bad("nx", "mesh needs at least 2 cells per direction")
-        if self.sigma_u <= 0 or self.s_0 <= 0:
-            bad("sigma_u", "prior scales must be positive")
+        for key in ("nx", "ny"):
+            if getattr(self, key) < 2:
+                bad(key, "mesh needs at least 2 cells per direction")
+        for key in ("sigma_u", "s_0"):
+            if getattr(self, key) <= 0:
+                bad(key, "prior scales must be positive")
         if self.snr <= 0:
             bad("snr", "must be positive")
         for key in ("h", "h_r", "h_perp", "eps"):
@@ -91,18 +93,22 @@ class RunConfig:
                 bad(key, "must be positive when given")
         if self.n_leapfrog is not None and self.n_leapfrog < 1:
             bad("n_leapfrog", "must be >= 1")
-        if self.gamma_r not in (0, 1) or self.gamma_perp not in (0, 1):
-            bad("gamma_r", "gamma flags must be 0 or 1")
-        if self.rank < 1 or self.max_rank < 1:
-            bad("rank", "ranks must be >= 1")
+        for key in ("gamma_r", "gamma_perp"):
+            if getattr(self, key) not in (0, 1):
+                bad(key, "gamma flags must be 0 or 1")
+        for key in ("rank", "max_rank"):
+            if getattr(self, key) < 1:
+                bad(key, "ranks must be >= 1")
         if not 0 < self.threshold:
             bad("threshold", "must be positive")
-        if self.n_lag < 1 or self.m_max < 1:
-            bad("n_lag", "adaptation cadences must be >= 1")
+        for key in ("n_lag", "m_max"):
+            if getattr(self, key) < 1:
+                bad(key, "adaptation cadences must be >= 1")
         if self.delta_lis <= 0:
             bad("delta_lis", "must be positive")
-        if self.lin_n < 1 or self.lin_m < 1:
-            bad("lin_n", "linear model shape must be positive")
+        for key in ("lin_n", "lin_m"):
+            if getattr(self, key) < 1:
+                bad(key, "linear model shape must be positive")
 
     def resolved_steps(self):
         """Fill unset step-size fields from the per-algorithm defaults."""

@@ -1,17 +1,14 @@
 """Structured linear operators for function-space sampling.
 
-Dense prior covariances with self-adjoint square roots, whitening maps,
-randomized partial (generalized) eigendecomposition, Woodbury-form low-rank
-covariance actions, and the Forstner distance between SPD operators of the
-form I + V diag(lam) V^T.
+Dense prior covariances with self-adjoint square roots, randomized partial
+eigendecomposition, Woodbury-form low-rank covariance actions, and the
+Forstner distance between SPD operators of the form I + V diag(lam) V^T.
 
 Conventions: fields are flat float64 arrays, the inner product is plain
 Euclidean on nodal coefficients, low-rank bases are column-orthonormal.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,24 +31,10 @@ class CovarianceOperator:
             raise ValueError("covariance matrix is not positive definite")
         self.C = C
         self.n = C.shape[0]
-        self._eigvals = w
-        self._eigvecs = Q
         self.S = (Q * np.sqrt(w)) @ Q.T
-        self.S_inv = (Q * (1.0 / np.sqrt(w))) @ Q.T
-
-    def apply(self, x):
-        return self.C @ x
-
-    def solve(self, x):
-        w = self._eigvecs.T @ x
-        w = (w.T / self._eigvals).T  # divide along the eigen index for blocks too
-        return self._eigvecs @ w
 
     def sqrt_apply(self, x):
         return self.S @ x
-
-    def sqrt_solve(self, x):
-        return self.S_inv @ x
 
 
 def build_prior_covariance(nodes, sigma_u, s_0):
@@ -90,25 +73,13 @@ def sample_prior(cov, seed):
     return cov.S @ rng.standard_normal(cov.n)
 
 
-def whiten(u, cov):
-    return cov.S_inv @ u
-
-
-def unwhiten(v, cov):
-    return cov.S @ v
-
-
 class LowRankSpectrum:
-    """Rank-r spectral factor: eigenvalues lam (descending, >= 0) and basis V.
+    """Rank-r spectral factor: eigenvalues lam (descending, >= 0) and an
+    orthonormal basis V, both in whitened coordinates."""
 
-    metric records the inner product in which V is orthonormal: "identity"
-    for whitened coordinates, "covariance" for generalized (C^{-1}-weighted)
-    bases carried in unwhitened coordinates.
-    """
+    __slots__ = ("r", "eigenvalues", "basis")
 
-    __slots__ = ("r", "eigenvalues", "basis", "metric")
-
-    def __init__(self, eigenvalues, basis, metric="identity"):
+    def __init__(self, eigenvalues, basis):
         lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
         V = np.asarray(basis, dtype=float)
         if V.ndim != 2 or V.shape[1] != lam.shape[0]:
@@ -120,7 +91,6 @@ class LowRankSpectrum:
         self.r = int(lam.shape[0])
         self.eigenvalues = np.maximum(lam, 0.0)
         self.basis = V
-        self.metric = metric
 
     @property
     def n(self):
@@ -143,29 +113,11 @@ class LowRankSpectrum:
             keep = min(keep, int(r))
         if threshold is not None:
             keep = min(keep, int(np.sum(self.eigenvalues >= threshold)))
-        return LowRankSpectrum(self.eigenvalues[:keep], self.basis[:, :keep], self.metric)
-
-    def to_json(self):
-        """Schema: {r, eigenvalues: [...], basis: row-major nested array, metric}."""
-        return json.dumps({
-            "r": self.r,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "basis": self.basis.tolist(),
-            "metric": self.metric,
-        })
+        return LowRankSpectrum(self.eigenvalues[:keep], self.basis[:, :keep])
 
     @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        spec = cls(np.asarray(doc["eigenvalues"]), np.asarray(doc["basis"]),
-                   metric=doc["metric"])
-        if spec.r != doc["r"]:
-            raise ValueError("rank field inconsistent with eigenvalue count")
-        return spec
-
-    @classmethod
-    def empty(cls, n, metric="identity"):
-        return cls(np.zeros(0), np.zeros((n, 0)), metric)
+    def empty(cls, n):
+        return cls(np.zeros(0), np.zeros((n, 0)))
 
 
 def _orthonormalize(M, rel_tol=1e-12):
@@ -245,21 +197,6 @@ def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
     return LowRankSpectrum(lam[:take], U[:, :take])
 
 
-def generalized_eig(apply_H, cov, r, p=5, q=2, rng=None, probe=None):
-    """Leading eigenpairs of H u = lam C^{-1} u via the whitened action.
-
-    Runs randomized_eig on w -> S H(S w); the returned basis is orthonormal
-    in the identity metric on whitened coordinates (v_i = C^{-1/2} u_i).
-    """
-    S = cov.S
-
-    def whitened(B):
-        return S @ np.asarray(apply_H(S @ B), dtype=float)
-
-    spec = randomized_eig(whitened, cov.n, r, p=p, q=q, rng=rng, probe=probe)
-    return spec
-
-
 def apply_K_hat(v, spec):
     """(I + V_r (D_r - I_r) V_r^T) v, the Woodbury form of (I + V L V^T)^{-1}."""
     if spec.r == 0:
@@ -274,18 +211,6 @@ def apply_sqrtK_hat(v, spec):
         return np.array(v, dtype=float, copy=True)
     c = spec.project(v)
     return v + spec.lift((np.sqrt(spec.D) - 1.0) * c)
-
-
-def apply_invK_hat(v, spec):
-    """K_hat^{-1} v = (I + V_r Lambda_r V_r^T) v."""
-    if spec.r == 0:
-        return np.array(v, dtype=float, copy=True)
-    c = spec.project(v)
-    return v + spec.lift(spec.eigenvalues * c)
-
-
-def logdet_K_hat(spec):
-    return float(np.sum(np.log(spec.D)))
 
 
 def forstner_distance(spec_a, spec_b):

@@ -9,7 +9,8 @@ A run directory contains:
     summary.json   scalar efficiency summary
     manifest.json  config hash, seed, git state, timestamps, file inventory
     lis.csv        (adaptive kernels) update,m,r,d_F per subspace update
-    lis.json       (adaptive kernels) final eigenvalues and update history
+    lis.json       (adaptive kernels) final eigenvalues, update history and
+                   the count of updates that failed (update_errors)
 
 samples.bin byte layout, little-endian throughout:
 
@@ -102,7 +103,7 @@ def write_lis(run_dir, meta):
     (run_dir / "lis.csv").write_text("\n".join(lines) + "\n")
     payload = {"eigenvalues": lis["eigenvalues"], "history": lis["history"],
                "m": lis["m"], "r": lis["r"], "d_f": lis["d_f"],
-               "frozen": lis["frozen"]}
+               "frozen": lis["frozen"], "update_errors": lis["update_errors"]}
     (run_dir / "lis.json").write_text(json.dumps(payload, indent=1))
 
 

@@ -2,12 +2,14 @@
 
 Each test is numbered so `pytest -v tests/test_acceptance.py` prints one
 pass/fail line per criterion. The stochastic criteria (2, 11, 12) use fixed
-seeds and are deterministic in single-threaded runs.
+seeds and are deterministic in single-threaded runs; they are the long
+chains, marked ``slow``.
 """
 
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from drgmc import elliptic, linear_model
@@ -51,6 +53,7 @@ def test_criterion_01_flat_target_pcn_accepts_everything():
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_02_linear_gaussian_moments_all_samplers():
     lm = linear_model.random_model(n=8, m=4, seed=20260815, noise_scale=0.5)
     model = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
@@ -272,6 +275,7 @@ def _shared_observations(nx):
     return problem.y, problem.sigma_eta
 
 
+@pytest.mark.slow
 def test_criterion_11_acceptance_stable_under_mesh_refinement():
     meshes = (16, 24, 32)
     data = _shared_observations(max(meshes))
@@ -287,6 +291,7 @@ def test_criterion_11_acceptance_stable_under_mesh_refinement():
         assert spread <= 0.10, f"{algorithm}: acceptance drifted {aps}"
 
 
+@pytest.mark.slow
 def test_criterion_12_efficiency_ordering_on_desk_scale_study():
     wins_speedup, wins_hmc = 0, 0
     for seed in (0, 1, 2):

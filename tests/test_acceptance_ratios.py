@@ -265,18 +265,20 @@ class TestDiliRatios:
         spec = random_spectrum(n, r, seed=26)
         ops = dili_connection_operators(spec, params)
         rng = np.random.default_rng(27)
+        elsewhere = np.random.default_rng(34)
         for _ in range(30):
             v = rng.standard_normal(n)
             out = dr_mmala_propose(v, grad(v), spec, params, rng)
-            vp = out.v_prime
-            dr = dr_mmala_log_ratio(v, vp, spec, spec, grad(v), grad(vp),
-                                    phi(v), phi(vp), params)
-            exact = dili_exact_log_ratio(v, vp, spec, grad(v), grad(vp),
-                                         phi(v), phi(vp), ops)
-            corrected = dili_log_ratio(v, vp, spec, grad(v), grad(vp),
-                                       phi(v), phi(vp), params)
-            assert abs(dr - exact) < 1e-10
-            assert abs(dr - corrected) < 1e-12
+            # the proposed candidate, and one the proposal did not draw
+            for vp in (out.v_prime, elsewhere.standard_normal(n)):
+                dr = dr_mmala_log_ratio(v, vp, spec, spec, grad(v), grad(vp),
+                                        phi(v), phi(vp), params)
+                exact = dili_exact_log_ratio(v, vp, spec, grad(v), grad(vp),
+                                             phi(v), phi(vp), ops)
+                corrected = dili_log_ratio(v, vp, spec, grad(v), grad(vp),
+                                           phi(v), phi(vp), params)
+                assert abs(dr - exact) < 1e-10
+                assert abs(dr - corrected) < 1e-12
 
 
 class TestHmcEnergy:
@@ -303,11 +305,13 @@ class TestHmcEnergy:
     def test_flat_target_conserves_energy(self):
         n = 5
         spec = LowRankSpectrum.empty(n)
-        params = StepParams(h=0.16, gamma_r=0, gamma_perp=1, n_leapfrog=25)
-        rng = np.random.default_rng(31)
-        out = dr_mhmc_propose(rng.standard_normal(n), spec, params,
-                              lambda v: np.zeros(n), rng)
-        assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
+        for h, gamma_perp in ((0.16, 1), (0.09, 0)):
+            params = StepParams(h=h, gamma_r=0, gamma_perp=gamma_perp,
+                                n_leapfrog=25)
+            rng = np.random.default_rng(31)
+            out = dr_mhmc_propose(rng.standard_normal(n), spec, params,
+                                  lambda v: np.zeros(n), rng)
+            assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
 
     def test_reverse_path_negates_energy_difference(self):
         # deterministic position-dependent spectrum: flipping the momentum

@@ -1,9 +1,11 @@
 """Chain driver: kernel dispatch, determinism, solve accounting, adaptation."""
 
+import json
+
 import numpy as np
 import pytest
 
-from drgmc import elliptic, linear_model
+from drgmc import elliptic, linear_model, runio
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
@@ -217,6 +219,21 @@ class TestRejectionPath:
         rec = run_small(model, "dr-inf-mmala", iterations=30)
         assert not rec.accepts.any()
         assert rec.meta["error_rejects"] == 30
+
+    @pytest.mark.parametrize("algorithm", ["dili", "adr-inf-mmala",
+                                           "adr-inf-mhmc"])
+    def test_failed_lis_update_is_counted(self, algorithm, tmp_path):
+        # the kernels hold the (empty) global subspace fixed and never call
+        # the block action; only the burn-in LIS updates do, and they fail
+        model = WhitenedModel(CovarianceOperator(np.eye(4)), _BlockFailingState)
+        rec = run_small(model, algorithm, iterations=90, burn_in=45, n_lag=20)
+        lis = rec.meta["lis"]
+        due = sum((it + 1) % 20 == 0 for it in range(45))
+        assert lis["update_errors"] == due == 2
+        assert lis["m"] == 0 and lis["r"] == 0 and lis["frozen"]
+        assert rec.meta["error_rejects"] == 0
+        runio.write_lis(tmp_path, rec.meta)
+        assert json.loads((tmp_path / "lis.json").read_text())["update_errors"] == 2
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_other_errors_propagate(self, algorithm):

@@ -113,19 +113,20 @@ class TestData:
 
 class TestAdjointCalculus:
     def test_gradient_matches_central_differences(self):
-        mesh, problem, _ = small_problem(8)
-        rng = np.random.default_rng(1)
-        u = 0.3 * rng.standard_normal(problem.n)
-        g = elliptic.gradient(u, problem)
-        t = 1e-5
-        worst = 0.0
-        for _ in range(10):
-            w = rng.standard_normal(problem.n)
-            w /= np.linalg.norm(w)
-            fd = (elliptic.potential(u + t * w, problem)
-                  - elliptic.potential(u - t * w, problem)) / (2 * t)
-            worst = max(worst, abs(fd - g @ w) / max(abs(fd), 1e-12))
-        assert worst < 1e-4
+        for k, directions in ((8, 10), (16, 20)):
+            mesh, problem, _ = small_problem(k)
+            rng = np.random.default_rng(1)
+            u = 0.3 * rng.standard_normal(problem.n)
+            g = elliptic.gradient(u, problem)
+            t = 1e-5
+            worst = 0.0
+            for _ in range(directions):
+                w = rng.standard_normal(problem.n)
+                w /= np.linalg.norm(w)
+                fd = (elliptic.potential(u + t * w, problem)
+                      - elliptic.potential(u - t * w, problem)) / (2 * t)
+                worst = max(worst, abs(fd - g @ w) / max(abs(fd), 1e-12))
+            assert worst < 1e-4, f"{k}x{k}: relative error {worst:.2e}"
 
     def test_gnh_matches_fd_jacobian(self):
         # dense oracle: J columns by central differences of the observation
@@ -153,21 +154,22 @@ class TestAdjointCalculus:
             assert np.allclose(hw, H_dense @ w, rtol=2e-4, atol=1e-7 * np.abs(H_dense @ w).max())
 
     def test_gnh_symmetric_psd_rank_bounded(self):
-        mesh, problem, u_true = small_problem(10)
-        rng = np.random.default_rng(3)
-        u = 0.3 * rng.standard_normal(problem.n)
-        res = elliptic.assemble_and_solve(u, problem)
-        W = rng.standard_normal((problem.n, 8))
-        HW = np.column_stack([elliptic.gnh_action(u, W[:, j], problem, res)
-                              for j in range(8)])
-        G = W.T @ HW
-        assert np.abs(G - G.T).max() < 1e-9 * max(np.abs(G).max(), 1.0)
-        assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > -1e-10
-        # GNH factors through 25 observations, so its rank cannot exceed 25
-        H_dense = np.column_stack([elliptic.gnh_action(u, col, problem, res)
-                                   for col in np.eye(problem.n)])
-        lam = np.linalg.eigvalsh(0.5 * (H_dense + H_dense.T))
-        assert np.sum(lam > 1e-10 * lam.max()) <= 25
+        for k in (10, 16):
+            mesh, problem, u_true = small_problem(k)
+            rng = np.random.default_rng(3)
+            u = 0.3 * rng.standard_normal(problem.n)
+            res = elliptic.assemble_and_solve(u, problem)
+            W = rng.standard_normal((problem.n, 8))
+            HW = np.column_stack([elliptic.gnh_action(u, W[:, j], problem, res)
+                                  for j in range(8)])
+            G = W.T @ HW
+            assert np.abs(G - G.T).max() < 1e-9 * max(np.abs(G).max(), 1.0)
+            assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > -1e-10
+            # GNH factors through 25 observations, so its rank cannot exceed 25
+            H_dense = np.column_stack([elliptic.gnh_action(u, col, problem, res)
+                                       for col in np.eye(problem.n)])
+            lam = np.linalg.eigvalsh(0.5 * (H_dense + H_dense.T))
+            assert np.sum(lam > 1e-10 * lam.max()) <= 25
 
     def test_block_action_matches_columns(self):
         mesh, problem, _ = small_problem(10)

@@ -60,6 +60,12 @@ class TestConfig:
         (dict(gamma_r=2), "config key 'gamma_r'"),
         (dict(threshold=0.0), "config key 'threshold'"),
         (dict(snr=-1.0), "config key 'snr'"),
+        (dict(ny=1), "config key 'ny'"),
+        (dict(s_0=0.0), "config key 's_0'"),
+        (dict(max_rank=0), "config key 'max_rank'"),
+        (dict(gamma_perp=2), "config key 'gamma_perp'"),
+        (dict(m_max=0), "config key 'm_max'"),
+        (dict(lin_m=0), "config key 'lin_m'"),
     ])
     def test_validation_messages(self, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -245,6 +251,7 @@ class TestRunDirectory:
         run_dir = runio.write_run(tmp_path / "a", record, cfg)
         lis = json.loads((run_dir / "lis.json").read_text())
         assert lis["m"] >= 1
+        assert lis["update_errors"] == 0
         assert lis["r"] == len(lis["eigenvalues"])
         rows = (run_dir / "lis.csv").read_text().strip().splitlines()
         assert rows[0] == "update,m,r,d_F"
@@ -353,15 +360,6 @@ class TestCli:
         run_dir = runio.write_run(tmp_path / "d", record, cfg)
         assert cli.main(["compare", str(run_dir), "--out", str(tmp_path / "c")]) == 1
         assert "baseline 'pcn' missing" in capsys.readouterr().err
-
-    def test_verify_fast(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        assert cli.main(["verify", "--level", "fast",
-                         "--json", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
-        assert report["passed"] is True
-        assert report["level"] == "fast"
-        assert all(check["passed"] for check in report["checks"])
 
     def test_lis_inspect(self, tmp_path, capsys):
         cfg = small_linear_config(algorithm="adr-inf-mmala", h=1.0, rank=3,

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from drgmc.operators import (
@@ -10,19 +9,14 @@ from drgmc.operators import (
     LowRankSpectrum,
     _orthonormalize,
     apply_K_hat,
-    apply_invK_hat,
     apply_sqrtK_hat,
     build_prior_covariance,
     forstner_distance,
-    generalized_eig,
-    logdet_K_hat,
     randomized_eig,
     sample_prior,
-    unwhiten,
-    whiten,
 )
 
-from _dense_reference import dense_K, dense_invK, dense_sqrtK, forstner_dense
+from _dense_reference import dense_K, dense_sqrtK, forstner_dense
 
 
 def random_spectrum(n, r, seed=0, scale=10.0):
@@ -42,15 +36,9 @@ class TestPriorCovariance:
     def test_spd_and_sqrt_composition(self):
         cov = build_prior_covariance(grid_nodes(5), sigma_u=1.25, s_0=0.0625)
         x = np.random.default_rng(1).standard_normal(cov.n)
-        assert np.allclose(cov.S @ (cov.S @ x), cov.apply(x), atol=1e-10)
-        assert np.allclose(cov.solve(cov.apply(x)), x, atol=1e-8)
+        assert np.allclose(cov.S @ (cov.S @ x), cov.C @ x, atol=1e-10)
         # the symmetric factor is self-adjoint, unlike a Cholesky factor
         assert np.allclose(cov.S, cov.S.T)
-
-    def test_whiten_roundtrip(self):
-        cov = build_prior_covariance(grid_nodes(4), sigma_u=1.25, s_0=0.0625)
-        u = sample_prior(cov, seed=3)
-        assert np.allclose(unwhiten(whiten(u, cov), cov), u, atol=1e-9)
 
     def test_sample_prior_reproducible(self):
         cov = build_prior_covariance(grid_nodes(4), sigma_u=1.0, s_0=0.1)
@@ -91,33 +79,23 @@ class TestLowRankSpectrum:
         thr = spec.truncate(threshold=lam[2])
         assert thr.r == int(np.sum(lam >= lam[2]))
 
-    def test_json_roundtrip(self):
-        spec = random_spectrum(6, 3, seed=4)
-        back = LowRankSpectrum.from_json(spec.to_json())
-        assert np.allclose(back.eigenvalues, spec.eigenvalues)
-        assert np.allclose(back.basis, spec.basis)
-        assert back.metric == spec.metric
-
     def test_empty(self):
         spec = LowRankSpectrum.empty(5)
         assert spec.r == 0 and spec.n == 5
         x = np.arange(5.0)
         assert np.allclose(apply_K_hat(x, spec), x)
-        assert logdet_K_hat(spec) == 0.0
 
 
 class TestWoodburyActions:
-    @pytest.mark.parametrize("n,r", [(12, 4), (9, 9)])
+    @pytest.mark.parametrize("n,r", [(12, 4), (9, 9), (40, 7)])
     def test_against_dense(self, n, r):
         spec = random_spectrum(n, r, seed=n + r)
         V, lam = spec.basis, spec.eigenvalues
         x = np.random.default_rng(0).standard_normal(n)
         assert np.allclose(apply_K_hat(x, spec), dense_K(V, lam, n) @ x, atol=1e-10)
         assert np.allclose(apply_sqrtK_hat(x, spec), dense_sqrtK(V, lam, n) @ x, atol=1e-10)
-        assert np.allclose(apply_invK_hat(x, spec), dense_invK(V, lam, n) @ x, atol=1e-10)
-        sign, logdet = np.linalg.slogdet(dense_K(V, lam, n))
-        assert sign > 0
-        assert abs(logdet_K_hat(spec) - logdet) < 1e-10
+        composed = apply_sqrtK_hat(apply_sqrtK_hat(x, spec), spec)
+        assert np.max(np.abs(composed - apply_K_hat(x, spec))) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 16), st.integers(0, 6), st.integers(0, 2 ** 31 - 1))
@@ -125,7 +103,6 @@ class TestWoodburyActions:
         r = min(r, n)
         spec = random_spectrum(n, r, seed=seed) if r else LowRankSpectrum.empty(n)
         x = np.random.default_rng(seed).standard_normal(n)
-        assert np.allclose(apply_invK_hat(apply_K_hat(x, spec), spec), x, atol=1e-9)
         assert np.allclose(
             apply_sqrtK_hat(apply_sqrtK_hat(x, spec), spec),
             apply_K_hat(x, spec), atol=1e-9)
@@ -200,19 +177,6 @@ class TestRandomizedEig:
         spec = randomized_eig(lambda x: 0.0 * x, 7, r=2, rng=np.random.default_rng(0))
         assert spec.r == 2
         assert np.allclose(spec.eigenvalues, 0.0)
-
-    def test_generalized_matches_dense_pencil(self):
-        rng = np.random.default_rng(8)
-        n = 14
-        nodes = rng.uniform(size=(n, 2))
-        cov = build_prior_covariance(nodes, 1.0, 0.3)
-        B = rng.standard_normal((n, 5))
-        H = B @ B.T
-        spec = generalized_eig(lambda x: H @ x, cov, r=5, rng=np.random.default_rng(2))
-        lam_dense = sla.eigh(H, cov.solve(np.eye(n)), eigvals_only=True)[::-1][:5]
-        assert np.allclose(spec.eigenvalues, lam_dense, rtol=1e-8, atol=1e-10)
-        # basis orthonormal in the whitened metric
-        assert np.allclose(spec.basis.T @ spec.basis, np.eye(5), atol=1e-9)
 
 
 class TestForstner:
