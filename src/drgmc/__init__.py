@@ -20,7 +20,7 @@ from .operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
 from .proposals import (DiliOperators, ProposalOutput, StepParams, Trajectory,
                         dili_connection_operators, dili_operators,
                         dili_propose, dr_mhmc_propose, dr_mmala_propose,
-                        hmc_leapfrog, inf_hmc_propose, inf_mala_propose,
-                        pcn_propose, whitened_ngrad)
+                        inf_hmc_propose, inf_mala_propose, pcn_propose,
+                        whitened_ngrad)
 
 __version__ = "0.1.0"

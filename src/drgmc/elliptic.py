@@ -2,17 +2,19 @@
 
 Forward model: -div(exp(u) grad p) = f with homogeneous no-flux boundary,
 discretized by vertex-centered five-point finite volumes with harmonic-mean
-face transmissivities. The Neumann nullspace is pinned by a zero-mean
-constraint imposed through a single Lagrange multiplier row/column. Point
+face transmissivities t. One edge-difference operator G, (G p)[e] =
+p[a_e] - p[b_e], gives the stiffness G^T diag(t) G, the potential drops G p
+and the flux divergence G^T. The Neumann nullspace is pinned by grounding
+node 0: a solve projects its right-hand side onto zero sum and returns the
+zero-mean solution, i.e. applies the stiffness pseudo-inverse. Point
 observations are bilinear interpolants of p at 25 interior sensors.
 
-The potential is the Gaussian data misfit Phi(u) = 0.5 |y - G(u)|^2 / sigma^2.
-Its gradient comes from one adjoint solve against the exact discrete system,
-and Gauss-Newton Hessian actions on a vector or an n x k block from one
-tangent plus one adjoint solve per direction, all reusing the factorization
-cached at u; edge-to-node scatters are products with incidence matrices
-built once per problem. A shared counter tallies every linear solve so runs
-can report PDE-solution counts.
+The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2
+for the observation matrix O. Its gradient comes from one adjoint solve
+against the exact discrete system, and Gauss-Newton Hessian actions on a
+vector or an n x k block from one tangent plus one adjoint solve per
+direction, all reusing the factorization cached at u. A shared counter
+tallies every linear solve so runs can report PDE-solution counts.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _incidence(ends, n):
 
 
 class SolveCounter:
-    """Counts linear solves with the (augmented) stiffness operator."""
+    """Counts linear solves with the grounded stiffness operator."""
 
     __slots__ = ("count",)
 
@@ -160,6 +162,10 @@ class EllipticProblem:
         # node x edge incidence: (_to_a @ x)[i] sums x over edges whose a-end is i
         self._to_a = _incidence(self._ea, self.n)
         self._to_b = _incidence(self._eb, self.n)
+        # edge differences (G p)[e] = p[a_e] - p[b_e], and G without node 0
+        self._GT = self._to_a - self._to_b
+        self._G = self._GT.T.tocsr()
+        self._G0 = self._G[:, 1:].tocsc()
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
         self._OT = self.O.T.tocsr()
@@ -179,29 +185,29 @@ def make_problem(mesh, sensors=None):
 
 
 class ForwardSolveResult:
-    """Solution p (zero mean) plus the factorized constrained system at u.
-
-    Caches the per-edge transmissivities and their u-derivative coefficients
-    so adjoint, tangent and Hessian assemblies reuse them.
-    """
+    """Factorized grounded stiffness at u with the forward solution p (zero
+    mean, one counted solve) and the per-edge transmissivities, their
+    u-derivative coefficients and potential drops that adjoint, tangent and
+    Hessian assemblies reuse."""
 
     __slots__ = ("p", "lu", "t", "ca", "cb", "dpe", "_problem")
 
-    def __init__(self, p, lu, t, ca, cb, dpe, problem):
-        self.p = p
+    def __init__(self, lu, t, ca, cb, problem):
         self.lu = lu
         self.t = t
         self.ca = ca
         self.cb = cb
-        self.dpe = dpe
         self._problem = problem
+        self.p = self.solve(problem.b)
+        self.dpe = problem._G @ self.p  # potential drop along each edge
 
     def solve(self, rhs):
-        """Solve the augmented system for a nodal right-hand side; counts one solve."""
-        prob = self._problem
-        prob.solves.count += 1
-        aug = self.lu.solve(np.concatenate([rhs, [0.0]]))
-        return aug[:-1]
+        """Zero-mean pseudo-inverse solution for a nodal right-hand side, whose
+        zero-sum projection is solved with node 0 grounded; counts one solve."""
+        self._problem.solves.count += 1
+        n = len(rhs)
+        x = np.concatenate([[0.0], self.lu.solve(rhs[1:] - rhs.sum() / n)])
+        return x - x.sum() / n
 
 
 def assemble_and_solve(u, problem):
@@ -218,28 +224,17 @@ def assemble_and_solve(u, problem):
     t = harm * geow
     if not np.all(np.isfinite(t)):
         raise FloatingPointError("transmissivity overflow in face averaging")
-    n = problem.n
-    rows = np.concatenate([ea, eb, ea, eb])
-    cols = np.concatenate([ea, eb, eb, ea])
-    vals = np.concatenate([t, t, -t, -t])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    c = np.full((n, 1), 1.0 / n)
-    aug = sp.bmat([[A, sp.csc_matrix(c)], [sp.csc_matrix(c.T), None]], format="csc")
+    A = problem._G0.T @ sp.diags(t) @ problem._G0
     try:
-        lu = spla.splu(aug)
+        # A is symmetric: a fill-reducing order on its own pattern
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         # degenerate conductivity contrast: reject the state, not the run
         raise FloatingPointError(f"singular stiffness factorization: {exc}") from exc
     # dt/du at each endpoint, chain rule through the harmonic mean and exp(u)
     ca = t * kb / (ka + kb)
     cb = t * ka / (ka + kb)
-    res = ForwardSolveResult(p=None, lu=lu, t=t, ca=ca, cb=cb, dpe=None,
-                             problem=problem)
-    p = res.solve(problem.b)
-    p = p - p.mean()
-    res.p = p
-    res.dpe = p[ea] - p[eb]
-    return res
+    return ForwardSolveResult(lu, t, ca, cb, problem)
 
 
 def observe(result, problem):
@@ -249,7 +244,7 @@ def observe(result, problem):
 def generate_data(u_true, problem, snr, seed):
     """Observe the true field and add N(0, sigma^2 I) noise, sigma = max(u)/snr.
 
-    snr = inf is the noiseless flag: y = G(u_true) exactly and sigma_eta is
+    snr = inf is the noiseless flag: y = O p(u_true) exactly and sigma_eta is
     left untouched. Records (y, sigma_eta) on the problem.
     """
     u_true = np.asarray(u_true, dtype=float)
@@ -288,7 +283,7 @@ def _chain_rule_assemble(problem, result, q):
     """Entries -q^T (dA/du_k) p for a nodal vector q or for each column of an
     n x k block; shared by gradient and GNH."""
     Q = q.reshape(problem.n, -1)
-    s = result.dpe[:, None] * (Q[problem._ea] - Q[problem._eb])
+    s = result.dpe[:, None] * (problem._G @ Q)
     return -(problem._to_a @ (result.ca[:, None] * s)
              + problem._to_b @ (result.cb[:, None] * s)).reshape(q.shape)
 
@@ -311,7 +306,7 @@ def gnh_action(u, w, problem, result=None):
     W = w.reshape(problem.n, -1)
     flux = result.dpe[:, None] * (result.ca[:, None] * W[problem._ea]
                                   + result.cb[:, None] * W[problem._eb])
-    r = problem._to_a @ flux - problem._to_b @ flux
+    r = problem._GT @ flux
     pdot = np.column_stack([result.solve(-c) for c in r.T])
     rhs = problem._OT @ (problem.O @ pdot / problem.sigma_eta ** 2)
     qdot = np.column_stack([result.solve(c) for c in rhs.T])

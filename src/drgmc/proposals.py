@@ -184,17 +184,6 @@ def dili_propose(v, grad, spec, h_r, h_perp, gamma_r, rng, operators=None, xi=No
     return ProposalOutput(v_prime=v_prime, noise=xi)
 
 
-def hmc_leapfrog(v, vt, g_callback, eps):
-    """Half kick, exact rotation by eps, half kick."""
-    vt = vt + (eps / 2.0) * g_callback(v)
-    c, s = math.cos(eps), math.sin(eps)
-    v, vt = c * v + s * vt, -s * v + c * vt
-    vt = vt + (eps / 2.0) * g_callback(v)
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(vt))):
-        raise FloatingPointError("non-finite state in leapfrog step")
-    return v, vt
-
-
 def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=None):
     """Multi-step Hamiltonian proposal with low-rank curvature.
 

@@ -21,8 +21,7 @@ from drgmc.harness import build_elliptic, build_model, run_from_config
 from drgmc.operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
                              apply_sqrtK_hat, randomized_eig)
 from drgmc.proposals import (StepParams, dili_connection_operators,
-                             dili_propose, dr_mhmc_propose, dr_mmala_propose,
-                             hmc_leapfrog)
+                             dili_propose, dr_mhmc_propose, dr_mmala_propose)
 
 
 def random_spectrum(n, r, rng, scale=3.0):
@@ -210,17 +209,18 @@ def test_criterion_09_leapfrog_reversible_exact_and_second_order():
     lam, vecs = np.linalg.eigh(Q)
     spec = LowRankSpectrum(lam[::-1][:3], vecs[:, ::-1][:, :3])
 
-    # reversibility: flip the momentum, retrace, land on the start
-    drift = lambda v: -(Q @ v)
+    phi = lambda w: 0.5 * float(w @ (Q @ w))
+    grad = lambda w: Q @ w
+
+    # reversibility of the chains' integrator under a fixed spectrum: flip
+    # the final momentum, retrace, land on the start
+    params = StepParams(h=1.0, eps=0.1, n_leapfrog=25, gamma_r=1, gamma_perp=1)
     v, vt = rng.standard_normal(n), rng.standard_normal(n)
-    v1, vt1 = v, vt
-    for _ in range(25):
-        v1, vt1 = hmc_leapfrog(v1, vt1, drift, 0.1)
-    v2, vt2 = v1, -vt1
-    for _ in range(25):
-        v2, vt2 = hmc_leapfrog(v2, vt2, drift, 0.1)
-    assert np.max(np.abs(v2 - v)) < 1e-9
-    assert np.max(np.abs(vt2 + vt)) < 1e-9
+    fwd = dr_mhmc_propose(v, spec, params, grad, rng, vt0=vt)
+    back = dr_mhmc_propose(fwd.v_prime, spec, params, grad, rng,
+                           vt0=-fwd.trajectory.vts[-1])
+    assert np.max(np.abs(back.v_prime - v)) < 1e-9
+    assert np.max(np.abs(back.trajectory.vts[-1] + vt)) < 1e-9
 
     # flat target (zero misfit, zero curvature): the step is an exact
     # rotation and energy is conserved
@@ -230,8 +230,6 @@ def test_criterion_09_leapfrog_reversible_exact_and_second_order():
     assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
 
     # quadratic target, fixed integration time: |Delta E| = O(eps^2)
-    phi = lambda w: 0.5 * float(w @ (Q @ w))
-    grad = lambda w: Q @ w
     T = 2.0
     eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
     mean_abs = []

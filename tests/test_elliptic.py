@@ -62,6 +62,29 @@ class TestForwardSolve:
         np.add.at(div, eb, -flux)
         assert np.allclose(div, problem.b, atol=1e-9 * np.abs(problem.b).max())
 
+    def test_solve_is_zero_mean_pseudo_inverse(self):
+        # dense oracle: the singular Neumann stiffness and its pseudo-inverse;
+        # the adjoint source O^T r does not sum to zero, so the solve must
+        # project it before solving
+        mesh, problem, u_true = small_problem(8)
+        res = elliptic.assemble_and_solve(u_true, problem)
+        ea, eb = problem._ea, problem._eb
+        A = np.zeros((problem.n, problem.n))
+        np.add.at(A, (ea, ea), res.t)
+        np.add.at(A, (eb, eb), res.t)
+        np.add.at(A, (ea, eb), -res.t)
+        np.add.at(A, (eb, ea), -res.t)
+        A_pinv = np.linalg.pinv(A)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(problem.n)
+        adjoint_source = problem._OT @ rng.standard_normal(len(problem.sensors))
+        assert abs(adjoint_source.sum()) > 0.1
+        for rhs in (problem.b, z - z.mean(), adjoint_source):
+            x = res.solve(rhs)
+            ref = A_pinv @ rhs
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
+
     def test_mesh_refinement_consistency(self):
         # observations of the same smooth analytic field converge under
         # refinement (nested meshes; the bump in true_field is discontinuous

@@ -15,7 +15,6 @@ from drgmc.proposals import (
     dili_propose,
     dr_mhmc_propose,
     dr_mmala_propose,
-    hmc_leapfrog,
     inf_hmc_propose,
     inf_mala_propose,
     pcn_propose,
@@ -212,39 +211,22 @@ class TestDiliPropose:
 
 
 class TestLeapfrog:
-    def test_matches_dense_reference(self):
-        n = 5
-        phi, grad = quadratic_target(n, seed=1)
-        drift = lambda v: -grad(v)
-        rng = np.random.default_rng(2)
-        v, vt = rng.standard_normal(n), rng.standard_normal(n)
-        eps = 0.21
-        vs, vts = dense_leapfrog_path(v, vt, drift, eps, 1)
-        v1, vt1 = hmc_leapfrog(v, vt, drift, eps)
-        assert np.allclose(v1, vs[-1], atol=1e-12)
-        assert np.allclose(vt1, vts[-1], atol=1e-12)
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 0.8), st.integers(1, 10))
     def test_reversibility(self, seed, eps, steps):
+        # the integrator inside dr_mhmc_propose, run forward and then back
+        # from the end point with the final momentum flipped
         n = 4
-        phi, grad = quadratic_target(n, seed=seed % 100)
-        drift = lambda v: -grad(v)
+        spec = random_spectrum(n, 2, seed=seed % 100)
+        _, grad = quadratic_target(n, seed=seed % 100)
+        params = StepParams(h=1.0, eps=eps, n_leapfrog=steps, gamma_r=1, gamma_perp=1)
         rng = np.random.default_rng(seed)
         v0, vt0 = rng.standard_normal(n), rng.standard_normal(n)
-        v, vt = v0, vt0
-        for _ in range(steps):
-            v, vt = hmc_leapfrog(v, vt, drift, eps)
-        v, vt = v, -vt
-        for _ in range(steps):
-            v, vt = hmc_leapfrog(v, vt, drift, eps)
-        assert np.allclose(v, v0, atol=1e-9)
-        assert np.allclose(-vt, vt0, atol=1e-9)
-
-    def test_non_finite_raises(self):
-        with pytest.raises(FloatingPointError):
-            hmc_leapfrog(np.array([1.0]), np.array([1.0]),
-                         lambda v: np.array([np.inf]), 0.5)
+        fwd = dr_mhmc_propose(v0, spec, params, grad, rng, vt0=vt0)
+        back = dr_mhmc_propose(fwd.v_prime, spec, params, grad, rng,
+                               vt0=-fwd.trajectory.vts[-1])
+        assert np.allclose(back.v_prime, v0, atol=1e-9)
+        assert np.allclose(-back.trajectory.vts[-1], vt0, atol=1e-9)
 
 
 class TestDrMhmc:

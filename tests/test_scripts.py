@@ -1,0 +1,30 @@
+"""Smoke runs of the experiment scripts: each main() completes on a tiny
+budget and returns 0."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mesh_robustness():
+    argv = ["--meshes", "4,6", "--iterations", "20", "--algorithms", "pcn,adr-inf-mmala"]
+    assert load("mesh_robustness").main(argv) == 0
+
+
+def test_elliptic_study_writes_table(tmp_path):
+    argv = ["--iterations", "30", "--burn-in", "10", "--algorithms", "pcn,inf-mala",
+            "--out", str(tmp_path)]
+    assert load("run_elliptic_study").main(argv) == 0
+    assert (tmp_path / "table.csv").read_text().strip()
+
+
+def test_tune_steps():
+    assert load("tune_steps").main(["--iterations", "20", "--algorithms", "pcn"]) == 0
