@@ -32,23 +32,23 @@ HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 
 
 class WhitenedState:
-    """Lazy caches in v coordinates on top of a u-space model state."""
+    """Lazy caches in v coordinates on top of a u-space model state. The
+    whitened Jacobian Jv = J S is formed once, so every Gauss-Newton Hessian
+    action S J^T J S W = Jv^T (Jv W) is two products with an m x n matrix."""
 
-    __slots__ = ("v", "ustate", "_cov", "_u", "_grad", "spec")
+    __slots__ = ("v", "ustate", "_cov", "_grad", "_jv", "spec")
 
     def __init__(self, cov, ustate, v):
         self._cov = cov
         self.ustate = ustate
         self.v = v
-        self._u = None
         self._grad = None
+        self._jv = None
         self.spec = None
 
     @property
     def u(self):
-        if self._u is None:
-            self._u = self.ustate.u
-        return self._u
+        return self.ustate.u
 
     @property
     def phi(self):
@@ -61,12 +61,16 @@ class WhitenedState:
         return self._grad
 
     def gnh_action(self, w):
-        return self._cov.sqrt_apply(self.ustate.gnh_action(self._cov.sqrt_apply(w)))
+        if self._jv is None:
+            self._jv = self._cov.sqrt_apply(self.ustate.jac.T).T
+        return self._jv.T @ (self._jv @ w)
 
 
 class WhitenedModel:
     """cov: prior CovarianceOperator; state_factory(u) -> u-space state with
-    phi/grad/gnh_action; counter: optional solve counter to snapshot."""
+    phi (data misfit), grad (its u-gradient) and jac (the m x n Jacobian
+    whose Gram matrix J^T J is the Gauss-Newton Hessian); counter: optional
+    solve counter to snapshot."""
 
     def __init__(self, cov, state_factory, counter=None):
         self.cov = cov

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import model_callbacks
+from .linear_model import make_state
 from .operators import LowRankSpectrum
 from .proposals import (DiliOperators, StepParams, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose)
@@ -172,7 +172,7 @@ def _tail_coefficients(lam_tail):
 
 def _dense_whitened(model):
     s = model.prior.S
-    h_w = s @ model._gnh @ s
+    h_w = s @ (model._jac.T @ model._jac) @ s
     h_w = (h_w + h_w.T) / 2.0
     lam, vecs = np.linalg.eigh(h_w)
     lam, vecs = np.clip(lam[::-1], 0.0, None), vecs[:, ::-1]
@@ -198,13 +198,12 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
     h_w, full_spec = _dense_whitened(model)
     n = model.n
     s = model.prior.S
-    _, grad_u, _ = model_callbacks(model)
     if ranks is None:
         ranks = list(range(1, n))
     rows, violations = [], []
 
     def grad_v(v):
-        return s @ grad_u(s @ v)
+        return s @ make_state(model, s @ v).grad
 
     def record(bound, gp, r, lhs, rhs, state):
         slack = rhs + 1e-9 - lhs

@@ -11,10 +11,11 @@ observations are bilinear interpolants of p at 25 interior sensors.
 
 The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2
 for the observation matrix O. Its gradient comes from one adjoint solve
-against the exact discrete system, and Gauss-Newton Hessian actions on a
-vector or an n x k block from one tangent plus one adjoint solve per
-direction, all reusing the factorization cached at u. A shared counter
-tallies every linear solve so runs can report PDE-solution counts.
+against the exact discrete system. Curvature comes from the m x n Jacobian
+J = O (dp/du) / sigma of the m sensors: M = A^+ O^T costs one solve per
+sensor, once per state, and the Gauss-Newton Hessian is J^T J. All solves
+reuse the factorization cached at u, and a shared counter tallies every
+one so runs can report PDE-solution counts.
 """
 
 from __future__ import annotations
@@ -163,12 +164,12 @@ class EllipticProblem:
         self._to_a = _incidence(self._ea, self.n)
         self._to_b = _incidence(self._eb, self.n)
         # edge differences (G p)[e] = p[a_e] - p[b_e], and G without node 0
-        self._GT = self._to_a - self._to_b
-        self._G = self._GT.T.tocsr()
+        self._G = (self._to_a - self._to_b).T.tocsr()
         self._G0 = self._G[:, 1:].tocsc()
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
         self._OT = self.O.T.tocsr()
+        self._sources = self.O.toarray()  # row i: the dense column O^T e_i
         self.b = self.areas * self.forcing
         total = float(self.forcing @ self.areas)
         if abs(total) > 1e-6:
@@ -186,17 +187,18 @@ def make_problem(mesh, sensors=None):
 
 class ForwardSolveResult:
     """Factorized grounded stiffness at u with the forward solution p (zero
-    mean, one counted solve) and the per-edge transmissivities, their
-    u-derivative coefficients and potential drops that adjoint, tangent and
-    Hessian assemblies reuse."""
+    mean, one counted solve), the per-edge transmissivities, their
+    u-derivative coefficients and potential drops that the adjoint and
+    Jacobian assemblies reuse, and the m x n Jacobian jac once formed."""
 
-    __slots__ = ("p", "lu", "t", "ca", "cb", "dpe", "_problem")
+    __slots__ = ("p", "lu", "t", "ca", "cb", "dpe", "jac", "_problem")
 
     def __init__(self, lu, t, ca, cb, problem):
         self.lu = lu
         self.t = t
         self.ca = ca
         self.cb = cb
+        self.jac = None
         self._problem = problem
         self.p = self.solve(problem.b)
         self.dpe = problem._G @ self.p  # potential drop along each edge
@@ -281,7 +283,7 @@ def potential(u, problem, result=None):
 
 def _chain_rule_assemble(problem, result, q):
     """Entries -q^T (dA/du_k) p for a nodal vector q or for each column of an
-    n x k block; shared by gradient and GNH."""
+    n x k block; shared by gradient and Jacobian."""
     Q = q.reshape(problem.n, -1)
     s = result.dpe[:, None] * (problem._G @ Q)
     return -(problem._to_a @ (result.ca[:, None] * s)
@@ -297,24 +299,28 @@ def gradient(u, problem, result=None):
     return _chain_rule_assemble(problem, result, q)
 
 
-def gnh_action(u, w, problem, result=None):
-    """Gauss-Newton Hessian action on a vector or on each column of an n x k
-    block: one tangent and one adjoint solve per direction at u."""
+def jacobian(u, problem, result=None):
+    """m x n Jacobian J = O (dp/du) / sigma of the sensor readings, formed
+    from M = A^+ O^T (one solve per sensor) on the first request at u and
+    cached on the result: A^+ is symmetric, so J[i, k] = -M[:, i]^T
+    (dA/du_k) p / sigma."""
     if result is None:
         result = assemble_and_solve(u, problem)
-    w = np.asarray(w, dtype=float)
-    W = w.reshape(problem.n, -1)
-    flux = result.dpe[:, None] * (result.ca[:, None] * W[problem._ea]
-                                  + result.cb[:, None] * W[problem._eb])
-    r = problem._GT @ flux
-    pdot = np.column_stack([result.solve(-c) for c in r.T])
-    rhs = problem._OT @ (problem.O @ pdot / problem.sigma_eta ** 2)
-    qdot = np.column_stack([result.solve(c) for c in rhs.T])
-    return _chain_rule_assemble(problem, result, qdot).reshape(w.shape)
+    if result.jac is None:
+        M = np.column_stack([result.solve(c) for c in problem._sources])
+        result.jac = (_chain_rule_assemble(problem, result, M) / problem.sigma_eta).T
+    return result.jac
+
+
+def gnh_action(u, w, problem, result=None):
+    """Gauss-Newton Hessian J^T (J w) on a vector or an n x k block."""
+    J = jacobian(u, problem, result)
+    return J.T @ (J @ w)
 
 
 class EllipticState:
-    """Per-state cache: shares one factorization across Phi, gradient, GNH."""
+    """Per-state cache: shares one factorization across Phi, gradient and
+    Jacobian."""
 
     __slots__ = ("u", "_problem", "_result", "_phi", "_grad")
 
@@ -343,8 +349,9 @@ class EllipticState:
             self._grad = gradient(self.u, self._problem, self.result)
         return self._grad
 
-    def gnh_action(self, w):
-        return gnh_action(self.u, w, self._problem, self.result)
+    @property
+    def jac(self):
+        return jacobian(self.u, self._problem, self.result)
 
 
 def make_state(problem, u):

@@ -2,8 +2,9 @@
 
 Observation y = A u + eta, eta ~ N(0, Sigma), prior u ~ N(0, C). Every
 sampler can be checked against the exact posterior mean and covariance.
-For the linear forward map the Gauss-Newton Hessian is the exact data-misfit
-Hessian A^T Sigma^{-1} A and does not depend on u.
+For the linear forward map the Jacobian J = L^T A, with Sigma^{-1} = L L^T,
+does not depend on u, and the Gauss-Newton Hessian J^T J = A^T Sigma^{-1} A
+is the exact data-misfit Hessian.
 """
 
 from __future__ import annotations
@@ -22,28 +23,24 @@ class LinearGaussianModel:
     prior: CovarianceOperator
     y: np.ndarray
     _Sigma_inv: np.ndarray = field(init=False, repr=False)
-    _gnh: np.ndarray = field(init=False, repr=False)
+    _jac: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         self._Sigma_inv = np.linalg.inv(self.Sigma)
-        self._gnh = self.A.T @ self._Sigma_inv @ self.A
+        self._jac = np.linalg.cholesky(self._Sigma_inv).T @ self.A
 
     @property
     def n(self):
         return self.A.shape[1]
 
-    @property
-    def m_obs(self):
-        return self.A.shape[0]
-
 
 def analytic_posterior(model):
     """Posterior N(mu, K) with K = (C^{-1} + A^T Sigma^{-1} A)^{-1}."""
     C_inv = np.linalg.inv(model.prior.C)
-    prec = C_inv + model._gnh
+    prec = C_inv + model._jac.T @ model._jac
     try:
         K = np.linalg.inv(prec)
     except np.linalg.LinAlgError as exc:
@@ -51,27 +48,6 @@ def analytic_posterior(model):
     K = 0.5 * (K + K.T)
     mu = K @ (model.A.T @ (model._Sigma_inv @ model.y))
     return mu, K
-
-
-def model_callbacks(model):
-    """(Phi, grad Phi, GNH action) for u-space states.
-
-    Phi(u) = 0.5 |y - A u|^2_Sigma, grad Phi(u) = A^T Sigma^{-1} (A u - y),
-    GNH w = A^T Sigma^{-1} A w (constant in u).
-    """
-
-    def phi(u):
-        res = model.y - model.A @ u
-        return 0.5 * float(res @ (model._Sigma_inv @ res))
-
-    def grad(u):
-        return model.A.T @ (model._Sigma_inv @ (model.A @ u - model.y))
-
-    def gnh_action(u, w):
-        del u
-        return model._gnh @ w
-
-    return phi, grad, gnh_action
 
 
 class _LinearState:
@@ -99,8 +75,9 @@ class _LinearState:
                 self._model._Sigma_inv @ (self._model.A @ self.u - self._model.y))
         return self._grad
 
-    def gnh_action(self, w):
-        return self._model._gnh @ w
+    @property
+    def jac(self):
+        return self._model._jac
 
 
 def make_state(model, u):

@@ -23,6 +23,7 @@ samples.bin byte layout, little-endian throughout:
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import struct
@@ -63,8 +64,9 @@ def read_samples(path):
 def write_trace(path, record):
     lines = ["iteration,phi,accept,wall_time,pde_solves"]
     for i in range(len(record.samples)):
+        # fixed-width wall times: equal chains write files of equal size
         lines.append(f"{i},{record.potentials[i]:.17g},{int(record.accepts[i])},"
-                     f"{record.wall_times[i]:.9g},{int(record.pde_solves[i])}")
+                     f"{record.wall_times[i]:.8e},{int(record.pde_solves[i])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -107,9 +109,13 @@ def write_lis(run_dir, meta):
     (run_dir / "lis.json").write_text(json.dumps(payload, indent=1))
 
 
+@functools.cache
 def _git_describe():
+    """State of the source tree drgmc is imported from, whatever the
+    caller's working directory; looked up once per process."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=10)
         return out.stdout.strip() or "unknown"
     except OSError:

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from drgmc import elliptic, linear_model
 from drgmc.acceptance import dili_log_ratio, dr_mhmc_delta_E, dr_mmala_log_ratio
 from drgmc.chain import WhitenedModel, run_chain
-from drgmc.config import RunConfig
+from drgmc.config import DEFAULT_STEPS, RunConfig
 from drgmc.diagnostics import bound_report, ess_per_coordinate
 from drgmc.harness import build_elliptic, build_model, run_from_config
 from drgmc.operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
@@ -37,9 +37,7 @@ class _FlatState:
         self.u = u
         self.phi = 0.0
         self.grad = np.zeros_like(u)
-
-    def gnh_action(self, w):
-        return np.zeros_like(w)
+        self.jac = np.zeros((1, len(u)))
 
 
 def test_criterion_01_flat_target_pcn_accepts_everything():
@@ -115,14 +113,14 @@ def test_criterion_04_adjoint_gradient_matches_finite_differences():
         assert abs(float(g @ d) - fd) <= 1e-4 * max(abs(fd), 1.0)
 
     lm = linear_model.random_model(n=8, m=4, seed=4, noise_scale=0.5)
-    phi, grad, _ = linear_model.model_callbacks(lm)
     u = rng.standard_normal(8)
-    g = grad(u)
+    g = linear_model.make_state(lm, u).grad
     t = 1e-4
     for _ in range(20):
         d = rng.standard_normal(8)
         d /= np.linalg.norm(d)
-        fd = (phi(u + t * d) - phi(u - t * d)) / (2 * t)
+        fd = (linear_model.make_state(lm, u + t * d).phi
+              - linear_model.make_state(lm, u - t * d).phi) / (2 * t)
         assert abs(float(g @ d) - fd) <= 1e-8 * max(abs(fd), 1.0)
 
 
@@ -132,16 +130,20 @@ def test_criterion_05_gauss_newton_curvature_symmetric_psd_low_rank():
     elliptic.generate_data(elliptic.true_field(mesh), problem, 10.0, 1)
     rng = np.random.default_rng(5)
     u = 0.3 * rng.standard_normal(mesh.n_nodes)
-    state = elliptic.make_state(problem, u)
+    res = elliptic.assemble_and_solve(u, problem)
+
+    def gnh(w):
+        return elliptic.gnh_action(u, w, problem, res)
+
     for _ in range(20):
         w1 = rng.standard_normal(mesh.n_nodes)
         w2 = rng.standard_normal(mesh.n_nodes)
         w1 /= np.linalg.norm(w1)
         w2 /= np.linalg.norm(w2)
-        sym = float(w1 @ state.gnh_action(w2)) - float(w2 @ state.gnh_action(w1))
+        sym = float(w1 @ gnh(w2)) - float(w2 @ gnh(w1))
         assert abs(sym) <= 1e-9
-        assert float(w1 @ state.gnh_action(w1)) >= -1e-10
-    H = np.column_stack([state.gnh_action(e) for e in np.eye(mesh.n_nodes)])
+        assert float(w1 @ gnh(w1)) >= -1e-10
+    H = np.column_stack([gnh(e) for e in np.eye(mesh.n_nodes)])
     eig = np.linalg.eigvalsh(0.5 * (H + H.T))
     rank = int(np.sum(eig > 1e-10 * eig.max()))
     assert rank <= len(problem.sensors) == 25
@@ -337,3 +339,16 @@ def test_criterion_14_solver_call_accounting_is_exact():
                         iterations=2500, burn_in=500, seed=0)
         record = run_from_config(cfg)
         assert int(record.pde_solves[-1]) == expected
+
+
+def test_criterion_14_curvature_solve_accounting_is_exact():
+    # every dr-inf-mmala state (the start and one candidate per iteration)
+    # costs a forward solve, an adjoint solve and one solve per sensor for
+    # its Jacobian, however many GNH blocks its local spectrum applies
+    iterations = 15
+    model, extras = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
+    m = len(extras["problem"].sensors)
+    record = run_chain(model, "dr-inf-mmala", iterations=iterations,
+                       burn_in=7, seed=11, **DEFAULT_STEPS["dr-inf-mmala"])
+    assert record.meta["error_rejects"] == 0
+    assert int(record.pde_solves[-1]) == (iterations + 1) * (m + 2) == 432

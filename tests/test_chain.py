@@ -59,14 +59,15 @@ class TestValidation:
 class TestWhitening:
     def test_state_gradient_is_prior_weighted(self):
         model, lm = linear_whitened(n=5, m=4, seed=2)
-        _, grad_u, gnh_u = linear_model.model_callbacks(lm)
         v = np.random.default_rng(0).standard_normal(5)
         state = model.state(v)
         S = lm.prior.S
         assert np.allclose(state.u, S @ v, atol=1e-12)
-        assert np.allclose(state.grad, S @ grad_u(S @ v), atol=1e-11)
+        grad_u = linear_model.make_state(lm, S @ v).grad
+        assert np.allclose(state.grad, S @ grad_u, atol=1e-11)
         w = np.random.default_rng(1).standard_normal(5)
-        assert np.allclose(state.gnh_action(w), S @ gnh_u(S @ v, S @ w), atol=1e-11)
+        H_w = S @ lm.A.T @ np.linalg.solve(lm.Sigma, lm.A) @ S
+        assert np.allclose(state.gnh_action(w), H_w @ w, atol=1e-11)
 
     def test_elliptic_block_action_matches_columns(self):
         model, _ = elliptic_whitened(8)
@@ -157,7 +158,7 @@ class TestAdaptation:
 
 
 class _FailingState:
-    """Finite only at u = 0; phi, grad and gnh_action raise `error` elsewhere."""
+    """Finite only at u = 0; phi, grad and jac raise `error` elsewhere."""
 
     def __init__(self, u, error):
         self.u = u
@@ -177,23 +178,23 @@ class _FailingState:
         self._check()
         return self.u.copy()
 
-    def gnh_action(self, w):
+    @property
+    def jac(self):
         self._check()
-        return np.array(w, dtype=float)
+        return np.eye(len(self.u))
 
 
 class _BlockFailingState:
-    """Quadratic target whose GNH action raises on every n x k block."""
+    """Quadratic target whose Jacobian, and so every GNH block, raises."""
 
     def __init__(self, u):
         self.u = u
         self.phi = 0.5 * float(u @ u)
         self.grad = u.copy()
 
-    def gnh_action(self, w):
-        if np.ndim(w) == 2:
-            raise FloatingPointError("synthetic block failure")
-        return np.array(w, dtype=float)
+    @property
+    def jac(self):
+        raise FloatingPointError("synthetic Jacobian failure")
 
 
 def failing_whitened(error, n=4):
@@ -213,8 +214,8 @@ class TestRejectionPath:
         assert rec.meta["error_rejects"] == 60
 
     def test_block_action_failure_rejects(self):
-        # a GNH action that fails on blocks is not retried column by column:
-        # its FloatingPointError reaches the MH step, which rejects
+        # a GNH block whose Jacobian fails is not retried: its
+        # FloatingPointError reaches the MH step, which rejects
         model = WhitenedModel(CovarianceOperator(np.eye(4)), _BlockFailingState)
         rec = run_small(model, "dr-inf-mmala", iterations=30)
         assert not rec.accepts.any()

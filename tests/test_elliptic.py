@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from drgmc import elliptic
+from drgmc.config import RunConfig
+from drgmc.harness import build_elliptic
 
 
 def small_problem(k=8, snr=10.0, seed=0):
@@ -251,12 +253,15 @@ class TestSolveAccounting:
         assert problem.solves.count == 1  # cached
         state.grad
         assert problem.solves.count == 2  # one adjoint against the same factorization
-        state.gnh_action(np.ones(problem.n))
-        assert problem.solves.count == 4  # tangent + adjoint
+        state.jac
+        assert problem.solves.count == 2 + len(problem.sensors)  # one per sensor
 
-    def test_block_costs_two_solves_per_column(self, monkeypatch):
-        mesh, problem, _ = small_problem(6)
-        state = elliptic.make_state(problem, np.zeros(problem.n))
+    def test_jacobian_costs_one_solve_per_sensor_once(self, monkeypatch):
+        # a chain state's first curvature request forms J with one solve per
+        # sensor; every later GNH block at that state is products with J
+        model, extras = build_elliptic(RunConfig(model="elliptic", nx=6, ny=6))
+        problem = extras["problem"]
+        state = model.state(np.zeros(model.n))
         state.phi
         # the traced bench counts ForwardSolveResult.solve calls and requires
         # them to equal the counter's increments
@@ -268,9 +273,14 @@ class TestSolveAccounting:
             return solve(self, rhs)
 
         monkeypatch.setattr(elliptic.ForwardSolveResult, "solve", counted)
-        k = 5
+        m = len(problem.sensors)
+        rng = np.random.default_rng(0)
         before = problem.solves.count
-        state.gnh_action(np.random.default_rng(0).standard_normal((problem.n, k)))
-        assert problem.solves.count - before == 2 * k
-        assert len(calls) == 2 * k
+        state.gnh_action(rng.standard_normal((problem.n, 5)))
+        assert problem.solves.count - before == m
+        assert len(calls) == m
         assert set(calls) == {(problem.n,)}
+        for w in (rng.standard_normal((problem.n, 7)), rng.standard_normal(problem.n)):
+            state.gnh_action(w)
+        elliptic.gnh_action(state.u, np.ones(problem.n), problem, state.ustate.result)
+        assert problem.solves.count - before == len(calls) == m

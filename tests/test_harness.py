@@ -279,6 +279,38 @@ class TestRunDirectory:
         for col in ("iteration", "phi", "accept", "pde_solves"):
             assert np.array_equal(traces[0][col], traces[1][col])
 
+    def test_trace_size_does_not_depend_on_wall_times(self, run, tmp_path):
+        _, record, _ = run
+        n = len(record.samples)
+        sizes = []
+        for name, wall in (("fast", np.full(n, 1e-3)),
+                           ("mixed", np.geomspace(1.234567891e-7, 12.5, n))):
+            path = tmp_path / f"{name}.csv"
+            runio.write_trace(path, replace(record, wall_times=wall))
+            sizes.append(path.stat().st_size)
+            back = runio.read_trace(path)["wall_time"]
+            np.testing.assert_allclose(back, wall, rtol=1e-8, atol=0)
+        assert sizes[0] == sizes[1]
+
+    def test_git_describe_names_the_package_tree(self, tmp_path, monkeypatch):
+        runio._git_describe.cache_clear()
+        here = runio._git_describe()
+        package = Path(runio.__file__).resolve()
+        if any((parent / ".git").exists() for parent in package.parents):
+            assert here != "unknown"
+        # from outside any repository: same answer, and looked up only once
+        runio._git_describe.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        assert runio._git_describe() == here
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("git describe ran twice in one process")
+
+        monkeypatch.setattr(runio.subprocess, "run", no_subprocess)
+        runio.write_manifest(tmp_path, small_linear_config(), "start", "end")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["git_describe"] == here
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):

@@ -1,4 +1,5 @@
-"""Linear-Gaussian test model: conjugate posterior and callback calculus."""
+"""Linear-Gaussian test model: conjugate posterior and the calculus of the
+states the chains use."""
 
 import numpy as np
 import pytest
@@ -21,38 +22,46 @@ def test_posterior_matches_direct_formula(model):
     assert np.allclose(K, K_ref, atol=1e-10)
 
 
+def phi(model, u):
+    return linear_model.make_state(model, u).phi
+
+
+def grad(model, u):
+    return linear_model.make_state(model, u).grad
+
+
 def test_gradient_matches_finite_differences(model):
-    phi, grad, _ = linear_model.model_callbacks(model)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(model.n)
-    g = grad(u)
+    g = grad(model, u)
     t = 1e-6
     worst = 0.0
     for _ in range(20):
         w = rng.standard_normal(model.n)
         w /= np.linalg.norm(w)
-        fd = (phi(u + t * w) - phi(u - t * w)) / (2 * t)
+        fd = (phi(model, u + t * w) - phi(model, u - t * w)) / (2 * t)
         worst = max(worst, abs(fd - g @ w) / max(abs(fd), 1e-12))
     assert worst < 1e-8
 
 
 def test_gnh_equals_hessian(model):
     # for a linear forward map the Gauss-Newton Hessian is the exact Hessian
-    _, grad, gnh = linear_model.model_callbacks(model)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(model.n)
     w = rng.standard_normal(model.n)
     t = 1e-6
-    fd = (grad(u + t * w) - grad(u - t * w)) / (2 * t)
-    assert np.allclose(gnh(u, w), fd, rtol=1e-6, atol=1e-8)
+    fd = (grad(model, u + t * w) - grad(model, u - t * w)) / (2 * t)
+    J = linear_model.make_state(model, u).jac
+    assert J.shape == (len(model.y), model.n)
+    assert np.allclose(J.T @ (J @ w), fd, rtol=1e-6, atol=1e-8)
 
 
 def test_state_caches(model):
     state = linear_model.make_state(model, np.zeros(model.n))
     assert state.phi == state.phi
     assert np.array_equal(state.grad, state.grad)
-    phi_fn, _, _ = linear_model.model_callbacks(model)
-    assert state.phi == pytest.approx(phi_fn(np.zeros(model.n)))
+    # at u = 0 the residual is y itself
+    assert state.phi == pytest.approx(0.5 * model.y @ np.linalg.solve(model.Sigma, model.y))
 
 
 def test_random_model_reproducible():
