@@ -31,8 +31,8 @@ DILI_SHAPE = (1.0, 0.1)
 
 
 def acceptance(model, algorithm, h, iterations, seed=0):
-    kwargs = dict(iterations=iterations, burn_in=iterations // 3, rank=5,
-                  threshold=0.01, seed=seed)
+    kwargs = dict(algorithm=algorithm, iterations=iterations,
+                  burn_in=iterations // 3, seed=seed)
     if algorithm in ADAPTIVE:
         # enough subspace updates inside the short tuning burn-in
         kwargs.update(n_lag=max(20, iterations // 12))
@@ -42,7 +42,7 @@ def acceptance(model, algorithm, h, iterations, seed=0):
         kwargs.update(h_r=h * DILI_SHAPE[0], h_perp=h * DILI_SHAPE[1])
     else:
         kwargs.update(h=h)
-    record = run_chain(model, algorithm, **kwargs)
+    record = run_chain(model, RunConfig(**kwargs))
     return float(np.mean(record.accepts[record.burn_in:]))
 
 

@@ -16,7 +16,7 @@ from .harness import build_model, run_from_config
 from .lis import LISState, adaptation_step, local_spectrum, update_lis
 from .operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
                         apply_sqrtK_hat, build_prior_covariance,
-                        forstner_distance, randomized_eig, sample_prior)
+                        forstner_distance, randomized_eig)
 from .proposals import (DiliOperators, ProposalOutput, StepParams, Trajectory,
                         dili_connection_operators, dili_operators,
                         dili_propose, dr_mhmc_propose, dr_mmala_propose,

@@ -91,16 +91,16 @@ class WhitenedModel:
 
 @dataclass
 class KernelContext:
+    """What the kernels read besides the current state; config is the
+    chain's RunConfig and steps its resolved_steps()."""
+
     model: WhitenedModel
+    config: object
+    steps: dict
     params: StepParams
     rng: np.random.Generator
-    rank: int = 5
-    threshold: float = 0.01
-    max_rank: int = 30
-    probe: np.ndarray | None = None
+    probe: np.ndarray
     lis: LISState | None = None
-    h_r: float | None = None
-    h_perp: float | None = None
     dili_ops: object = None
 
 
@@ -111,7 +111,7 @@ _REJECTED = AcceptDecision(float("-inf"), False, 1.0)
 def _ensure_spec(ctx, state):
     if state.spec is None:
         state.spec = local_spectrum(state.gnh_action, ctx.model.n,
-                                    rank=ctx.rank, probe=ctx.probe)
+                                    rank=ctx.config.rank, probe=ctx.probe)
     return state.spec
 
 
@@ -197,11 +197,12 @@ def _dr_mhmc(ctx, state):
 
 def _dili(ctx, state):
     spec = ctx.lis.spectrum
+    h_r, h_perp = ctx.steps["h_r"], ctx.steps["h_perp"]
     if ctx.dili_ops is None:
-        ctx.dili_ops = dili_operators(spec, ctx.h_r, ctx.h_perp, ctx.params.gamma_r)
+        ctx.dili_ops = dili_operators(spec, h_r, h_perp, ctx.params.gamma_r)
     grad_needed = bool(ctx.params.gamma_r) and spec.r > 0
     grad = state.grad if grad_needed else None
-    out = dili_propose(state.v, grad, spec, ctx.h_r, ctx.h_perp,
+    out = dili_propose(state.v, grad, spec, h_r, h_perp,
                        ctx.params.gamma_r, ctx.rng, operators=ctx.dili_ops)
     cand = ctx.model.state(out.v_prime)
     grad_p = cand.grad if grad_needed else None
@@ -233,38 +234,31 @@ def _mh_step(kernel, ctx, state):
     return (cand if dec.accept else state), dec
 
 
-def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
-              h_perp=None, gamma_r=1, gamma_perp=0, n_leapfrog=1, eps=None,
-              rank=5, threshold=0.01, max_rank=30, n_lag=200, m_max=100,
-              delta_lis=1e-5, seed=0, rng=None, v0=None):
-    """Run one chain and return its ChainRecord.
+def run_chain(model, config, rng=None, v0=None):
+    """Run the chain a RunConfig describes on a WhitenedModel and return
+    its ChainRecord. The config's model and problem fields are not read:
+    the model is given. rng defaults to one seeded with config.seed.
 
     For the adaptive kernels the global subspace is grown during burn-in on
     the n_lag schedule and frozen at the end of burn-in (or earlier, once
     the Forstner distance stalls below delta_lis or the budget m_max is
     spent). The LIS trail is stored in the record's meta.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{algorithm}'")
-    if iterations <= burn_in or burn_in < 0:
-        raise ValueError("need iterations > burn_in >= 0")
-    if h is None and h_r is None:
-        raise ValueError("a step size is required")
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    steps = config.resolved_steps()
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
     n = model.n
-    base_h = h if h is not None else h_r
-    params = StepParams(h=base_h, gamma_r=gamma_r, gamma_perp=gamma_perp,
-                        n_leapfrog=n_leapfrog, eps=eps)
-    probe_width = max(rank, min(max_rank, n)) + 5
-    ctx = KernelContext(model=model, params=params, rng=rng, rank=rank,
-                        threshold=threshold, max_rank=max_rank,
-                        probe=rng.standard_normal((n, min(probe_width, n))),
-                        h_r=h_r if h_r is not None else base_h,
-                        h_perp=h_perp if h_perp is not None else base_h)
-    if algorithm in ADAPTIVE:
-        ctx.lis = LISState.initial(n, rho_g=threshold, delta_lis=delta_lis,
-                                   m_max=m_max, n_lag=n_lag)
-    kernel = _KERNELS[algorithm]
+    iterations, burn_in = config.iterations, config.burn_in
+    params = StepParams(h=steps["h"], gamma_r=config.gamma_r,
+                        gamma_perp=config.gamma_perp,
+                        n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
+    probe_width = max(config.rank, min(config.max_rank, n)) + 5
+    ctx = KernelContext(model=model, config=config, steps=steps, params=params,
+                        rng=rng, probe=rng.standard_normal((n, min(probe_width, n))))
+    if config.algorithm in ADAPTIVE:
+        ctx.lis = LISState.initial(n, rho_g=config.threshold,
+                                   delta_lis=config.delta_lis,
+                                   m_max=config.m_max, n_lag=config.n_lag)
+    kernel = _KERNELS[config.algorithm]
 
     state = model.state(np.zeros(n) if v0 is None else np.asarray(v0, dtype=float))
     samples = np.empty((iterations, n))
@@ -283,8 +277,8 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
             before = ctx.lis
             try:
                 ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
-                    state.gnh_action, n, threshold=ctx.threshold,
-                    max_rank=ctx.max_rank, probe=ctx.probe))
+                    state.gnh_action, n, threshold=config.threshold,
+                    max_rank=config.max_rank, probe=ctx.probe))
             except _REJECTABLE:
                 # a failed update leaves the subspace as it was
                 update_errors += 1
@@ -298,11 +292,8 @@ def run_chain(model, algorithm, *, iterations, burn_in=0, h=None, h_r=None,
         accepts[it] = dec.accept
         solves[it] = model.solves()
 
-    meta = {"algorithm": algorithm, "h": base_h, "burn_in": burn_in,
-            "seed": seed, "gamma_r": gamma_r, "gamma_perp": gamma_perp,
-            "n_leapfrog": n_leapfrog, "error_rejects": error_rejects}
-    if h_r is not None:
-        meta["h_r"], meta["h_perp"] = ctx.h_r, ctx.h_perp
+    meta = {"algorithm": config.algorithm, "h": steps["h"], "burn_in": burn_in,
+            "seed": config.seed, "error_rejects": error_rejects}
     if ctx.lis is not None:
         meta["lis"] = {
             "m": ctx.lis.m,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import config as config_mod
@@ -23,15 +24,11 @@ from .harness import run_from_config
 
 OUTPUT_ROOT_ENV = "DRGMC_OUTPUT_ROOT"
 
-_OVERRIDABLE = {
-    "model": str, "algorithm": str, "nx": int, "ny": int, "snr": float,
-    "h": float, "h_r": float, "h_perp": float, "n_leapfrog": int,
-    "eps": float, "gamma_r": int, "gamma_perp": int, "rank": int,
-    "threshold": float, "max_rank": int, "iterations": int, "burn_in": int,
-    "n_lag": int, "m_max": int, "delta_lis": float,
-    "seed": int, "data_seed": int, "sigma_u": float, "s_0": float,
-    "lin_n": int, "lin_m": int,
-}
+# every RunConfig key is a `run` flag, out_dir as --out; annotations are
+# strings such as "float | None"
+_OVERRIDABLE = {f.name: f.type.split(" |")[0]
+                for f in fields(config_mod.RunConfig) if f.name != "out_dir"}
+_FLAG_TYPES = {"str": str, "int": int, "float": float}
 
 
 def _output_root():
@@ -47,7 +44,9 @@ def _build_parser():
     p_run.add_argument("--config", help="YAML config file")
     p_run.add_argument("--out", help="run directory (default: auto under output root)")
     for key, typ in _OVERRIDABLE.items():
-        p_run.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
+        kind = ({"action": argparse.BooleanOptionalAction} if typ == "bool"
+                else {"type": _FLAG_TYPES[typ]})
+        p_run.add_argument(f"--{key.replace('_', '-')}", dest=key, **kind)
 
     p_cmp = sub.add_parser("compare", help="efficiency table across runs")
     p_cmp.add_argument("runs", nargs="+", help="run directories (pCN baseline required)")

@@ -109,19 +109,20 @@ class RunConfig:
         for key in ("lin_n", "lin_m"):
             if getattr(self, key) < 1:
                 bad(key, "linear model shape must be positive")
+        if self.lin_noise <= 0:
+            bad("lin_noise", "must be positive")
 
     def resolved_steps(self):
-        """Fill unset step-size fields from the per-algorithm defaults."""
-        base = dict(DEFAULT_STEPS[self.algorithm])
+        """The step sizes and leapfrog count a chain runs with: set fields
+        win, unset ones come from DEFAULT_STEPS (one leapfrog step where
+        it names none). dili's h is its h_r."""
         out = {"h": self.h, "h_r": self.h_r, "h_perp": self.h_perp,
                "n_leapfrog": self.n_leapfrog, "eps": self.eps}
-        for key, val in base.items():
-            if out.get(key) is None:
+        for key, val in {"n_leapfrog": 1, **DEFAULT_STEPS[self.algorithm]}.items():
+            if out[key] is None:
                 out[key] = val
-        if out["h"] is None and out["h_r"] is not None:
+        if self.algorithm == "dili":
             out["h"] = out["h_r"]
-        if out["n_leapfrog"] is None:
-            out["n_leapfrog"] = 1
         return out
 
     def to_dict(self):

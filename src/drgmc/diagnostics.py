@@ -81,6 +81,22 @@ def ess_per_coordinate(samples):
     return np.array([ess(samples[:, j]) for j in range(samples.shape[1])])
 
 
+def efficiency(record):
+    """Acceptance rate after burn-in, cost and ESS of one chain, keyed as
+    in summary.json."""
+    ecoord = ess_per_coordinate(record.kept())
+    total_time = float(np.sum(record.wall_times))
+    return {
+        "AP": float(np.mean(record.accepts[record.burn_in:])),
+        "s_per_iter": total_time / len(record.samples),
+        "minESS": float(np.min(ecoord)),
+        "medESS": float(np.median(ecoord)),
+        "maxESS": float(np.max(ecoord)),
+        "minESS_per_s": float(np.min(ecoord)) / total_time,
+        "PDEsolns": int(record.pde_solves[-1]),
+    }
+
+
 TABLE_COLUMNS = ("algorithm", "h", "AP", "s/iter", "minESS", "medESS",
                  "maxESS", "minESS/s", "spdup", "PDEsolns")
 
@@ -94,20 +110,10 @@ def summary_table(records, baseline="pcn"):
         raise ValueError(f"baseline chain '{baseline}' missing from records")
     rows = []
     for name, rec in records.items():
-        kept = rec.kept()
-        ecoord = ess_per_coordinate(kept)
-        total_time = float(np.sum(rec.wall_times))
-        rows.append({
-            "algorithm": name,
-            "h": rec.meta.get("h", float("nan")),
-            "AP": float(np.mean(rec.accepts[rec.burn_in:])),
-            "s/iter": total_time / len(rec.samples),
-            "minESS": float(np.min(ecoord)),
-            "medESS": float(np.median(ecoord)),
-            "maxESS": float(np.max(ecoord)),
-            "minESS/s": float(np.min(ecoord)) / total_time,
-            "PDEsolns": int(rec.pde_solves[-1]),
-        })
+        # the table spells efficiency()'s "_per_" as "/"
+        rows.append({"algorithm": name, "h": rec.meta.get("h", float("nan")),
+                     **{k.replace("_per_", "/"): v
+                        for k, v in efficiency(rec).items()}})
     base = next(r for r in rows if r["algorithm"] == baseline)
     for row in rows:
         row["spdup"] = row["minESS/s"] / base["minESS/s"]
@@ -143,12 +149,6 @@ def table_to_text(rows):
     for c in cells:
         out.append("  ".join(c[j].rjust(widths[j]) for j in range(len(widths))))
     return "\n".join(out) + "\n"
-
-
-def acf_series(series, max_lag=100):
-    rho = _autocorrelation(np.asarray(series, dtype=float))
-    k = min(max_lag + 1, len(rho))
-    return np.arange(k), rho[:k]
 
 
 # --- proposal-difference bounds -------------------------------------------

@@ -54,18 +54,4 @@ def run_from_config(config, model=None, v0=None):
     """Execute the configured chain; returns its ChainRecord."""
     if model is None:
         model, _ = build_model(config)
-    steps = config.resolved_steps()
-    kwargs = dict(iterations=config.iterations, burn_in=config.burn_in,
-                  gamma_r=config.gamma_r, gamma_perp=config.gamma_perp,
-                  rank=config.rank, threshold=config.threshold,
-                  max_rank=config.max_rank, n_lag=config.n_lag,
-                  m_max=config.m_max, delta_lis=config.delta_lis,
-                  seed=config.seed, v0=v0,
-                  n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
-    if config.algorithm == "dili":
-        kwargs.update(h=None, h_r=steps["h_r"], h_perp=steps["h_perp"])
-    else:
-        kwargs.update(h=steps["h"])
-    record = run_chain(model, config.algorithm, **kwargs)
-    record.meta["config_hash"] = config.hash()
-    return record
+    return run_chain(model, config, v0=v0)

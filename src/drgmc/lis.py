@@ -20,17 +20,17 @@ from .operators import (LowRankSpectrum, _orthonormalize, forstner_distance,
 
 
 def local_spectrum(apply_H, n, rank=None, threshold=None, p=5, q=2,
-                   rng=None, probe=None, max_rank=30):
+                   rng=None, probe=None, max_rank=None):
     """Low-rank spectrum of one whitened Gauss-Newton Hessian action.
 
     Either a fixed rank (position-specific kernels) or an eigenvalue
     threshold (global LIS accumulation) decides the truncation. In
-    threshold mode the factorization is computed at ``max_rank`` and cut
-    where eigenvalues drop below the threshold.
+    threshold mode the factorization is computed at ``max_rank`` (all n
+    when not given) and cut where eigenvalues drop below the threshold.
     """
     if (rank is None) == (threshold is None):
         raise ValueError("exactly one of rank and threshold is required")
-    r = min(rank if rank is not None else min(max_rank, n), n)
+    r = min(rank if rank is not None else (max_rank or n), n)
     if probe is not None:
         k = min(r + p, n)
         if probe.shape[1] < k:
@@ -47,12 +47,12 @@ class LISState:
     """Running global subspace estimate with its adaptation bookkeeping."""
 
     spectrum: LowRankSpectrum
+    rho_g: float
+    delta_lis: float
+    m_max: int
+    n_lag: int
     m: int = 0
     d_f: float = float("inf")
-    rho_g: float = 0.01
-    delta_lis: float = 1e-5
-    m_max: int = 100
-    n_lag: int = 200
     frozen: bool = False
     history: tuple = field(default_factory=tuple)
 
@@ -61,9 +61,8 @@ class LISState:
         return self.spectrum.r
 
     @classmethod
-    def initial(cls, n, rho_g=0.01, delta_lis=1e-5, m_max=100, n_lag=200):
-        return cls(spectrum=LowRankSpectrum.empty(n), rho_g=rho_g,
-                   delta_lis=delta_lis, m_max=m_max, n_lag=n_lag)
+    def initial(cls, n, rho_g, delta_lis, m_max, n_lag):
+        return cls(LowRankSpectrum.empty(n), rho_g, delta_lis, m_max, n_lag)
 
 
 def _merge_spectra(running, m, local):

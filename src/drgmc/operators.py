@@ -67,12 +67,6 @@ def build_prior_covariance(nodes, sigma_u, s_0):
         return CovarianceOperator(C)
 
 
-def sample_prior(cov, seed):
-    """Draw u = S z with z standard normal, reproducible from the seed."""
-    rng = np.random.default_rng(seed)
-    return cov.S @ rng.standard_normal(cov.n)
-
-
 class LowRankSpectrum:
     """Rank-r spectral factor: eigenvalues lam (descending, >= 0) and an
     orthonormal basis V, both in whitened coordinates."""

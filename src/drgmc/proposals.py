@@ -53,10 +53,6 @@ class StepParams:
         return (1.0 - self.h / 4.0) / (1.0 + self.h / 4.0)
 
     @property
-    def rho(self):
-        return self.rho0
-
-    @property
     def rho1(self):
         return 1.0 - self.rho0
 
@@ -87,7 +83,6 @@ class Trajectory:
 class ProposalOutput:
     v_prime: np.ndarray
     noise: np.ndarray | None = None
-    ghat: np.ndarray | None = None
     trajectory: Trajectory | None = None
     diverged: bool = False
 
@@ -125,7 +120,7 @@ def dr_mmala_propose(v, grad, spec, params, rng, xi=None):
         xi = rng.standard_normal(len(v))
     ghat = whitened_ngrad(v, grad, spec, params.gamma_r, params.gamma_perp)
     v_prime = params.rho0 * v + params.rho1 * ghat + params.rho2 * apply_sqrtK_hat(xi, spec)
-    return ProposalOutput(v_prime=v_prime, noise=xi, ghat=ghat)
+    return ProposalOutput(v_prime=v_prime, noise=xi)
 
 
 @dataclass(frozen=True)

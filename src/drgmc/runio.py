@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .diagnostics import ChainRecord
+from .diagnostics import ChainRecord, efficiency
 
 _MAGIC_LEN = 16
 
@@ -88,11 +88,6 @@ def write_mean(path, mean, nx=None, ny=None):
         grid = mean.reshape(1, -1)
     lines = [",".join(f"{v:.17g}" for v in row) for row in grid]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_mean(path):
-    rows = Path(path).read_text().strip().splitlines()
-    return np.asarray([[float(v) for v in row.split(",")] for row in rows])
 
 
 def write_lis(run_dir, meta):
@@ -163,29 +158,19 @@ def write_run(run_dir, record, config, summary_extra=None):
     config_mod.to_yaml(config, run_dir / "config.yaml")
     write_trace(run_dir / "trace.csv", record)
     write_samples(run_dir / "samples.bin", record.samples)
-    kept = record.kept()
-    write_mean(run_dir / "mean.csv", kept.mean(axis=0),
+    write_mean(run_dir / "mean.csv", record.kept().mean(axis=0),
                nx=config.nx if config.model == "elliptic" else None,
                ny=config.ny if config.model == "elliptic" else None)
     write_lis(run_dir, record.meta)
 
-    from .diagnostics import ess_per_coordinate
-    ecoord = ess_per_coordinate(kept)
-    total_time = float(np.sum(record.wall_times))
     summary = {
         "algorithm": record.meta.get("algorithm"),
         "h": record.meta.get("h"),
         "iterations": len(record.samples),
         "burn_in": record.burn_in,
-        "AP": float(np.mean(record.accepts[record.burn_in:])),
-        "s_per_iter": total_time / len(record.samples),
-        "minESS": float(np.min(ecoord)),
-        "medESS": float(np.median(ecoord)),
-        "maxESS": float(np.max(ecoord)),
-        "minESS_per_s": float(np.min(ecoord)) / total_time,
-        "PDEsolns": int(record.pde_solves[-1]),
+        **efficiency(record),
         "error_rejects": int(record.meta.get("error_rejects", 0)),
-        "wall_time": total_time,
+        "wall_time": float(np.sum(record.wall_times)),
         "config_hash": config.hash(),
     }
     if summary_extra:

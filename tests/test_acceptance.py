@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from drgmc import elliptic, linear_model
 from drgmc.acceptance import dili_log_ratio, dr_mhmc_delta_E, dr_mmala_log_ratio
 from drgmc.chain import WhitenedModel, run_chain
-from drgmc.config import DEFAULT_STEPS, RunConfig
+from drgmc.config import RunConfig
 from drgmc.diagnostics import bound_report, ess_per_coordinate
 from drgmc.harness import build_elliptic, build_model, run_from_config
 from drgmc.operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
@@ -43,7 +43,8 @@ class _FlatState:
 def test_criterion_01_flat_target_pcn_accepts_everything():
     model = WhitenedModel(CovarianceOperator(np.eye(32)), _FlatState)
     t0 = time.perf_counter()
-    record = run_chain(model, "pcn", iterations=1000, h=0.5, seed=0)
+    record = run_chain(model, RunConfig(algorithm="pcn", iterations=1000,
+                                        burn_in=0, h=0.5, seed=0))
     elapsed = time.perf_counter() - t0
     assert record.accepts.all()
     assert float(np.mean(record.accepts)) == 1.0
@@ -67,8 +68,9 @@ def test_criterion_02_linear_gaussian_moments_all_samplers():
         "adr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
     }
     for algorithm, kwargs in steps.items():
-        record = run_chain(model, algorithm, iterations=100_000,
-                           burn_in=2000, rank=4, seed=7, **kwargs)
+        record = run_chain(model, RunConfig(algorithm=algorithm,
+                                            iterations=100_000, burn_in=2000,
+                                            rank=4, seed=7, **kwargs))
         kept = record.kept()
         ess = ess_per_coordinate(kept)
         assert ess.min() > 10, f"{algorithm}: chain did not move"
@@ -324,8 +326,9 @@ def test_criterion_13_subspace_adaptation_terminates_and_spans_row_space():
 
     lm = linear_model.random_model(n=6, m=2, seed=13, noise_scale=0.4)
     wmodel = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
-    rec = run_chain(wmodel, "adr-inf-mmala", iterations=120, burn_in=80,
-                    h=0.8, n_lag=20, threshold=1e-8, seed=1)
+    rec = run_chain(wmodel, RunConfig(algorithm="adr-inf-mmala", iterations=120,
+                                      burn_in=80, h=0.8, n_lag=20,
+                                      threshold=1e-8, seed=1))
     lis_state = rec.meta["lis_state"]
     assert lis_state.r == 2
     informed = lm.prior.S @ lm.A.T
@@ -348,7 +351,7 @@ def test_criterion_14_curvature_solve_accounting_is_exact():
     iterations = 15
     model, extras = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
     m = len(extras["problem"].sensors)
-    record = run_chain(model, "dr-inf-mmala", iterations=iterations,
-                       burn_in=7, seed=11, **DEFAULT_STEPS["dr-inf-mmala"])
+    record = run_chain(model, RunConfig(algorithm="dr-inf-mmala",
+                                        iterations=iterations, burn_in=7, seed=11))
     assert record.meta["error_rejects"] == 0
     assert int(record.pde_solves[-1]) == (iterations + 1) * (m + 2) == 432

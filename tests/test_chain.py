@@ -29,31 +29,15 @@ STEP_FOR = {"pcn": 0.1, "inf-mala": 0.03, "inf-hmc": 0.03, "dr-inf-mmala": 1.2,
 
 
 def run_small(model, algorithm, seed=3, iterations=120, **kw):
-    args = dict(iterations=iterations, burn_in=iterations // 3, seed=seed,
-                rank=3, n_leapfrog=2, n_lag=20, threshold=1e-6)
+    args = dict(algorithm=algorithm, iterations=iterations,
+                burn_in=iterations // 3, seed=seed, rank=3, n_leapfrog=2,
+                n_lag=20, threshold=1e-6)
     if algorithm == "dili":
         args.update(h_r=1.0, h_perp=0.1)
     else:
         args.update(h=STEP_FOR[algorithm])
     args.update(kw)
-    return run_chain(model, algorithm, **args)
-
-
-class TestValidation:
-    def test_unknown_algorithm(self):
-        model, _ = linear_whitened()
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            run_chain(model, "rwm", iterations=10, h=0.1)
-
-    def test_iteration_budget(self):
-        model, _ = linear_whitened()
-        with pytest.raises(ValueError, match="iterations"):
-            run_chain(model, "pcn", iterations=10, burn_in=10, h=0.1)
-
-    def test_step_size_required(self):
-        model, _ = linear_whitened()
-        with pytest.raises(ValueError, match="step size"):
-            run_chain(model, "pcn", iterations=10)
+    return run_chain(model, RunConfig(**args))
 
 
 class TestWhitening:
@@ -113,18 +97,21 @@ class TestAllKernelsRun:
 class TestSolveAccounting:
     def test_pcn_one_forward_per_iteration_plus_initial(self):
         model, _ = elliptic_whitened(6)
-        rec = run_chain(model, "pcn", iterations=50, burn_in=10, h=0.05, seed=0)
+        rec = run_chain(model, RunConfig(algorithm="pcn", iterations=50,
+                                         burn_in=10, h=0.05, seed=0))
         assert rec.pde_solves[-1] == 51
 
     def test_inf_mala_forward_plus_adjoint(self):
         model, _ = elliptic_whitened(6)
-        rec = run_chain(model, "inf-mala", iterations=50, burn_in=10, h=0.02, seed=0)
+        rec = run_chain(model, RunConfig(algorithm="inf-mala", iterations=50,
+                                         burn_in=10, h=0.02, seed=0))
         assert rec.pde_solves[-1] == 102
 
     def test_rejected_candidates_still_cost_solves(self):
         model, _ = elliptic_whitened(6)
         # absurd step: everything rejected, solves still 1 per iteration
-        rec = run_chain(model, "pcn", iterations=30, burn_in=5, h=3.999, seed=0)
+        rec = run_chain(model, RunConfig(algorithm="pcn", iterations=30,
+                                         burn_in=5, h=3.999, seed=0))
         assert rec.pde_solves[-1] == 31
 
 
@@ -245,8 +232,9 @@ class TestRejectionPath:
 class TestRobustness:
     def test_divergent_hamiltonian_steps_rejected_not_fatal(self):
         model, _ = linear_whitened()
-        rec = run_chain(model, "dr-inf-mhmc", iterations=40, burn_in=5,
-                        h=1.0, eps=40.0, n_leapfrog=3, rank=3, seed=2)
+        rec = run_chain(model, RunConfig(algorithm="dr-inf-mhmc", iterations=40,
+                                         burn_in=5, h=1.0, eps=40.0,
+                                         n_leapfrog=3, rank=3, seed=2))
         assert len(rec.samples) == 40
         assert np.isfinite(rec.potentials).all()
 

@@ -10,7 +10,6 @@ from drgmc.diagnostics import (
     TABLE_COLUMNS,
     ChainRecord,
     _autocorrelation,
-    acf_series,
     bound_report,
     ess,
     ess_per_coordinate,
@@ -81,11 +80,6 @@ class TestEss:
         out = ess_per_coordinate(samples)
         assert out.shape == (4,)
         assert np.all(out > 0)
-
-    def test_acf_series_truncates(self):
-        lags, rho = acf_series(np.random.default_rng(5).standard_normal(300), max_lag=20)
-        assert lags[-1] == 20 and len(rho) == 21
-        assert rho[0] == pytest.approx(1.0)
 
 
 class TestChainRecord:

@@ -34,7 +34,7 @@ import pytest
 
 from drgmc import linear_model
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
-from drgmc.config import DEFAULT_STEPS, RunConfig
+from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic
 
 DATA = Path(__file__).parent / "data" / "golden_runs.npz"
@@ -56,16 +56,17 @@ ELLIPTIC_ITERATIONS = {"dr-inf-mmala": 15, "dr-inf-mhmc": 10}
 def linear_run(algorithm):
     lm = linear_model.random_model(n=8, m=4, seed=20260815, noise_scale=0.5)
     model = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
-    return run_chain(model, algorithm, iterations=300, burn_in=100, rank=4,
-                     n_lag=20, seed=7, **LINEAR_STEPS[algorithm])
+    return run_chain(model, RunConfig(algorithm=algorithm, iterations=300,
+                                      burn_in=100, rank=4, n_lag=20, seed=7,
+                                      **LINEAR_STEPS[algorithm]))
 
 
 def elliptic_run(algorithm):
     model, _ = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
     iterations = ELLIPTIC_ITERATIONS.get(algorithm, 60)
-    return run_chain(model, algorithm, iterations=iterations,
-                     burn_in=iterations // 2, n_lag=5, seed=11,
-                     **DEFAULT_STEPS[algorithm])
+    # unset step sizes resolve to DEFAULT_STEPS
+    return run_chain(model, RunConfig(algorithm=algorithm, iterations=iterations,
+                                      burn_in=iterations // 2, n_lag=5, seed=11))
 
 
 RUNS = {"linear": linear_run, "elliptic": elliptic_run}

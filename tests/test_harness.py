@@ -1,8 +1,9 @@
 """Config round-trips, run-directory formats, and the CLI driver."""
 
 import json
+import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,7 @@ class TestConfig:
         (dict(gamma_perp=2), "config key 'gamma_perp'"),
         (dict(m_max=0), "config key 'm_max'"),
         (dict(lin_m=0), "config key 'lin_m'"),
+        (dict(lin_noise=0.0), "config key 'lin_noise'"),
     ])
     def test_validation_messages(self, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -98,7 +100,6 @@ class TestConfig:
         assert cfg == RunConfig()
         import yaml
         keys = set(yaml.safe_load(example.read_text()))
-        from dataclasses import fields
         assert keys == {f.name for f in fields(RunConfig)}
 
 
@@ -186,7 +187,7 @@ class TestRunDirectory:
 
     def test_mean_is_kept_sample_average(self, run):
         run_dir, record, _ = run
-        mean = runio.read_mean(run_dir / "mean.csv")
+        mean = np.loadtxt(run_dir / "mean.csv", delimiter=",", ndmin=2)
         assert mean.shape[0] == 1
         np.testing.assert_allclose(mean.ravel(), record.kept().mean(axis=0),
                                    rtol=0, atol=1e-16)
@@ -240,7 +241,7 @@ class TestRunDirectory:
                         iterations=15, burn_in=5, seed=1)
         record = run_from_config(cfg)
         runio.write_run(tmp_path / "e", record, cfg)
-        mean = runio.read_mean(tmp_path / "e" / "mean.csv")
+        mean = np.loadtxt(tmp_path / "e" / "mean.csv", delimiter=",", ndmin=2)
         assert mean.shape == (5, 7)
 
     def test_adaptive_run_writes_lis_files(self, tmp_path):
@@ -347,6 +348,21 @@ class TestCli:
         assert summary["algorithm"] == "inf-mala"
         assert summary["h"] == 0.3
         assert summary["iterations"] == 40
+
+    def test_every_config_key_is_a_run_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        usage = capsys.readouterr().out
+        for field in fields(RunConfig):
+            flag = ("--out" if field.name == "out_dir"
+                    else "--" + field.name.replace("_", "-"))
+            assert re.search(rf"{flag}(?![\w-])", usage), flag
+        cfg_path, _ = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--lin-noise", "0.25", "--noiseless"]) == 0
+        _, back = runio.load_record(out)
+        assert back.lin_noise == 0.25 and back.noiseless is True
 
     def test_run_failure_writes_incomplete_manifest(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drgmc.config import RunConfig
 from drgmc.lis import (
     LISState,
     _merge_spectra,
@@ -13,6 +14,15 @@ from drgmc.lis import (
     update_lis,
 )
 from drgmc.operators import LowRankSpectrum, forstner_distance
+
+
+def initial_state(n, **schedule):
+    """Empty LIS state on RunConfig's default schedule, with overrides."""
+    cfg = RunConfig()
+    args = dict(rho_g=cfg.threshold, delta_lis=cfg.delta_lis,
+                m_max=cfg.m_max, n_lag=cfg.n_lag)
+    args.update(schedule)
+    return LISState.initial(n, **args)
 
 
 def random_spectrum(n, r, seed=0, scale=6.0):
@@ -93,7 +103,7 @@ class TestMerge:
 
 class TestUpdateLis:
     def test_first_update_installs_truncated_local(self):
-        state = LISState.initial(12, rho_g=0.05)
+        state = initial_state(12, rho_g=0.05)
         local = random_spectrum(12, 5, seed=8)
         new = update_lis(state, local)
         keep = int(np.sum(local.eigenvalues >= 0.05))
@@ -102,7 +112,7 @@ class TestUpdateLis:
         assert new.history[0][0] == 1
 
     def test_d_f_tracks_change(self):
-        state = LISState.initial(10, rho_g=1e-9)
+        state = initial_state(10, rho_g=1e-9)
         a = random_spectrum(10, 3, seed=9)
         state = update_lis(state, a)
         d1 = state.d_f
@@ -111,28 +121,28 @@ class TestUpdateLis:
         assert state.d_f < 1e-6  # average of identical operators is itself
 
     def test_frozen_and_budget_errors(self):
-        state = LISState.initial(6)
+        state = initial_state(6)
         with pytest.raises(ValueError, match="frozen"):
             update_lis(freeze(state), random_spectrum(6, 2))
-        spent = LISState.initial(6, m_max=0)
+        spent = initial_state(6, m_max=0)
         with pytest.raises(ValueError, match="budget"):
             update_lis(spent, random_spectrum(6, 2))
 
 
 class TestAdaptationSchedule:
     def test_due_on_lag_boundaries_only(self):
-        state = LISState.initial(6, n_lag=10)
+        state = initial_state(6, n_lag=10)
         due = [n for n in range(35) if adaptation_due(n, state)]
         assert due == [9, 19, 29]
 
     def test_not_due_when_frozen_or_converged(self):
-        state = LISState.initial(6, n_lag=5)
+        state = initial_state(6, n_lag=5)
         assert not adaptation_due(4, freeze(state))
         from dataclasses import replace
         assert not adaptation_due(4, replace(state, d_f=1e-9, delta_lis=1e-5))
 
     def test_step_freezes_on_budget(self):
-        state = LISState.initial(8, n_lag=1, m_max=2, delta_lis=0.0)
+        state = initial_state(8, n_lag=1, m_max=2, delta_lis=0.0)
         calls = iter(range(100))
         spec_fn = lambda: random_spectrum(8, 3, seed=next(calls))
         state = adaptation_step(0, state, spec_fn)
@@ -143,7 +153,7 @@ class TestAdaptationSchedule:
         assert adaptation_step(2, state, spec_fn) is state
 
     def test_step_freezes_on_stall(self):
-        state = LISState.initial(8, n_lag=1, delta_lis=1e-5)
+        state = initial_state(8, n_lag=1, delta_lis=1e-5)
         a = random_spectrum(8, 3, seed=11)
         state = adaptation_step(0, state, lambda: a)
         for n in range(1, 6):

@@ -13,7 +13,6 @@ from drgmc.operators import (
     build_prior_covariance,
     forstner_distance,
     randomized_eig,
-    sample_prior,
 )
 
 from _dense_reference import dense_K, dense_sqrtK, forstner_dense
@@ -39,14 +38,6 @@ class TestPriorCovariance:
         assert np.allclose(cov.S @ (cov.S @ x), cov.C @ x, atol=1e-10)
         # the symmetric factor is self-adjoint, unlike a Cholesky factor
         assert np.allclose(cov.S, cov.S.T)
-
-    def test_sample_prior_reproducible(self):
-        cov = build_prior_covariance(grid_nodes(4), sigma_u=1.0, s_0=0.1)
-        a = sample_prior(cov, seed=11)
-        b = sample_prior(cov, seed=11)
-        c = sample_prior(cov, seed=12)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
