@@ -2,10 +2,9 @@
 
 A WhitenedModel bridges model states (which live in u coordinates and cache
 their own forward/adjoint solves) to the whitened coordinates v = C^{-1/2} u
-that every kernel works in. One chain = one RNG stream; the randomized
-eigensolver reuses a single probe block drawn at chain start, so the local
-spectrum is a deterministic function of position and detailed balance is
-unaffected by the randomization.
+that every kernel works in. One chain = one RNG stream. A local spectrum is
+exact, from a thin SVD of the state's whitened Jacobian, so it is a
+deterministic function of position and draws nothing from the stream.
 
 The eight samplers share one Metropolis-Hastings step; each kernel only
 maps the current state to a candidate and its log acceptance ratio.
@@ -13,6 +12,7 @@ maps the current state to a candidate and its log acceptance ratio.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -33,8 +33,8 @@ HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 
 class WhitenedState:
     """Lazy caches in v coordinates on top of a u-space model state. The
-    whitened Jacobian Jv = J S is formed once, so every Gauss-Newton Hessian
-    action S J^T J S W = Jv^T (Jv W) is two products with an m x n matrix."""
+    whitened Jacobian Jv = J S is formed once: the Gauss-Newton Hessian
+    S J^T J S is Jv^T Jv, whose eigenpairs come from Jv's SVD."""
 
     __slots__ = ("v", "ustate", "_cov", "_grad", "_jv", "spec")
 
@@ -60,10 +60,14 @@ class WhitenedState:
             self._grad = self._cov.sqrt_apply(self.ustate.grad)
         return self._grad
 
-    def gnh_action(self, w):
+    @property
+    def jv(self):
         if self._jv is None:
             self._jv = self._cov.sqrt_apply(self.ustate.jac.T).T
-        return self._jv.T @ (self._jv @ w)
+        return self._jv
+
+    def gnh_action(self, w):
+        return self.jv.T @ (self.jv @ w)
 
 
 class WhitenedModel:
@@ -99,19 +103,18 @@ class KernelContext:
     steps: dict
     params: StepParams
     rng: np.random.Generator
-    probe: np.ndarray
     lis: LISState | None = None
     dili_ops: object = None
 
 
 _REJECTABLE = (FloatingPointError, np.linalg.LinAlgError, OverflowError)
 _REJECTED = AcceptDecision(float("-inf"), False, 1.0)
+_NONFINITE = AcceptDecision(float("nan"), False, 1.0)
 
 
 def _ensure_spec(ctx, state):
     if state.spec is None:
-        state.spec = local_spectrum(state.gnh_action, ctx.model.n,
-                                    rank=ctx.config.rank, probe=ctx.probe)
+        state.spec = local_spectrum(state.jv, rank=ctx.config.rank)
     return state.spec
 
 
@@ -225,12 +228,15 @@ ALGORITHMS = tuple(_KERNELS)
 
 def _mh_step(kernel, ctx, state):
     """One Metropolis-Hastings step; a solver or arithmetic failure while
-    proposing or scoring the candidate rejects it and returns _REJECTED."""
+    proposing or scoring the candidate rejects it and returns _REJECTED,
+    and a NaN log ratio (which decide rejects) returns _NONFINITE."""
     try:
         cand, log_ratio = kernel(ctx, state)
     except _REJECTABLE:
         return state, _REJECTED
     dec = decide(log_ratio, ctx.rng)
+    if math.isnan(log_ratio):
+        return state, _NONFINITE
     return (cand if dec.accept else state), dec
 
 
@@ -251,9 +257,11 @@ def run_chain(model, config, rng=None, v0=None):
     params = StepParams(h=steps["h"], gamma_r=config.gamma_r,
                         gamma_perp=config.gamma_perp,
                         n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
-    probe_width = max(config.rank, min(config.max_rank, n)) + 5
+    # The randomized eigensolver's probe block: unused since local spectra are
+    # exact SVDs, but drawn so that every chain's RNG stream stays as it was.
+    rng.standard_normal((n, min(max(config.rank, min(config.max_rank, n)) + 5, n)))
     ctx = KernelContext(model=model, config=config, steps=steps, params=params,
-                        rng=rng, probe=rng.standard_normal((n, min(probe_width, n))))
+                        rng=rng)
     if config.algorithm in ADAPTIVE:
         ctx.lis = LISState.initial(n, rho_g=config.threshold,
                                    delta_lis=config.delta_lis,
@@ -266,19 +274,19 @@ def run_chain(model, config, rng=None, v0=None):
     accepts = np.zeros(iterations, dtype=bool)
     wall = np.empty(iterations)
     solves = np.zeros(iterations, dtype=np.int64)
-    error_rejects = update_errors = 0
+    error_rejects = nonfinite_rejects = update_errors = 0
 
     for it in range(iterations):
         t0 = time.perf_counter()
         state, dec = _mh_step(kernel, ctx, state)
-        if dec is _REJECTED:
-            error_rejects += 1
+        error_rejects += dec is _REJECTED
+        nonfinite_rejects += dec is _NONFINITE
         if ctx.lis is not None and it < burn_in:
             before = ctx.lis
             try:
                 ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
-                    state.gnh_action, n, threshold=config.threshold,
-                    max_rank=config.max_rank, probe=ctx.probe))
+                    state.jv, threshold=config.threshold,
+                    max_rank=config.max_rank))
             except _REJECTABLE:
                 # a failed update leaves the subspace as it was
                 update_errors += 1
@@ -293,7 +301,8 @@ def run_chain(model, config, rng=None, v0=None):
         solves[it] = model.solves()
 
     meta = {"algorithm": config.algorithm, "h": steps["h"], "burn_in": burn_in,
-            "seed": config.seed, "error_rejects": error_rejects}
+            "seed": config.seed, "error_rejects": error_rejects,
+            "nonfinite_rejects": nonfinite_rejects}
     if ctx.lis is not None:
         meta["lis"] = {
             "m": ctx.lis.m,

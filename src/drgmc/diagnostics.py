@@ -114,9 +114,9 @@ def summary_table(records, baseline="pcn"):
         rows.append({"algorithm": name, "h": rec.meta.get("h", float("nan")),
                      **{k.replace("_per_", "/"): v
                         for k, v in efficiency(rec).items()}})
-    base = next(r for r in rows if r["algorithm"] == baseline)
+    base = next(r for r in rows if r["algorithm"] == baseline)["minESS/s"]
     for row in rows:
-        row["spdup"] = row["minESS/s"] / base["minESS/s"]
+        row["spdup"] = row["minESS/s"] / base if base else float("nan")
     return rows
 
 

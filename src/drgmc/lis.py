@@ -1,12 +1,13 @@
 """Likelihood-informed subspace estimation and its online adaptation.
 
-A global basis is accumulated from local low-rank spectra of the whitened
-Gauss-Newton Hessian collected along the chain. Each update merges the
-running estimate (weight m) with the newest local spectrum (weight 1) on
-their joint span, re-diagonalizes, and truncates at the global threshold.
-Convergence is monitored through the Forstner distance between consecutive
-operators I + V Lambda V^T; adaptation stops once the distance stalls or
-the update budget is exhausted.
+A global basis is accumulated from local spectra of the whitened
+Gauss-Newton Hessian collected along the chain, each exact from a thin SVD
+of the state's whitened Jacobian. Each update merges the running estimate
+(weight m) with the newest local spectrum (weight 1) on their joint span,
+re-diagonalizes, and truncates at the global threshold. Convergence is
+monitored through the Forstner distance between consecutive operators
+I + V Lambda V^T; adaptation stops once the distance stalls or the update
+budget is exhausted.
 """
 
 from __future__ import annotations
@@ -15,28 +16,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .operators import (LowRankSpectrum, _orthonormalize, forstner_distance,
-                        randomized_eig)
+from .operators import LowRankSpectrum, _orthonormalize, forstner_distance
+from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it here
 
 
-def local_spectrum(apply_H, n, rank=None, threshold=None, p=5, q=2,
-                   rng=None, probe=None, max_rank=None):
-    """Low-rank spectrum of one whitened Gauss-Newton Hessian action.
+def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
+    """Leading eigenpairs of the whitened Gauss-Newton Hessian Jv^T Jv, exact
+    from one thin SVD of the m x n whitened Jacobian jv: squared singular
+    values and right singular vectors, at most min(m, n) pairs.
 
     Either a fixed rank (position-specific kernels) or an eigenvalue
     threshold (global LIS accumulation) decides the truncation. In
-    threshold mode the factorization is computed at ``max_rank`` (all n
-    when not given) and cut where eigenvalues drop below the threshold.
+    threshold mode at most ``max_rank`` pairs (all n when not given) are
+    kept and cut where eigenvalues drop below the threshold.
     """
     if (rank is None) == (threshold is None):
         raise ValueError("exactly one of rank and threshold is required")
-    r = min(rank if rank is not None else (max_rank or n), n)
-    if probe is not None:
-        k = min(r + p, n)
-        if probe.shape[1] < k:
-            raise ValueError("probe block too narrow for requested rank")
-        probe = probe[:, :k]
-    spec = randomized_eig(apply_H, n, r, p=p, q=q, rng=rng, probe=probe)
+    r = min(rank if rank is not None else (max_rank or jv.shape[1]), *jv.shape)
+    _, s, vt = np.linalg.svd(jv, full_matrices=False)
+    spec = LowRankSpectrum(s[:r] ** 2, vt[:r].T)
     if threshold is not None:
         spec = spec.truncate(threshold=threshold)
     return spec

@@ -170,6 +170,7 @@ def write_run(run_dir, record, config, summary_extra=None):
         "burn_in": record.burn_in,
         **efficiency(record),
         "error_rejects": int(record.meta.get("error_rejects", 0)),
+        "nonfinite_rejects": int(record.meta.get("nonfinite_rejects", 0)),
         "wall_time": float(np.sum(record.wall_times)),
         "config_hash": config.hash(),
     }

@@ -189,6 +189,16 @@ def failing_whitened(error, n=4):
                          lambda u: _FailingState(u, error))
 
 
+class _NanState:
+    """Quadratic target whose potential is NaN off the origin."""
+
+    def __init__(self, u):
+        self.u = u
+        self.phi = float("nan") if np.any(u) else 0.0
+        self.grad = u.copy()
+        self.jac = np.eye(len(u))
+
+
 class TestRejectionPath:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_solver_failures_reject_and_stay_at_start(self, algorithm):
@@ -207,6 +217,20 @@ class TestRejectionPath:
         rec = run_small(model, "dr-inf-mmala", iterations=30)
         assert not rec.accepts.any()
         assert rec.meta["error_rejects"] == 30
+
+    def test_nan_log_ratio_rejects_are_counted(self, tmp_path):
+        # decide rejects a NaN log ratio; the chain counts each one
+        model = WhitenedModel(CovarianceOperator(np.eye(4)), _NanState)
+        cfg = RunConfig(model="linear-gaussian", lin_n=4, algorithm="pcn",
+                        h=0.1, iterations=40, burn_in=10, seed=3)
+        rec = run_chain(model, cfg)
+        assert not rec.accepts.any()
+        assert rec.meta["nonfinite_rejects"] == 40
+        assert rec.meta["error_rejects"] == 0
+        with pytest.warns(UserWarning, match="constant"):  # ESS of a stuck chain
+            runio.write_run(tmp_path, rec, cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["nonfinite_rejects"] == 40
 
     @pytest.mark.parametrize("algorithm", ["dili", "adr-inf-mmala",
                                            "adr-inf-mhmc"])

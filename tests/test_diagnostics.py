@@ -112,6 +112,20 @@ class TestSummaryTable:
         assert mala["PDEsolns"] == 400
         assert mala["spdup"] == pytest.approx(mala["minESS/s"] / base["minESS/s"])
 
+    def test_frozen_baseline_gives_nan_speedup(self):
+        # a baseline whose chain never moved has minESS/s 0
+        frozen = make_record("pcn", n=40, seed=5)
+        frozen.samples[:] = 1.0
+        moving = make_record("inf-mala", n=40, seed=6)
+        moving.meta["burn_in"] = 10
+        frozen.meta["burn_in"] = 10
+        with pytest.warns(UserWarning, match="constant"):
+            rows = summary_table({"pcn": frozen, "inf-mala": moving})
+        assert rows[0]["minESS/s"] == 0.0 and rows[1]["minESS/s"] > 0.0
+        assert all(np.isnan(row["spdup"]) for row in rows)
+        parsed = list(csv.DictReader(io.StringIO(table_to_csv(rows))))
+        assert [row["spdup"] for row in parsed] == ["nan", "nan"]
+
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
             summary_table({"inf-mala": make_record("inf-mala")})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drgmc.config import RunConfig
+from drgmc.harness import build_elliptic
 from drgmc.lis import (
     LISState,
     _merge_spectra,
@@ -13,7 +14,7 @@ from drgmc.lis import (
     local_spectrum,
     update_lis,
 )
-from drgmc.operators import LowRankSpectrum, forstner_distance
+from drgmc.operators import LowRankSpectrum, forstner_distance, randomized_eig
 
 
 def initial_state(n, **schedule):
@@ -36,14 +37,20 @@ def dense_of(spec, n):
     return (spec.basis * spec.eigenvalues) @ spec.basis.T if spec.r else np.zeros((n, n))
 
 
+def dense_oracle(jv, keep):
+    """Top-`keep` eigenvalues of Jv^T Jv and the projector on their span."""
+    lam, Q = np.linalg.eigh(jv.T @ jv)
+    lam, Q = lam[::-1][:keep], Q[:, ::-1][:, :keep]
+    return lam, Q @ Q.T
+
+
 class TestLocalSpectrum:
     def test_rank_mode_matches_dense(self):
         n = 20
         rng = np.random.default_rng(0)
         B = rng.standard_normal((n, 6))
         H = B @ B.T
-        spec = local_spectrum(lambda x: H @ x, n, rank=6,
-                              rng=np.random.default_rng(1))
+        spec = local_spectrum(B.T, rank=6)
         lam = np.linalg.eigvalsh(H)[::-1][:6]
         assert np.allclose(spec.eigenvalues, lam, rtol=1e-9, atol=1e-9)
 
@@ -52,30 +59,63 @@ class TestLocalSpectrum:
         rng = np.random.default_rng(2)
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         lam = np.concatenate([[10.0, 5.0, 1.0], np.full(n - 3, 1e-4)])
-        H = (Q * lam) @ Q.T
-        spec = local_spectrum(lambda x: H @ x, n, threshold=2.0, max_rank=10,
-                              rng=np.random.default_rng(3))
+        spec = local_spectrum(np.sqrt(lam)[:, None] * Q.T, threshold=2.0,
+                              max_rank=10)
         # absolute cutoff: eigenvalues below 2.0 are prior-dominated
         assert spec.r == 2
         assert np.allclose(spec.eigenvalues, [10.0, 5.0], rtol=1e-6)
 
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError, match="exactly one"):
-            local_spectrum(lambda x: x, 5)
+            local_spectrum(np.eye(5))
         with pytest.raises(ValueError, match="exactly one"):
-            local_spectrum(lambda x: x, 5, rank=2, threshold=0.1)
+            local_spectrum(np.eye(5), rank=2, threshold=0.1)
 
-    def test_probe_slicing_and_narrow_probe(self):
-        n = 12
-        rng = np.random.default_rng(4)
-        B = rng.standard_normal((n, 4))
-        H = B @ B.T
-        wide = rng.standard_normal((n, n))
-        s1 = local_spectrum(lambda x: H @ x, n, rank=4, probe=wide)
-        s2 = local_spectrum(lambda x: H @ x, n, rank=4, probe=wide)
-        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)  # deterministic
-        with pytest.raises(ValueError, match="too narrow"):
-            local_spectrum(lambda x: H @ x, n, rank=4, probe=wide[:, :3])
+    @pytest.mark.parametrize("m,n,kw,keep", [
+        (3, 10, dict(rank=6), 3),                      # rank > m
+        (12, 5, dict(rank=4), 4),                      # m > n
+        (12, 5, dict(threshold=1e-8), 5),              # m > n, all n pairs
+        (9, 14, dict(threshold=1e-3, max_rank=4), 4),  # max_rank cuts first
+    ])
+    def test_matches_dense_eigh(self, m, n, kw, keep):
+        jv = np.random.default_rng(m * n).standard_normal((m, n))
+        spec = local_spectrum(jv, **kw)
+        lam, P = dense_oracle(jv, keep)
+        assert spec.r == keep
+        assert np.allclose(spec.eigenvalues, lam, rtol=1e-10, atol=1e-12)
+        assert np.allclose(spec.basis.T @ spec.basis, np.eye(keep), atol=1e-12)
+        assert np.allclose(spec.basis @ spec.basis.T, P, atol=1e-10)
+
+    def test_threshold_cut_below_max_rank(self):
+        n = 14
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+        lam = np.array([9.0, 4.0, 2.5, 0.5, 0.1, 0.01])
+        jv = np.sqrt(lam)[:, None] * Q[:, :6].T
+        spec = local_spectrum(jv, threshold=1.0, max_rank=5)
+        ref, P = dense_oracle(jv, 3)
+        assert spec.r == 3
+        assert np.allclose(spec.eigenvalues, ref, rtol=1e-10)
+        assert np.allclose(spec.basis @ spec.basis.T, P, atol=1e-10)
+
+    def test_zero_jacobian(self):
+        jv = np.zeros((4, 6))
+        spec = local_spectrum(jv, rank=3)
+        assert spec.r == 3
+        assert not spec.eigenvalues.any()
+        assert np.allclose(spec.basis.T @ spec.basis, np.eye(3), atol=1e-12)
+        assert local_spectrum(jv, threshold=1e-6).r == 0
+
+    def test_elliptic_matches_randomized_eig(self):
+        model, _ = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
+        rng = np.random.default_rng(0)
+        state = model.state(0.5 * rng.standard_normal(model.n))
+        spec = local_spectrum(state.jv, rank=5)
+        ref = randomized_eig(state.gnh_action, model.n, 5,
+                             rng=np.random.default_rng(1))
+        assert spec.r == ref.r == 5
+        assert np.allclose(spec.eigenvalues, ref.eigenvalues, rtol=1e-9, atol=0)
+        P, R = spec.basis @ spec.basis.T, ref.basis @ ref.basis.T
+        assert np.abs(P - R).max() <= 1e-9 * np.abs(R).max()
 
 
 class TestMerge:
