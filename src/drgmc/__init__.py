@@ -6,7 +6,7 @@ inverse problem, and the diagnostics to compare them.
 """
 
 from .acceptance import (AcceptDecision, decide, dili_exact_log_ratio,
-                         dili_log_ratio, dr_mhmc_delta_E, dr_mmala_log_ratio,
+                         dr_mhmc_delta_E, dr_mmala_log_ratio,
                          inf_mala_log_ratio, log_lambda, pcn_log_ratio)
 from .chain import ALGORITHMS, WhitenedModel, run_chain
 from .config import RunConfig, from_dict, from_yaml, to_yaml
@@ -18,9 +18,8 @@ from .operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
                         apply_sqrtK_hat, build_prior_covariance,
                         forstner_distance, randomized_eig)
 from .proposals import (DiliOperators, ProposalOutput, StepParams, Trajectory,
-                        dili_connection_operators, dili_operators,
-                        dili_propose, dr_mhmc_propose, dr_mmala_propose,
-                        inf_hmc_propose, inf_mala_propose, pcn_propose,
-                        whitened_ngrad)
+                        dili_operators, dili_propose, dr_mhmc_propose,
+                        dr_mmala_propose, inf_hmc_propose, inf_mala_propose,
+                        pcn_propose, whitened_ngrad)
 
 __version__ = "0.1.0"

@@ -90,23 +90,12 @@ def dr_mmala_log_ratio(v, v_prime, spec_v, spec_vp, grad_v, grad_vp,
     return float(rev - fwd)
 
 
-def dili_log_ratio(v, v_prime, spec_v, grad_v, grad_vp, phi_v, phi_vp,
-                   params, spec_vp=None):
-    """Ratio for the operator-form proposal: the DR ratio minus its
-    determinant correction, which cancels entirely when the spectrum is a
-    fixed global one (spec_vp omitted)."""
-    svp = spec_v if spec_vp is None else spec_vp
-    base = dr_mmala_log_ratio(v, v_prime, spec_v, svp, grad_v, grad_vp,
-                              phi_v, phi_vp, params)
-    corr = 0.5 * float(np.sum(np.log(spec_v.D))) - 0.5 * float(np.sum(np.log(svp.D)))
-    return float(base - corr)
-
-
 def dili_exact_log_ratio(v, v_prime, spec, grad_v, grad_vp, phi_v, phi_vp, ops):
     """Density ratio of the operator-form proposal with arbitrary diagonal
     operators (A, B, G) on the subspace and a prior-reversible complement
-    (a_perp^2 + b_perp^2 = 1). Agrees with dili_log_ratio whenever the
-    operators come from the autoregressive substitution."""
+    (a_perp^2 + b_perp^2 = 1). Agrees with the DR ratio minus its
+    determinant correction (dili_log_ratio in tests/_dense_reference.py)
+    whenever the operators come from the autoregressive substitution."""
     if abs(ops.a_perp ** 2 + ops.b_perp ** 2 - 1.0) > 1e-10:
         raise ValueError("complement parameters are not prior-reversible")
     z, zp = spec.project(v), spec.project(v_prime)

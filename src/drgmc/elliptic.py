@@ -3,10 +3,13 @@
 Forward model: -div(exp(u) grad p) = f with homogeneous no-flux boundary,
 discretized by vertex-centered five-point finite volumes with harmonic-mean
 face transmissivities t. One edge-difference operator G, (G p)[e] =
-p[a_e] - p[b_e], gives the stiffness G^T diag(t) G, the potential drops G p
-and the flux divergence G^T. The Neumann nullspace is pinned by grounding
-node 0: a solve projects its right-hand side onto zero sum and returns the
-zero-mean solution, i.e. applies the stiffness pseudo-inverse. Point
+p[a_e] - p[b_e], gives the stiffness G^T diag(t) G and the potential drops
+G p. The Neumann nullspace is pinned by grounding node 0: a solve projects
+its right-hand side onto zero sum and returns the zero-mean solution, i.e.
+applies the stiffness pseudo-inverse. On the lexicographic node order the
+grounded stiffness is SPD and banded with half-bandwidth kd = nx + 1 (edges
+join nodes 1 and nx + 1 apart), so it is filled straight into LAPACK lower
+band storage and factored by a banded Cholesky in its natural order. Point
 observations are bilinear interpolants of p at 25 interior sensors.
 
 The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 PLUME_CENTERS = np.array([(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)])
 PLUME_WEIGHTS = np.array([2.0, -3.0, 3.0, -2.0])
@@ -163,9 +166,15 @@ class EllipticProblem:
         # node x edge incidence: (_to_a @ x)[i] sums x over edges whose a-end is i
         self._to_a = _incidence(self._ea, self.n)
         self._to_b = _incidence(self._eb, self.n)
-        # edge differences (G p)[e] = p[a_e] - p[b_e], and G without node 0
+        # edge differences (G p)[e] = p[a_e] - p[b_e]
         self._G = (self._to_a - self._to_b).T.tocsr()
-        self._G0 = self._G[:, 1:].tocsc()
+        # LAPACK lower band storage of the grounded stiffness, (kd + 1) x
+        # (n - 1), built as its C-ordered transpose: edge (a, b), a < b, not
+        # touching node 0 puts -t at band row b - a of column a - 1
+        self._kd = self.mesh.nx + 1
+        self._inner = self._ea > 0
+        self._band_at = ((self._ea[self._inner] - 1) * (self._kd + 1)
+                         + (self._eb - self._ea)[self._inner])
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
         self._OT = self.O.T.tocsr()
@@ -186,15 +195,16 @@ def make_problem(mesh, sensors=None):
 
 
 class ForwardSolveResult:
-    """Factorized grounded stiffness at u with the forward solution p (zero
-    mean, one counted solve), the per-edge transmissivities, their
-    u-derivative coefficients and potential drops that the adjoint and
-    Jacobian assemblies reuse, and the m x n Jacobian jac once formed."""
+    """Banded Cholesky factor chol of the grounded stiffness at u (LAPACK
+    lower band storage, kd = nx + 1) with the forward solution p (zero mean,
+    one counted solve), the per-edge transmissivities, their u-derivative
+    coefficients and potential drops that the adjoint and Jacobian
+    assemblies reuse, and the m x n Jacobian jac once formed."""
 
-    __slots__ = ("p", "lu", "t", "ca", "cb", "dpe", "jac", "_problem")
+    __slots__ = ("p", "chol", "t", "ca", "cb", "dpe", "jac", "_problem")
 
-    def __init__(self, lu, t, ca, cb, problem):
-        self.lu = lu
+    def __init__(self, chol, t, ca, cb, problem):
+        self.chol = chol
         self.t = t
         self.ca = ca
         self.cb = cb
@@ -208,7 +218,8 @@ class ForwardSolveResult:
         zero-sum projection is solved with node 0 grounded; counts one solve."""
         self._problem.solves.count += 1
         n = len(rhs)
-        x = np.concatenate([[0.0], self.lu.solve(rhs[1:] - rhs.sum() / n)])
+        x0, _ = dpbtrs(self.chol, rhs[1:] - rhs.sum() / n, lower=1)
+        x = np.concatenate([[0.0], x0])
         return x - x.sum() / n
 
 
@@ -226,17 +237,19 @@ def assemble_and_solve(u, problem):
     t = harm * geow
     if not np.all(np.isfinite(t)):
         raise FloatingPointError("transmissivity overflow in face averaging")
-    A = problem._G0.T @ sp.diags(t) @ problem._G0
-    try:
-        # A is symmetric: a fill-reducing order on its own pattern
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
+    n = problem.n
+    band = np.zeros((n - 1, problem._kd + 1))
+    band[:, 0] = (np.bincount(ea, t, n) + np.bincount(eb, t, n))[1:]
+    band.flat[problem._band_at] = -t[problem._inner]
+    chol, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info:
         # degenerate conductivity contrast: reject the state, not the run
-        raise FloatingPointError(f"singular stiffness factorization: {exc}") from exc
+        raise FloatingPointError(
+            f"singular stiffness factorization: leading minor {info} is not positive")
     # dt/du at each endpoint, chain rule through the harmonic mean and exp(u)
     ca = t * kb / (ka + kb)
     cb = t * ka / (ka + kb)
-    return ForwardSolveResult(lu, t, ca, cb, problem)
+    return ForwardSolveResult(chol, t, ca, cb, problem)
 
 
 def observe(result, problem):

@@ -152,19 +152,6 @@ def dili_operators(spec, h_r, h_perp, gamma_r):
     return DiliOperators(D_Ar, D_Br, np.asarray(D_Gr), a_perp, b_perp)
 
 
-def dili_connection_operators(spec, params):
-    """Parameter substitution under which DILI reproduces the DR proposal:
-
-    D_Ar = I - rho1 D, D_Br = rho2 sqrt(D), D_Gr = rho1 D gamma_r,
-    a_perp = rho0, b_perp = rho2.
-    """
-    D = spec.D
-    return DiliOperators(1.0 - params.rho1 * D,
-                         params.rho2 * np.sqrt(D),
-                         params.rho1 * D * float(params.gamma_r),
-                         params.rho0, params.rho2)
-
-
 def dili_propose(v, grad, spec, h_r, h_perp, gamma_r, rng, operators=None, xi=None):
     """v' = A v - G grad + B xi, split between the LIS and its complement."""
     ops = operators if operators is not None else dili_operators(spec, h_r, h_perp, gamma_r)

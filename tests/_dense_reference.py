@@ -1,12 +1,15 @@
 """Dense, from-first-principles reference computations used as oracles.
 
 Everything here is built on explicit matrices and brute-force Gaussian
-transition densities. Nothing imports the package's reduced-form algebra,
-so agreement between these functions and the package is a real check and
-not a tautology.
+transition densities. Nothing but the two test-only helpers at the end
+imports the package's reduced-form algebra, so agreement between these
+oracles and the package is a real check and not a tautology.
 """
 
 import numpy as np
+
+from drgmc.acceptance import dr_mmala_log_ratio
+from drgmc.proposals import DiliOperators
 
 
 def rho_params(h):
@@ -154,3 +157,32 @@ def analytic_gaussian_posterior(A, Sigma, C, y):
 def spectrum_arrays(spec):
     """Pull (V, lam) out of a package spectrum without using its methods."""
     return np.asarray(spec.basis), np.asarray(spec.eigenvalues)
+
+
+# Test-only reduced forms, built on the package's algebra and not oracles:
+# no chain runs them, and criteria 07, 08 and 10 check the package against
+# them.
+
+def dili_log_ratio(v, v_prime, spec_v, grad_v, grad_vp, phi_v, phi_vp,
+                   params, spec_vp=None):
+    """Ratio for the operator-form proposal: the DR ratio minus its
+    determinant correction, which cancels entirely when the spectrum is a
+    fixed global one (spec_vp omitted)."""
+    svp = spec_v if spec_vp is None else spec_vp
+    base = dr_mmala_log_ratio(v, v_prime, spec_v, svp, grad_v, grad_vp,
+                              phi_v, phi_vp, params)
+    corr = 0.5 * float(np.sum(np.log(spec_v.D))) - 0.5 * float(np.sum(np.log(svp.D)))
+    return float(base - corr)
+
+
+def dili_connection_operators(spec, params):
+    """Parameter substitution under which DILI reproduces the DR proposal:
+
+    D_Ar = I - rho1 D, D_Br = rho2 sqrt(D), D_Gr = rho1 D gamma_r,
+    a_perp = rho0, b_perp = rho2.
+    """
+    D = spec.D
+    return DiliOperators(1.0 - params.rho1 * D,
+                         params.rho2 * np.sqrt(D),
+                         params.rho1 * D * float(params.gamma_r),
+                         params.rho0, params.rho2)

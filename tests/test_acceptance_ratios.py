@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from drgmc.acceptance import (
     decide,
     dili_exact_log_ratio,
-    dili_log_ratio,
     dr_mhmc_delta_E,
     dr_mmala_log_ratio,
     inf_mala_log_ratio,
@@ -25,7 +24,6 @@ from drgmc.operators import LowRankSpectrum
 from drgmc.proposals import (
     DiliOperators,
     StepParams,
-    dili_connection_operators,
     dili_operators,
     dili_propose,
     dr_mhmc_propose,
@@ -35,6 +33,8 @@ from drgmc.proposals import (
 )
 
 from _dense_reference import (
+    dili_connection_operators,
+    dili_log_ratio,
     dili_mean_cov,
     dili_unnormalized_log_ratio,
     dr_mmala_mean_cov,

@@ -64,12 +64,16 @@ class TestForwardSolve:
         np.add.at(div, eb, -flux)
         assert np.allclose(div, problem.b, atol=1e-9 * np.abs(problem.b).max())
 
-    def test_solve_is_zero_mean_pseudo_inverse(self):
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (7, 5), (5, 7), (2, 2)],
+                             ids=["8x8", "7x5", "5x7", "2x2"])
+    def test_solve_is_zero_mean_pseudo_inverse(self, nx, ny):
         # dense oracle: the singular Neumann stiffness and its pseudo-inverse;
         # the adjoint source O^T r does not sum to zero, so the solve must
-        # project it before solving
-        mesh, problem, u_true = small_problem(8)
-        res = elliptic.assemble_and_solve(u_true, problem)
+        # project it before solving. The band layout depends on nx alone, so
+        # non-square meshes check both offsets (1 and nx + 1).
+        mesh = elliptic.Mesh2D(nx, ny)
+        problem = elliptic.make_problem(mesh)
+        res = elliptic.assemble_and_solve(elliptic.true_field(mesh), problem)
         ea, eb = problem._ea, problem._eb
         A = np.zeros((problem.n, problem.n))
         np.add.at(A, (ea, ea), res.t)
@@ -108,6 +112,18 @@ class TestForwardSolve:
         mesh, problem, _ = small_problem(6)
         with pytest.raises(FloatingPointError, match="overflow"):
             elliptic.assemble_and_solve(np.full(problem.n, 1e4), problem)
+
+    @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 5)])
+    def test_isolated_node_is_a_singular_factorization(self, nx, ny):
+        # exp(-800) underflows to 0, so every face transmissivity of that
+        # interior node is 0: its stiffness row vanishes and the grounded
+        # factorization must fail as a FloatingPointError (a rejected state)
+        mesh = elliptic.Mesh2D(nx, ny)
+        problem = elliptic.make_problem(mesh)
+        u = np.zeros(problem.n)
+        u[mesh.node_index(nx // 2, ny // 2)] = -800.0
+        with pytest.raises(FloatingPointError, match="singular stiffness"):
+            elliptic.assemble_and_solve(u, problem)
 
 
 class TestData:

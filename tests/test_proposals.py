@@ -10,7 +10,6 @@ from drgmc.operators import LowRankSpectrum, apply_sqrtK_hat
 from drgmc.proposals import (
     DIVERGENCE_THRESHOLD,
     StepParams,
-    dili_connection_operators,
     dili_operators,
     dili_propose,
     dr_mhmc_propose,
@@ -27,6 +26,7 @@ from _dense_reference import (
     dense_ghat,
     dense_leapfrog_path,
     dense_sqrtK,
+    dili_connection_operators,
     rho_params,
 )
 
