@@ -3,8 +3,9 @@
 A WhitenedModel bridges model states (which live in u coordinates and cache
 their own forward/adjoint solves) to the whitened coordinates v = C^{-1/2} u
 that every kernel works in. One chain = one RNG stream. A local spectrum is
-exact, from a thin SVD of the state's whitened Jacobian, so it is a
-deterministic function of position and draws nothing from the stream.
+exact, from the Gram eigenproblem of the state's whitened Jacobian and a QR
+basis, so it is a deterministic function of position and draws nothing from
+the stream.
 
 The eight samplers share one Metropolis-Hastings step; each kernel only
 maps the current state to a candidate and its log acceptance ratio.
@@ -34,7 +35,8 @@ HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 class WhitenedState:
     """Lazy caches in v coordinates on top of a u-space model state. The
     whitened Jacobian Jv = J S is formed once: the Gauss-Newton Hessian
-    S J^T J S is Jv^T Jv, whose eigenpairs come from Jv's SVD."""
+    S J^T J S is Jv^T Jv, whose eigenpairs come from the m x m Gram matrix
+    Jv Jv^T (lis.local_spectrum)."""
 
     __slots__ = ("v", "ustate", "_cov", "_grad", "_jv", "spec")
 
@@ -258,7 +260,7 @@ def run_chain(model, config, rng=None, v0=None):
                         gamma_perp=config.gamma_perp,
                         n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
     # The randomized eigensolver's probe block: unused since local spectra are
-    # exact SVDs, but drawn so that every chain's RNG stream stays as it was.
+    # exact, but drawn so that every chain's RNG stream stays as it was.
     rng.standard_normal((n, min(max(config.rank, min(config.max_rank, n)) + 5, n)))
     ctx = KernelContext(model=model, config=config, steps=steps, params=params,
                         rng=rng)

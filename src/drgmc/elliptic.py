@@ -218,9 +218,11 @@ class ForwardSolveResult:
         zero-sum projection is solved with node 0 grounded; counts one solve."""
         self._problem.solves.count += 1
         n = len(rhs)
-        x0, _ = dpbtrs(self.chol, rhs[1:] - rhs.sum() / n, lower=1)
-        x = np.concatenate([[0.0], x0])
-        return x - x.sum() / n
+        x = np.empty(n)
+        x[0] = 0.0
+        x[1:], _ = dpbtrs(self.chol, rhs[1:] - rhs.sum() / n, lower=1)
+        x -= x.sum() / n
+        return x
 
 
 def assemble_and_solve(u, problem):

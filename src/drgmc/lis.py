@@ -1,13 +1,13 @@
 """Likelihood-informed subspace estimation and its online adaptation.
 
 A global basis is accumulated from local spectra of the whitened
-Gauss-Newton Hessian collected along the chain, each exact from a thin SVD
-of the state's whitened Jacobian. Each update merges the running estimate
-(weight m) with the newest local spectrum (weight 1) on their joint span,
-re-diagonalizes, and truncates at the global threshold. Convergence is
-monitored through the Forstner distance between consecutive operators
-I + V Lambda V^T; adaptation stops once the distance stalls or the update
-budget is exhausted.
+Gauss-Newton Hessian collected along the chain, each exact from the m x m
+Gram eigenproblem of the state's whitened Jacobian. Each update merges the
+running estimate (weight m) with the newest local spectrum (weight 1) on
+their joint span, re-diagonalizes, and truncates at the global threshold.
+Convergence is monitored through the Forstner distance between consecutive
+operators I + V Lambda V^T; adaptation stops once the distance stalls or the
+update budget is exhausted.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr, dsyevd
 
 from .operators import LowRankSpectrum, _orthonormalize, forstner_distance
 from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it here
@@ -22,8 +23,11 @@ from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it he
 
 def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
     """Leading eigenpairs of the whitened Gauss-Newton Hessian Jv^T Jv, exact
-    from one thin SVD of the m x n whitened Jacobian jv: squared singular
-    values and right singular vectors, at most min(m, n) pairs.
+    from the m x m Gram matrix Jv Jv^T of the m x n whitened Jacobian jv: its
+    eigenvalues, clipped at 0, and as basis the orthonormal QR factor of
+    Jv^T U for its leading eigenvectors U, at most min(m, n) pairs. The
+    basis matches Jv's right singular vectors up to column signs, and it
+    stays orthonormal where Jv is zero or rank-deficient.
 
     Either a fixed rank (position-specific kernels) or an eigenvalue
     threshold (global LIS accumulation) decides the truncation. In
@@ -33,11 +37,16 @@ def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
     if (rank is None) == (threshold is None):
         raise ValueError("exactly one of rank and threshold is required")
     r = min(rank if rank is not None else (max_rank or jv.shape[1]), *jv.shape)
-    _, s, vt = np.linalg.svd(jv, full_matrices=False)
-    spec = LowRankSpectrum(s[:r] ** 2, vt[:r].T)
+    w, u, info = dsyevd(jv @ jv.T)
+    if info or not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("Gram eigenproblem of the Jacobian failed")
+    lam = np.maximum(w[::-1][:r], 0.0)
     if threshold is not None:
-        spec = spec.truncate(threshold=threshold)
-    return spec
+        r = int(np.count_nonzero(lam >= threshold))
+        lam = lam[:r]
+    qr, tau, _, _ = dgeqrf(jv.T @ u[:, ::-1][:, :r])
+    basis, _, _ = dorgqr(qr, tau)
+    return LowRankSpectrum._unchecked(lam, basis)
 
 
 @dataclass(frozen=True)

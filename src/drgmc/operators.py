@@ -69,9 +69,11 @@ def build_prior_covariance(nodes, sigma_u, s_0):
 
 class LowRankSpectrum:
     """Rank-r spectral factor: eigenvalues lam (descending, >= 0) and an
-    orthonormal basis V, both in whitened coordinates."""
+    orthonormal basis V, both in whitened coordinates, with the projected
+    posterior-covariance surrogate D = (I_r + Lambda_r)^{-1}. The constructor
+    checks outside input; _unchecked takes spectra valid by construction."""
 
-    __slots__ = ("r", "eigenvalues", "basis")
+    __slots__ = ("r", "eigenvalues", "basis", "D")
 
     def __init__(self, eigenvalues, basis):
         lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
@@ -82,18 +84,25 @@ class LowRankSpectrum:
             raise ValueError("eigenvalues must be non-increasing")
         if lam.size and lam.min() < -1e-10:
             raise ValueError("negative eigenvalue in PSD spectrum")
-        self.r = int(lam.shape[0])
-        self.eigenvalues = np.maximum(lam, 0.0)
+        self._fill(np.maximum(lam, 0.0), V)
+
+    def _fill(self, lam, V):
+        self.r = lam.shape[0]
+        self.eigenvalues = lam
         self.basis = V
+        self.D = 1.0 / (1.0 + lam)
+
+    @classmethod
+    def _unchecked(cls, lam, V):
+        """Spectrum from non-increasing eigenvalues clipped at 0 and an n x r
+        orthonormal basis, taken as they are."""
+        spec = cls.__new__(cls)
+        spec._fill(lam, V)
+        return spec
 
     @property
     def n(self):
         return self.basis.shape[0]
-
-    @property
-    def D(self):
-        # D_r = (I_r + Lambda_r)^{-1}, the projected posterior-covariance surrogate
-        return 1.0 / (1.0 + self.eigenvalues)
 
     def project(self, x):
         return self.basis.T @ x
@@ -107,11 +116,11 @@ class LowRankSpectrum:
             keep = min(keep, int(r))
         if threshold is not None:
             keep = min(keep, int(np.sum(self.eigenvalues >= threshold)))
-        return LowRankSpectrum(self.eigenvalues[:keep], self.basis[:, :keep])
+        return LowRankSpectrum._unchecked(self.eigenvalues[:keep], self.basis[:, :keep])
 
     @classmethod
     def empty(cls, n):
-        return cls(np.zeros(0), np.zeros((n, 0)))
+        return cls._unchecked(np.zeros(0), np.zeros((n, 0)))
 
 
 def _orthonormalize(M, rel_tol=1e-12):

@@ -5,11 +5,12 @@ A refactor that claims to leave the samplers unchanged must keep these
 16 chains: the data file pins the accept/reject sequence and the PDE solve
 counts exactly and the samples to 1e-10. It does not pin samples bit for
 bit: floating-point reorderings made since it was written (block GNH
-actions, the grounded elliptic solve, the Jacobian-product GNH, local
-spectra from a thin SVD of the Jacobian in place of the randomized
-eigensolver, the banded Cholesky solve in place of sparse LU) move the
-geometric kernels' samples by up to about 1e-11 (elliptic dili, 6.7e-12),
-and BLAS thread counts by about 1e-13. Bit-for-bit equality is a
+actions, the grounded elliptic solve, the Jacobian-product GNH, exact
+local spectra in place of the randomized eigensolver, first from a thin
+SVD of the Jacobian and then from its Gram eigenproblem with a QR basis,
+the banded Cholesky solve in place of sparse LU) move the geometric
+kernels' samples by up to about 1e-11 (elliptic dili, 6.6e-12), and BLAS
+thread counts by about 1e-13. Bit-for-bit equality is a
 parent-versus-change check: run both trees with OPENBLAS_NUM_THREADS=1 and
 compare the records.
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic
@@ -104,6 +105,55 @@ class TestLocalSpectrum:
         assert not spec.eigenvalues.any()
         assert np.allclose(spec.basis.T @ spec.basis, np.eye(3), atol=1e-12)
         assert local_spectrum(jv, threshold=1e-6).r == 0
+
+    def test_rank_deficient_jacobian_pads_with_null_directions(self):
+        rng = np.random.default_rng(3)
+        jv = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
+        spec = local_spectrum(jv, rank=4)
+        lam, P = dense_oracle(jv, 2)
+        assert spec.r == 4
+        assert np.allclose(spec.eigenvalues, [*lam, 0.0, 0.0], rtol=1e-10, atol=1e-12)
+        assert np.allclose(spec.basis.T @ spec.basis, np.eye(4), atol=1e-12)
+        assert np.linalg.norm(jv @ spec.basis[:, 2:]) <= 1e-12
+        lead = spec.basis[:, :2]
+        assert np.allclose(lead @ lead.T, P, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 31 - 1),
+           st.booleans(), st.integers(0, 12), st.none() | st.integers(1, 12))
+    def test_matches_dense_oracle_on_random_shapes(self, m, n, seed, by_rank,
+                                                   k, max_rank):
+        jv = np.random.default_rng(seed).standard_normal((m, n))
+        k = min(k, m, n)
+        if by_rank:
+            spec = local_spectrum(jv, rank=k)
+            keep = k
+        else:
+            # a threshold halfway between the k-th and (k+1)-th eigenvalues
+            lam_all = np.append(np.linalg.eigvalsh(jv.T @ jv)[::-1][:min(m, n)], 0.0)
+            upper = lam_all[k - 1] if k else 2.0 * lam_all[0] + 1.0
+            spec = local_spectrum(jv, threshold=0.5 * (upper + lam_all[k]),
+                                  max_rank=max_rank)
+            keep = min(k, max_rank or n)
+        lam, P = dense_oracle(jv, keep)
+        assert spec.r == keep and spec.basis.shape == (n, keep)
+        assert np.allclose(spec.eigenvalues, lam, rtol=1e-10, atol=1e-12)
+        assert np.allclose(spec.basis.T @ spec.basis, np.eye(keep), atol=1e-12)
+        assert np.allclose(spec.basis @ spec.basis.T, P, atol=1e-10)
+
+    def test_non_finite_jacobian_raises(self):
+        jv = np.ones((3, 5))
+        jv[1, 2] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            local_spectrum(jv, rank=2)
+
+    def test_D_is_filled_on_every_constructor(self):
+        spec = local_spectrum(np.random.default_rng(4).standard_normal((5, 9)), rank=4)
+        for s in (spec, spec.truncate(r=2), spec.truncate(threshold=spec.eigenvalues[1])):
+            assert np.array_equal(s.D, 1.0 / (1.0 + s.eigenvalues))
+        empty = LowRankSpectrum.empty(7)
+        assert empty.D.shape == (0,)
+        assert np.array_equal(empty.D, 1.0 / (1.0 + empty.eigenvalues))
 
     def test_elliptic_matches_randomized_eig(self):
         model, _ = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))
