@@ -57,9 +57,9 @@ def log_lambda(v, grad, spec, w_star, params):
     """log lambda(w*; v) of the position-v proposal density."""
     cw = spec.project(w_star)
     gr = reduced_ngrad(v, grad, spec, params.gamma_r)
-    sqrt_d = np.sqrt(spec.D)
+    sqrt_d = spec.sqrt_D
     resid = (math.sqrt(params.h) / 2.0) * sqrt_d * gr - cw / sqrt_d
-    val = -0.5 * float(resid @ resid) + 0.5 * float(cw @ cw) - 0.5 * float(np.sum(np.log(spec.D)))
+    val = -0.5 * float(resid @ resid) + 0.5 * float(cw @ cw) - 0.5 * spec.logdet_D
     if params.gamma_perp:
         val += _perp_log_lambda(grad, w_star, spec, params.h)
     return val
@@ -131,7 +131,7 @@ def dr_mhmc_delta_E(trajectory, phi_0, phi_I):
     s0, sI = specs[0], specs[-1]
     c0, cI = s0.project(vts[0]), sI.project(vts[-1])
     quad = 0.5 * float(cI @ (sI.eigenvalues * cI)) - 0.5 * float(c0 @ (s0.eigenvalues * c0))
-    logdet = 0.5 * float(np.sum(np.log(sI.D))) - 0.5 * float(np.sum(np.log(s0.D)))
+    logdet = 0.5 * sI.logdet_D - 0.5 * s0.logdet_D
     dg0, dgI = s0.D * grs[0], sI.D * grs[-1]
     kin = -(eps ** 2 / 8.0) * (float(dgI @ dgI) - float(dg0 @ dg0))
     cross = 0.0

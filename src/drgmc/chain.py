@@ -7,6 +7,13 @@ exact, from the Gram eigenproblem of the state's whitened Jacobian and a QR
 basis, so it is a deterministic function of position and draws nothing from
 the stream.
 
+Curvature is formed once per distinct Jacobian array: the model whitens a
+Jacobian only when it is not the one it whitened last, and a chain
+decomposes a whitened Jacobian only when it is not the one it decomposed
+last. A model whose states share one Jacobian object (the linear model)
+pays for both once per chain; a model whose states form their own
+(the elliptic one) pays once per state, as before.
+
 The eight samplers share one Metropolis-Hastings step; each kernel only
 maps the current state to a candidate and its log acceptance ratio.
 """
@@ -34,14 +41,15 @@ HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 
 class WhitenedState:
     """Lazy caches in v coordinates on top of a u-space model state. The
-    whitened Jacobian Jv = J S is formed once: the Gauss-Newton Hessian
-    S J^T J S is Jv^T Jv, whose eigenpairs come from the m x m Gram matrix
-    Jv Jv^T (lis.local_spectrum)."""
+    whitened Jacobian Jv = J S comes from the model, which whitens each
+    distinct Jacobian array once: the Gauss-Newton Hessian S J^T J S is
+    Jv^T Jv, whose eigenpairs come from the m x m Gram matrix Jv Jv^T
+    (lis.local_spectrum)."""
 
-    __slots__ = ("v", "ustate", "_cov", "_grad", "_jv", "spec")
+    __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec")
 
-    def __init__(self, cov, ustate, v):
-        self._cov = cov
+    def __init__(self, model, ustate, v):
+        self._model = model
         self.ustate = ustate
         self.v = v
         self._grad = None
@@ -59,13 +67,13 @@ class WhitenedState:
     @property
     def grad(self):
         if self._grad is None:
-            self._grad = self._cov.sqrt_apply(self.ustate.grad)
+            self._grad = self._model.cov.sqrt_apply(self.ustate.grad)
         return self._grad
 
     @property
     def jv(self):
         if self._jv is None:
-            self._jv = self._cov.sqrt_apply(self.ustate.jac.T).T
+            self._jv = self._model.whiten(self.ustate.jac)
         return self._jv
 
     def gnh_action(self, w):
@@ -82,6 +90,7 @@ class WhitenedModel:
         self.cov = cov
         self._factory = state_factory
         self._counter = counter
+        self._whitened = (None, None)
 
     @property
     def n(self):
@@ -89,7 +98,16 @@ class WhitenedModel:
 
     def state(self, v):
         u = self.cov.sqrt_apply(v)
-        return WhitenedState(self.cov, self._factory(u), v)
+        return WhitenedState(self, self._factory(u), v)
+
+    def whiten(self, jac):
+        """Jv = J S, read-only, reused while jac is the array it came from."""
+        last_jac, jv = self._whitened
+        if jac is not last_jac:
+            jv = self.cov.sqrt_apply(jac.T).T
+            jv.flags.writeable = False
+            self._whitened = (jac, jv)
+        return jv
 
     def solves(self):
         return self._counter.count if self._counter is not None else 0
@@ -107,6 +125,8 @@ class KernelContext:
     rng: np.random.Generator
     lis: LISState | None = None
     dili_ops: object = None
+    # (jv, spectrum) of the last position-specific decomposition
+    last_spec: tuple = (None, None)
 
 
 _REJECTABLE = (FloatingPointError, np.linalg.LinAlgError, OverflowError)
@@ -115,8 +135,15 @@ _NONFINITE = AcceptDecision(float("nan"), False, 1.0)
 
 
 def _ensure_spec(ctx, state):
+    """The state's rank-mode spectrum, decomposed only when its whitened
+    Jacobian is not the array the chain decomposed last."""
     if state.spec is None:
-        state.spec = local_spectrum(state.jv, rank=ctx.config.rank)
+        jv = state.jv
+        last_jv, spec = ctx.last_spec
+        if jv is not last_jv:
+            spec = local_spectrum(jv, rank=ctx.config.rank)
+            ctx.last_spec = (jv, spec)
+        state.spec = spec
     return state.spec
 
 

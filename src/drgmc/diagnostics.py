@@ -1,19 +1,11 @@
-"""Chain diagnostics: effective sample size, efficiency tables, and
-randomized verification of the proposal-difference bounds.
-"""
+"""Chain diagnostics: effective sample size and efficiency tables."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linear_model import make_state
-from .operators import LowRankSpectrum
-from .proposals import (DiliOperators, StepParams, dili_propose,
-                        dr_mhmc_propose, dr_mmala_propose)
 
 
 @dataclass
@@ -149,143 +141,3 @@ def table_to_text(rows):
     for c in cells:
         out.append("  ".join(c[j].rjust(widths[j]) for j in range(len(widths))))
     return "\n".join(out) + "\n"
-
-
-# --- proposal-difference bounds -------------------------------------------
-
-@dataclass
-class BoundReport:
-    rows: list
-    violations: list
-
-    @property
-    def n_violations(self):
-        return len(self.violations)
-
-
-def _tail_coefficients(lam_tail):
-    """State and noise coefficients of the truncation-error bound."""
-    c_v = lam_tail / (lam_tail + 1.0)
-    c_xi = lam_tail / (lam_tail + 1.0 + math.sqrt(lam_tail + 1.0))
-    return c_v, c_xi
-
-
-def _dense_whitened(model):
-    s = model.prior.S
-    h_w = s @ (model._jac.T @ model._jac) @ s
-    h_w = (h_w + h_w.T) / 2.0
-    lam, vecs = np.linalg.eigh(h_w)
-    lam, vecs = np.clip(lam[::-1], 0.0, None), vecs[:, ::-1]
-    return h_w, LowRankSpectrum(lam, vecs)
-
-
-def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
-    """Randomized check of the three proposal-difference bounds on a
-    linear-Gaussian model (dense reference operators).
-
-    1. reduced vs full manifold Langevin, both gamma_perp settings;
-    2. reduced vs operator-form proposal with a perturbed diagonal K_r,
-       both gamma_perp settings (identical complement drift on both sides);
-    3. reduced vs full Hamiltonian path, gamma_perp = 1. The big-O constant
-       is instantiated by a per-step error recursion: kicks amplify the
-       state gap by the drift Lipschitz constant and add the truncation
-       error of the drift, rotations are isometries.
-
-    Each trial asserts LHS <= RHS + 1e-9; offenders are serialized into the
-    report for debugging.
-    """
-    rng = np.random.default_rng(seed)
-    h_w, full_spec = _dense_whitened(model)
-    n = model.n
-    s = model.prior.S
-    if ranks is None:
-        ranks = list(range(1, n))
-    rows, violations = [], []
-
-    def grad_v(v):
-        return s @ make_state(model, s @ v).grad
-
-    def record(bound, gp, r, lhs, rhs, state):
-        slack = rhs + 1e-9 - lhs
-        row = {"bound": bound, "gamma_perp": gp, "r": r,
-               "lhs": float(lhs), "rhs": float(rhs), "slack": float(slack)}
-        rows.append(row)
-        if slack < 0.0:
-            violations.append({**row, "state": state})
-
-    for _ in range(trials):
-        r = int(rng.choice(ranks))
-        spec_r = full_spec.truncate(r=r)
-        lam_tail = full_spec.eigenvalues[r] if r < n else 0.0
-        c_v, c_xi = _tail_coefficients(lam_tail)
-        v = rng.standard_normal(n)
-        xi = rng.standard_normal(n)
-        g = grad_v(v)
-        nv, ng, nxi = np.linalg.norm(v), np.linalg.norm(g), np.linalg.norm(xi)
-        state = {"v": v.tolist(), "xi": xi.tolist(), "r": r}
-
-        full_params = StepParams(h=h, gamma_r=1, gamma_perp=0)
-        vp_full = dr_mmala_propose(v, g, full_spec, full_params, rng, xi=xi).v_prime
-        for gp in (0, 1):
-            params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, rng, xi=xi).v_prime
-            lhs = np.linalg.norm(vp_dr - vp_full)
-            if gp:
-                rhs = params.rho1 * c_v * (nv + ng) + params.rho2 * c_xi * nxi
-            else:
-                rhs = params.rho1 * (c_v * nv + ng) + params.rho2 * c_xi * nxi
-            record("dr_vs_full", gp, r, lhs, rhs, state)
-
-        k_diag = spec_r.D * np.exp(rng.uniform(-0.5, 0.5, size=spec_r.r))
-        for gp in (0, 1):
-            params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, rng, xi=xi).v_prime
-            ops = DiliOperators(1.0 - params.rho1 * k_diag,
-                                params.rho2 * np.sqrt(k_diag),
-                                params.rho1 * k_diag,
-                                params.rho0, params.rho2)
-            vp_dili = dili_propose(v, g, spec_r, h, h, 1, rng, operators=ops, xi=xi).v_prime
-            if gp:
-                g_perp = g - spec_r.lift(spec_r.project(g))
-                vp_dili = vp_dili - params.rho1 * g_perp
-            lhs = np.linalg.norm(vp_dr - vp_dili)
-            rhs = (params.rho1 * np.max(np.abs(spec_r.D - k_diag)) * (nv + ng)
-                   + params.rho2 * np.max(np.abs(np.sqrt(spec_r.D) - np.sqrt(k_diag))) * nxi)
-            record("dr_vs_dili", gp, r, lhs, rhs, state)
-
-        hmc = _hmc_bound_trial(v, xi, grad_v, h_w, spec_r, full_spec,
-                               c_v, c_xi, h, n_leapfrog)
-        if hmc is not None:
-            record("dr_vs_full_hmc", 1, r, hmc[0], hmc[1], state)
-
-    return BoundReport(rows=rows, violations=violations)
-
-
-def _hmc_bound_trial(v, xi, grad_v, h_w, spec_r, full_spec, c_v, c_xi, h, n_steps):
-    params_dr = StepParams(h=h, gamma_r=1, gamma_perp=1, n_leapfrog=n_steps)
-    params_full = StepParams(h=h, gamma_r=1, gamma_perp=0, n_leapfrog=n_steps)
-    rng = np.random.default_rng(0)  # inert: noise supplied explicitly
-    out_dr = dr_mhmc_propose(v, spec_r, params_dr, grad_v, rng, xi=xi)
-    out_full = dr_mhmc_propose(v, full_spec, params_full, grad_v, rng, xi=xi)
-    if out_dr.diverged or out_full.diverged:
-        return None
-    lhs = np.linalg.norm(out_dr.v_prime - out_full.v_prime)
-
-    # With gamma_perp = 1 the reduced drift is ghat(v) = (I - Khat)v - Khat
-    # grad Phi(v); for the linear model grad Phi is affine, so the drift's
-    # Lipschitz constant is the spectral norm of (I - Khat) - Khat H_w.
-    n = len(v)
-    k_hat = np.eye(n) + (spec_r.basis * (spec_r.D - 1.0)) @ spec_r.basis.T
-    lip = np.linalg.norm((np.eye(n) - k_hat) - k_hat @ h_w, 2)
-
-    eps = params_dr.eps
-    kick = 1.0 + eps * lip / 2.0
-    amp = kick ** 2
-    # Momentum mismatch of the shared-noise draws enters as an initial gap.
-    err = c_xi * np.linalg.norm(xi)
-    traj = out_full.trajectory
-    deltas = [c_v * (np.linalg.norm(traj.vs[i]) + np.linalg.norm(grad_v(traj.vs[i])))
-              for i in range(len(traj.vs))]
-    for i in range(n_steps):
-        err = amp * err + (eps / 2.0) * (kick * deltas[i] + deltas[i + 1])
-    return lhs, err

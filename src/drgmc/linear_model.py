@@ -31,6 +31,8 @@ class LinearGaussianModel:
         self.y = np.asarray(self.y, dtype=float)
         self._Sigma_inv = np.linalg.inv(self.Sigma)
         self._jac = np.linalg.cholesky(self._Sigma_inv).T @ self.A
+        # every state returns this one array, so it must not change
+        self._jac.setflags(write=False)
 
     @property
     def n(self):

@@ -70,10 +70,11 @@ def build_prior_covariance(nodes, sigma_u, s_0):
 class LowRankSpectrum:
     """Rank-r spectral factor: eigenvalues lam (descending, >= 0) and an
     orthonormal basis V, both in whitened coordinates, with the projected
-    posterior-covariance surrogate D = (I_r + Lambda_r)^{-1}. The constructor
-    checks outside input; _unchecked takes spectra valid by construction."""
+    posterior-covariance surrogate D = (I_r + Lambda_r)^{-1}, its square root
+    sqrt_D and log det D_r as logdet_D. The constructor checks outside input;
+    _unchecked takes spectra valid by construction."""
 
-    __slots__ = ("r", "eigenvalues", "basis", "D")
+    __slots__ = ("r", "eigenvalues", "basis", "D", "sqrt_D", "logdet_D")
 
     def __init__(self, eigenvalues, basis):
         lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
@@ -91,6 +92,8 @@ class LowRankSpectrum:
         self.eigenvalues = lam
         self.basis = V
         self.D = 1.0 / (1.0 + lam)
+        self.sqrt_D = np.sqrt(self.D)
+        self.logdet_D = float(np.log(self.D).sum())
 
     @classmethod
     def _unchecked(cls, lam, V):
@@ -200,20 +203,12 @@ def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
     return LowRankSpectrum(lam[:take], U[:, :take])
 
 
-def apply_K_hat(v, spec):
-    """(I + V_r (D_r - I_r) V_r^T) v, the Woodbury form of (I + V L V^T)^{-1}."""
-    if spec.r == 0:
-        return np.array(v, dtype=float, copy=True)
-    c = spec.project(v)
-    return v + spec.lift((spec.D - 1.0) * c)
-
-
 def apply_sqrtK_hat(v, spec):
     """(I + V_r (D_r^{1/2} - I_r) V_r^T) v; self-adjoint square root of K_hat."""
     if spec.r == 0:
         return np.array(v, dtype=float, copy=True)
     c = spec.project(v)
-    return v + spec.lift((np.sqrt(spec.D) - 1.0) * c)
+    return v + spec.lift((spec.sqrt_D - 1.0) * c)
 
 
 def forstner_distance(spec_a, spec_b):

@@ -16,14 +16,15 @@ from drgmc import elliptic, linear_model
 from drgmc.acceptance import dr_mhmc_delta_E, dr_mmala_log_ratio
 from drgmc.chain import WhitenedModel, run_chain
 from drgmc.config import RunConfig
-from drgmc.diagnostics import bound_report, ess_per_coordinate
+from drgmc.diagnostics import ess_per_coordinate
 from drgmc.harness import build_elliptic, build_model, run_from_config
-from drgmc.operators import (CovarianceOperator, LowRankSpectrum, apply_K_hat,
+from drgmc.operators import (CovarianceOperator, LowRankSpectrum,
                              apply_sqrtK_hat, randomized_eig)
 from drgmc.proposals import (StepParams, dili_propose, dr_mhmc_propose,
                              dr_mmala_propose)
 
-from _dense_reference import dili_connection_operators, dili_log_ratio
+from _dense_reference import (apply_K_hat, bound_report,
+                              dili_connection_operators, dili_log_ratio)
 
 
 def random_spectrum(n, r, rng, scale=3.0):

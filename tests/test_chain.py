@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from drgmc import elliptic, linear_model, runio
+from drgmc import chain, elliptic, linear_model, runio
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
@@ -61,6 +61,65 @@ class TestWhitening:
         cols = np.column_stack([state.gnh_action(W[:, j]) for j in range(6)])
         block = state.gnh_action(W)
         assert np.abs(block - cols).max() <= 1e-12 * np.abs(cols).max()
+
+
+class TestCurvatureReuse:
+    """A Jacobian array is whitened once per model and decomposed once per
+    chain; anything else is recomputed."""
+
+    @staticmethod
+    def rank_calls(monkeypatch):
+        calls = []
+        real = chain.local_spectrum
+
+        def counted(jv, rank=None, **kw):
+            if rank is not None:
+                calls.append(rank)
+            return real(jv, rank=rank, **kw)
+
+        monkeypatch.setattr(chain, "local_spectrum", counted)
+        return calls
+
+    def test_linear_states_share_one_whitened_jacobian(self):
+        model, lm = linear_whitened()
+        rng = np.random.default_rng(0)
+        a, b = (model.state(rng.standard_normal(4)) for _ in range(2))
+        assert a.jv is b.jv
+        assert np.array_equal(a.jv, (lm.prior.S @ lm._jac.T).T)
+        with pytest.raises(ValueError):
+            a.jv[0, 0] = 1.0
+
+    def test_elliptic_states_whiten_their_own_jacobian(self):
+        model, _ = elliptic_whitened(8)
+        rng = np.random.default_rng(0)
+        a, b = (model.state(0.5 * rng.standard_normal(model.n)) for _ in range(2))
+        assert a.jv is not b.jv
+        assert not np.array_equal(a.jv, b.jv)
+
+    @pytest.mark.parametrize("algorithm", ["dr-inf-mmala", "dr-inf-mhmc"])
+    def test_linear_chain_decomposes_once(self, algorithm, monkeypatch):
+        calls = self.rank_calls(monkeypatch)
+        model, _ = linear_whitened()
+        rec = run_small(model, algorithm, iterations=60)
+        assert rec.accepts.any()
+        assert calls == [3]
+
+    def test_elliptic_chain_decomposes_every_state(self, monkeypatch):
+        calls = self.rank_calls(monkeypatch)
+        model, _ = elliptic_whitened(8)
+        rec = run_small(model, "dr-inf-mmala", iterations=12)
+        assert rec.meta["error_rejects"] == 0
+        assert len(calls) == 12 + 1
+
+    def test_chains_of_different_rank_share_a_model(self):
+        shared, _ = linear_whitened()
+        runs = [("dr-inf-mmala", 2), ("dr-inf-mhmc", 3), ("dr-inf-mmala", 4)]
+        on_shared = [run_small(shared, alg, iterations=40, rank=r)
+                     for alg, r in runs]
+        for (alg, r), rec in zip(runs, on_shared):
+            fresh = run_small(linear_whitened()[0], alg, iterations=40, rank=r)
+            assert np.array_equal(rec.samples, fresh.samples)
+            assert np.array_equal(rec.accepts, fresh.accepts)
 
 
 class TestDeterminism:

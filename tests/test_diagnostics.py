@@ -10,7 +10,6 @@ from drgmc.diagnostics import (
     TABLE_COLUMNS,
     ChainRecord,
     _autocorrelation,
-    bound_report,
     ess,
     ess_per_coordinate,
     summary_table,
@@ -18,6 +17,8 @@ from drgmc.diagnostics import (
     table_to_text,
 )
 from drgmc.linear_model import random_model
+
+from _dense_reference import bound_report
 
 
 def make_record(name, n=200, ess_like=None, seed=0, solves_per_iter=1):

@@ -22,6 +22,15 @@ def test_posterior_matches_direct_formula(model):
     assert np.allclose(K, K_ref, atol=1e-10)
 
 
+def test_jacobian_is_read_only(model):
+    # every state shares this array, and chains reuse its curvature on
+    # identity alone
+    jac = linear_model.make_state(model, np.zeros(model.n)).jac
+    assert jac is model._jac
+    with pytest.raises(ValueError):
+        jac[0, 0] = 1.0
+
+
 def phi(model, u):
     return linear_model.make_state(model, u).phi
 

@@ -149,11 +149,16 @@ class TestLocalSpectrum:
 
     def test_D_is_filled_on_every_constructor(self):
         spec = local_spectrum(np.random.default_rng(4).standard_normal((5, 9)), rank=4)
-        for s in (spec, spec.truncate(r=2), spec.truncate(threshold=spec.eigenvalues[1])):
+        checked = LowRankSpectrum(spec.eigenvalues, spec.basis)
+        for s in (spec, checked, spec.truncate(r=2),
+                  spec.truncate(threshold=spec.eigenvalues[1])):
             assert np.array_equal(s.D, 1.0 / (1.0 + s.eigenvalues))
+            assert np.array_equal(s.sqrt_D, np.sqrt(s.D))
+            assert s.logdet_D == float(np.sum(np.log(s.D)))
         empty = LowRankSpectrum.empty(7)
-        assert empty.D.shape == (0,)
+        assert empty.D.shape == (0,) and empty.sqrt_D.shape == (0,)
         assert np.array_equal(empty.D, 1.0 / (1.0 + empty.eigenvalues))
+        assert empty.logdet_D == 0.0
 
     def test_elliptic_matches_randomized_eig(self):
         model, _ = build_elliptic(RunConfig(model="elliptic", nx=8, ny=8))

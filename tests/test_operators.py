@@ -8,14 +8,13 @@ from drgmc.operators import (
     CovarianceOperator,
     LowRankSpectrum,
     _orthonormalize,
-    apply_K_hat,
     apply_sqrtK_hat,
     build_prior_covariance,
     forstner_distance,
     randomized_eig,
 )
 
-from _dense_reference import dense_K, dense_sqrtK, forstner_dense
+from _dense_reference import apply_K_hat, dense_K, dense_sqrtK, forstner_dense
 
 
 def random_spectrum(n, r, seed=0, scale=10.0):

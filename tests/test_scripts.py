@@ -4,6 +4,8 @@ budget and returns 0."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -22,7 +24,9 @@ def test_mesh_robustness():
 def test_elliptic_study_writes_table(tmp_path):
     argv = ["--iterations", "30", "--burn-in", "10", "--algorithms", "pcn,inf-mala",
             "--out", str(tmp_path)]
-    assert load("run_elliptic_study").main(argv) == 0
+    # inf-mala accepts no proposal on this budget; its stuck chain has ESS 0
+    with pytest.warns(UserWarning, match="constant or non-finite series"):
+        assert load("run_elliptic_study").main(argv) == 0
     assert (tmp_path / "table.csv").read_text().strip()
 
 
