@@ -124,7 +124,8 @@ class KernelContext:
     params: StepParams
     rng: np.random.Generator
     lis: LISState | None = None
-    dili_ops: object = None
+    # (spectrum, DILI operators built from it)
+    dili_ops: tuple = (None, None)
     # (jv, spectrum) of the last position-specific decomposition
     last_spec: tuple = (None, None)
 
@@ -230,16 +231,18 @@ def _dr_mhmc(ctx, state):
 def _dili(ctx, state):
     spec = ctx.lis.spectrum
     h_r, h_perp = ctx.steps["h_r"], ctx.steps["h_perp"]
-    if ctx.dili_ops is None:
-        ctx.dili_ops = dili_operators(spec, h_r, h_perp, ctx.params.gamma_r)
+    built_for, ops = ctx.dili_ops
+    if spec is not built_for:
+        ops = dili_operators(spec, h_r, h_perp, ctx.params.gamma_r)
+        ctx.dili_ops = (spec, ops)
     grad_needed = bool(ctx.params.gamma_r) and spec.r > 0
     grad = state.grad if grad_needed else None
     out = dili_propose(state.v, grad, spec, h_r, h_perp,
-                       ctx.params.gamma_r, ctx.rng, operators=ctx.dili_ops)
+                       ctx.params.gamma_r, ctx.rng, operators=ops)
     cand = ctx.model.state(out.v_prime)
     grad_p = cand.grad if grad_needed else None
     return cand, dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
-                                      state.phi, cand.phi, ctx.dili_ops)
+                                      state.phi, cand.phi, ops)
 
 
 _KERNELS = {
@@ -269,10 +272,11 @@ def _mh_step(kernel, ctx, state):
     return (cand if dec.accept else state), dec
 
 
-def run_chain(model, config, rng=None, v0=None):
+def run_chain(model, config):
     """Run the chain a RunConfig describes on a WhitenedModel and return
     its ChainRecord. The config's model and problem fields are not read:
-    the model is given. rng defaults to one seeded with config.seed.
+    the model is given. The chain starts at v = 0, and its RNG is seeded
+    with config.seed.
 
     For the adaptive kernels the global subspace is grown during burn-in on
     the n_lag schedule and frozen at the end of burn-in (or earlier, once
@@ -280,7 +284,7 @@ def run_chain(model, config, rng=None, v0=None):
     spent). The LIS trail is stored in the record's meta.
     """
     steps = config.resolved_steps()
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n = model.n
     iterations, burn_in = config.iterations, config.burn_in
     params = StepParams(h=steps["h"], gamma_r=config.gamma_r,
@@ -297,7 +301,7 @@ def run_chain(model, config, rng=None, v0=None):
                                    m_max=config.m_max, n_lag=config.n_lag)
     kernel = _KERNELS[config.algorithm]
 
-    state = model.state(np.zeros(n) if v0 is None else np.asarray(v0, dtype=float))
+    state = model.state(np.zeros(n))
     samples = np.empty((iterations, n))
     potentials = np.empty(iterations)
     accepts = np.zeros(iterations, dtype=bool)
@@ -311,7 +315,6 @@ def run_chain(model, config, rng=None, v0=None):
         error_rejects += dec is _REJECTED
         nonfinite_rejects += dec is _NONFINITE
         if ctx.lis is not None and it < burn_in:
-            before = ctx.lis
             try:
                 ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
                     state.jv, threshold=config.threshold,
@@ -319,8 +322,6 @@ def run_chain(model, config, rng=None, v0=None):
             except _REJECTABLE:
                 # a failed update leaves the subspace as it was
                 update_errors += 1
-            if ctx.lis is not before:
-                ctx.dili_ops = None
             if it + 1 == burn_in and not ctx.lis.frozen:
                 ctx.lis = freeze(ctx.lis)
         wall[it] = time.perf_counter() - t0

@@ -83,7 +83,7 @@ def cmd_run(args):
                              incomplete=True, error=repr(exc))
         print(f"run failed, partial outputs flagged incomplete: {exc}", file=sys.stderr)
         return 1
-    runio.write_run(run_dir, record, cfg, summary_extra={"started": started})
+    runio.write_run(run_dir, record, cfg, started=started)
     summary = json.loads((run_dir / "summary.json").read_text())
     print(f"run complete: {run_dir}")
     print(f"  AP {summary['AP']:.3f}  minESS {summary['minESS']:.1f}  "

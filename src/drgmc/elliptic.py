@@ -10,15 +10,17 @@ applies the stiffness pseudo-inverse. On the lexicographic node order the
 grounded stiffness is SPD and banded with half-bandwidth kd = nx + 1 (edges
 join nodes 1 and nx + 1 apart), so it is filled straight into LAPACK lower
 band storage and factored by a banded Cholesky in its natural order. Point
-observations are bilinear interpolants of p at 25 interior sensors.
+observations are bilinear interpolants of p at 25 interior sensors, held
+as one dense m x n observation matrix O: the readings O p, the adjoint
+source O^T r and the Jacobian's sensor sources (the rows of O) all read it.
 
-The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2
-for the observation matrix O. Its gradient comes from one adjoint solve
-against the exact discrete system. Curvature comes from the m x n Jacobian
-J = O (dp/du) / sigma of the m sensors: M = A^+ O^T costs one solve per
-sensor, once per state, and the Gauss-Newton Hessian is J^T J. All solves
-reuse the factorization cached at u, and a shared counter tallies every
-one so runs can report PDE-solution counts.
+The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2.
+Its gradient comes from one adjoint solve against the exact discrete
+system. Curvature comes from the m x n Jacobian J = O (dp/du) / sigma of
+the m sensors: M = A^+ O^T costs one solve per sensor, once per state, and
+the Gauss-Newton Hessian is J^T J. All solves reuse the factorization
+cached at u, and a shared counter tallies every one so runs can report
+PDE-solution counts.
 """
 
 from __future__ import annotations
@@ -119,8 +121,10 @@ def default_sensors():
 
 
 def _observation_matrix(mesh, sensors):
-    rows, cols, vals = [], [], []
-    for k, (x, y) in enumerate(np.asarray(sensors, dtype=float)):
+    """Dense m x n bilinear interpolation weights of the sensors."""
+    sensors = np.asarray(sensors, dtype=float)
+    O = np.zeros((len(sensors), mesh.n_nodes))
+    for k, (x, y) in enumerate(sensors):
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise ValueError("sensors must be strictly interior to the unit square")
         i = min(int(x / mesh.hx), mesh.nx - 1)
@@ -129,10 +133,8 @@ def _observation_matrix(mesh, sensors):
         ty = y / mesh.hy - j
         for di, dj, wgt in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                             (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
-            rows.append(k)
-            cols.append(mesh.node_index(i + di, j + dj))
-            vals.append(wgt)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(sensors), mesh.n_nodes))
+            O[k, mesh.node_index(i + di, j + dj)] = wgt
+    return O
 
 
 def _incidence(ends, n):
@@ -177,8 +179,6 @@ class EllipticProblem:
                          + (self._eb - self._ea)[self._inner])
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
-        self._OT = self.O.T.tocsr()
-        self._sources = self.O.toarray()  # row i: the dense column O^T e_i
         self.b = self.areas * self.forcing
         total = float(self.forcing @ self.areas)
         if abs(total) > 1e-6:
@@ -310,7 +310,7 @@ def gradient(u, problem, result=None):
     if result is None:
         result = assemble_and_solve(u, problem)
     res = observe(result, problem) - problem.y
-    q = result.solve(problem._OT @ (res / problem.sigma_eta ** 2))
+    q = result.solve(problem.O.T @ (res / problem.sigma_eta ** 2))
     return _chain_rule_assemble(problem, result, q)
 
 
@@ -322,7 +322,7 @@ def jacobian(u, problem, result=None):
     if result is None:
         result = assemble_and_solve(u, problem)
     if result.jac is None:
-        M = np.column_stack([result.solve(c) for c in problem._sources])
+        M = np.column_stack([result.solve(c) for c in problem.O])
         result.jac = (_chain_rule_assemble(problem, result, M) / problem.sigma_eta).T
     return result.jac
 

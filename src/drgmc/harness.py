@@ -50,8 +50,8 @@ def build_model(config, data=None):
     return build_linear(config)
 
 
-def run_from_config(config, model=None, v0=None):
+def run_from_config(config, model=None):
     """Execute the configured chain; returns its ChainRecord."""
     if model is None:
         model, _ = build_model(config)
-    return run_chain(model, config, v0=v0)
+    return run_chain(model, config)

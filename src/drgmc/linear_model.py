@@ -2,9 +2,10 @@
 
 Observation y = A u + eta, eta ~ N(0, Sigma), prior u ~ N(0, C). Every
 sampler can be checked against the exact posterior mean and covariance.
-For the linear forward map the Jacobian J = L^T A, with Sigma^{-1} = L L^T,
-does not depend on u, and the Gauss-Newton Hessian J^T J = A^T Sigma^{-1} A
-is the exact data-misfit Hessian.
+The model holds the data only in noise-whitened form: with
+Sigma^{-1} = L L^T, the Jacobian J = L^T A and the whitened data
+y_w = L^T y. J does not depend on u, the misfit is 0.5 |J u - y_w|^2, and
+the Gauss-Newton Hessian J^T J = A^T Sigma^{-1} A is its exact Hessian.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ class LinearGaussianModel:
     Sigma: np.ndarray
     prior: CovarianceOperator
     y: np.ndarray
-    _Sigma_inv: np.ndarray = field(init=False, repr=False)
     _jac: np.ndarray = field(init=False, repr=False)
+    _y_white: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        self._Sigma_inv = np.linalg.inv(self.Sigma)
-        self._jac = np.linalg.cholesky(self._Sigma_inv).T @ self.A
+        L_T = np.linalg.cholesky(np.linalg.inv(self.Sigma)).T
+        self._jac = L_T @ self.A
         # every state returns this one array, so it must not change
         self._jac.setflags(write=False)
+        self._y_white = L_T @ self.y
 
     @property
     def n(self):
@@ -40,41 +42,39 @@ class LinearGaussianModel:
 
 
 def analytic_posterior(model):
-    """Posterior N(mu, K) with K = (C^{-1} + A^T Sigma^{-1} A)^{-1}."""
-    C_inv = np.linalg.inv(model.prior.C)
-    prec = C_inv + model._jac.T @ model._jac
-    try:
-        K = np.linalg.inv(prec)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular posterior normal equations") from exc
+    """Posterior N(mu, K) in whitened coordinates: with Jv = J S,
+    K = S (I + Jv^T Jv)^{-1} S = (C^{-1} + J^T J)^{-1} and mu = K J^T y_w."""
+    S = model.prior.S
+    jv = model._jac @ S
+    K = S @ np.linalg.inv(np.eye(model.n) + jv.T @ jv) @ S
     K = 0.5 * (K + K.T)
-    mu = K @ (model.A.T @ (model._Sigma_inv @ model.y))
+    mu = K @ (model._jac.T @ model._y_white)
     return mu, K
 
 
 class _LinearState:
-    """Per-state cache mirroring the PDE model's state interface."""
+    """Per-state cache mirroring the PDE model's state interface: the
+    whitened residual J u - y_w is formed once, phi and grad from it."""
 
-    __slots__ = ("u", "_model", "_phi", "_grad")
+    __slots__ = ("u", "_model", "_res", "_phi", "_grad")
 
     def __init__(self, model, u):
         self._model = model
         self.u = u
+        self._res = model._jac @ u - model._y_white
         self._phi = None
         self._grad = None
 
     @property
     def phi(self):
         if self._phi is None:
-            res = self._model.y - self._model.A @ self.u
-            self._phi = 0.5 * float(res @ (self._model._Sigma_inv @ res))
+            self._phi = 0.5 * float(self._res @ self._res)
         return self._phi
 
     @property
     def grad(self):
         if self._grad is None:
-            self._grad = self._model.A.T @ (
-                self._model._Sigma_inv @ (self._model.A @ self.u - self._model.y))
+            self._grad = self._model._jac.T @ self._res
         return self._grad
 
     @property
@@ -86,13 +86,13 @@ def make_state(model, u):
     return _LinearState(model, u)
 
 
-def random_model(n=8, m=4, seed=0, noise_scale=0.5, prior_scale=1.0):
+def random_model(n=8, m=4, seed=0, noise_scale=0.5):
     """A well-conditioned random instance for oracles and property tests."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     Sigma = noise_scale ** 2 * np.eye(m)
     M = rng.standard_normal((n, n))
-    C = prior_scale ** 2 * (M @ M.T / n + np.eye(n))
+    C = M @ M.T / n + np.eye(n)
     u_true = rng.standard_normal(n)
     y = A @ u_true + noise_scale * rng.standard_normal(m)
     return LinearGaussianModel(A=A, Sigma=Sigma, prior=CovarianceOperator(C), y=y)

@@ -1,8 +1,9 @@
 """Structured linear operators for function-space sampling.
 
-Dense prior covariances with self-adjoint square roots, randomized partial
-eigendecomposition, Woodbury-form low-rank covariance actions, and the
-Forstner distance between SPD operators of the form I + V diag(lam) V^T.
+Dense prior covariances held only by their self-adjoint square roots,
+randomized partial eigendecomposition, Woodbury-form low-rank covariance
+actions, and the Forstner distance between SPD operators of the form
+I + V diag(lam) V^T.
 
 Conventions: fields are flat float64 arrays, the inner product is plain
 Euclidean on nodal coefficients, low-rank bases are column-orthonormal.
@@ -15,10 +16,12 @@ import scipy.linalg as sla
 
 
 class CovarianceOperator:
-    """Dense SPD covariance with a cached symmetric factor S, S @ S = C.
+    """Dense SPD covariance C held only by its symmetric factor S, S @ S = C.
 
     The factor is built from a symmetric eigendecomposition so that C^{1/2}
-    is self-adjoint (a triangular factor would not be).
+    is self-adjoint (a triangular factor would not be). That decomposition
+    is also the positivity test: a non-positive eigenvalue raises
+    LinAlgError, a ValueError.
     """
 
     def __init__(self, C):
@@ -28,8 +31,7 @@ class CovarianceOperator:
             raise ValueError("covariance matrix is not symmetric")
         w, Q = np.linalg.eigh(C)
         if w.min() <= 0:
-            raise ValueError("covariance matrix is not positive definite")
-        self.C = C
+            raise np.linalg.LinAlgError("covariance matrix is not positive definite")
         self.n = C.shape[0]
         self.S = (Q * np.sqrt(w)) @ Q.T
 
@@ -41,8 +43,8 @@ def build_prior_covariance(nodes, sigma_u, s_0):
     """Exponential-kernel prior covariance with escalating diagonal jitter.
 
     Jitter starts at 1e-10 sigma_u^2 and escalates tenfold up to 1e-6 sigma_u^2
-    until a Cholesky factorization succeeds; beyond that the kernel is
-    reported ill-conditioned.
+    until the operator's eigendecomposition finds every eigenvalue positive;
+    beyond that the kernel is reported ill-conditioned.
     """
     if sigma_u <= 0 or s_0 <= 0:
         raise ValueError("sigma_u and s_0 must be positive")
@@ -56,15 +58,12 @@ def build_prior_covariance(nodes, sigma_u, s_0):
     C0 = sigma_u ** 2 * np.exp(-np.sqrt(dist2) / (2.0 * s_0))
     jitter = 1e-10 * sigma_u ** 2
     while True:
-        C = C0 + jitter * np.eye(n)
         try:
-            np.linalg.cholesky(C)
+            return CovarianceOperator(C0 + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > 1e-6 * sigma_u ** 2 * (1 + 1e-12):
                 raise ValueError("ill-conditioned kernel: jitter escalation exhausted")
-            continue
-        return CovarianceOperator(C)
 
 
 class LowRankSpectrum:

@@ -150,11 +150,12 @@ def timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def write_run(run_dir, record, config, summary_extra=None):
-    """Persist one completed chain into run_dir (created if needed)."""
+def write_run(run_dir, record, config, started=None):
+    """Persist one completed chain into run_dir (created if needed); the
+    manifest's start time is started, or now when it is None."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    started = summary_extra.pop("started", timestamp()) if summary_extra else timestamp()
+    started = started or timestamp()
     config_mod.to_yaml(config, run_dir / "config.yaml")
     write_trace(run_dir / "trace.csv", record)
     write_samples(run_dir / "samples.bin", record.samples)
@@ -174,8 +175,6 @@ def write_run(run_dir, record, config, summary_extra=None):
         "wall_time": float(np.sum(record.wall_times)),
         "config_hash": config.hash(),
     }
-    if summary_extra:
-        summary.update(summary_extra)
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=1))
     write_manifest(run_dir, config, started, timestamp())
     return run_dir

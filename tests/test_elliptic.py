@@ -83,7 +83,7 @@ class TestForwardSolve:
         A_pinv = np.linalg.pinv(A)
         rng = np.random.default_rng(5)
         z = rng.standard_normal(problem.n)
-        adjoint_source = problem._OT @ rng.standard_normal(len(problem.sensors))
+        adjoint_source = problem.O.T @ rng.standard_normal(len(problem.sensors))
         assert abs(adjoint_source.sum()) > 0.1
         for rhs in (problem.b, z - z.mean(), adjoint_source):
             x = res.solve(rhs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drgmc import linear_model
+from drgmc.operators import CovarianceOperator
 
 from _dense_reference import analytic_gaussian_posterior
 
@@ -16,8 +17,35 @@ def model():
 
 def test_posterior_matches_direct_formula(model):
     mu, K = linear_model.analytic_posterior(model)
-    mu_ref, K_ref = analytic_gaussian_posterior(model.A, model.Sigma,
-                                                model.prior.C, model.y)
+    C = model.prior.S @ model.prior.S
+    mu_ref, K_ref = analytic_gaussian_posterior(model.A, model.Sigma, C, model.y)
+    assert np.allclose(mu, mu_ref, atol=1e-10)
+    assert np.allclose(K, K_ref, atol=1e-10)
+
+
+def test_full_noise_covariance():
+    # a non-diagonal Sigma: whitening by L^T (Sigma^{-1} = L L^T) is not a
+    # scalar, so a transposed or misapplied factor shows
+    rng = np.random.default_rng(11)
+    n, m = 7, 5
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((m, m))
+    Sigma = B @ B.T / m + 0.5 * np.eye(m)
+    M = rng.standard_normal((n, n))
+    C = M @ M.T / n + np.eye(n)
+    y = rng.standard_normal(m)
+    model = linear_model.LinearGaussianModel(A=A, Sigma=Sigma,
+                                             prior=CovarianceOperator(C), y=y)
+    Si = np.linalg.inv(Sigma)
+    for _ in range(5):
+        u = rng.standard_normal(n)
+        res = A @ u - y
+        state = linear_model.make_state(model, u)
+        assert state.phi == pytest.approx(0.5 * res @ Si @ res, rel=1e-12)
+        g = A.T @ (Si @ res)
+        assert np.linalg.norm(state.grad - g) <= 1e-12 * np.linalg.norm(g)
+    mu, K = linear_model.analytic_posterior(model)
+    mu_ref, K_ref = analytic_gaussian_posterior(A, Sigma, C, y)
     assert np.allclose(mu, mu_ref, atol=1e-10)
     assert np.allclose(K, K_ref, atol=1e-10)
 

@@ -30,11 +30,19 @@ def grid_nodes(k):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
+def exponential_kernel(nodes, sigma_u, s_0):
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    return sigma_u ** 2 * np.exp(-dist / (2.0 * s_0))
+
+
 class TestPriorCovariance:
     def test_spd_and_sqrt_composition(self):
-        cov = build_prior_covariance(grid_nodes(5), sigma_u=1.25, s_0=0.0625)
+        nodes, sigma_u, s_0 = grid_nodes(5), 1.25, 0.0625
+        cov = build_prior_covariance(nodes, sigma_u=sigma_u, s_0=s_0)
+        C = (exponential_kernel(nodes, sigma_u, s_0)
+             + 1e-10 * sigma_u ** 2 * np.eye(len(nodes)))
         x = np.random.default_rng(1).standard_normal(cov.n)
-        assert np.allclose(cov.S @ (cov.S @ x), cov.C @ x, atol=1e-10)
+        assert np.allclose(cov.S @ (cov.S @ x), C @ x, atol=1e-10)
         # the symmetric factor is self-adjoint, unlike a Cholesky factor
         assert np.allclose(cov.S, cov.S.T)
 
@@ -48,6 +56,40 @@ class TestPriorCovariance:
             CovarianceOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             CovarianceOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @staticmethod
+    def failing_eigh(monkeypatch, failures):
+        """Make the first `failures` eigendecompositions report a negative
+        eigenvalue; returns the jitter (C[0, 0] - sigma_u^2 with
+        sigma_u = 1) of every matrix tried."""
+        real_eigh = np.linalg.eigh
+        tried = []
+
+        def eigh(C):
+            tried.append(C[0, 0] - 1.0)
+            w, Q = real_eigh(C)
+            if len(tried) <= failures:
+                w = w - w.max()
+            return w, Q
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return tried
+
+    @pytest.mark.parametrize("failures", [0, 1, 2, 4])
+    def test_jitter_escalates_until_positive(self, monkeypatch, failures):
+        nodes = grid_nodes(4)
+        tried = self.failing_eigh(monkeypatch, failures)
+        cov = build_prior_covariance(nodes, sigma_u=1.0, s_0=0.0625)
+        ladder = [1e-10 * 10.0 ** k for k in range(failures + 1)]
+        assert tried == pytest.approx(ladder, rel=1e-5)
+        C = exponential_kernel(nodes, 1.0, 0.0625) + ladder[-1] * np.eye(len(nodes))
+        assert np.allclose(cov.S @ cov.S, C, atol=1e-12)
+
+    def test_jitter_escalation_exhausted(self, monkeypatch):
+        tried = self.failing_eigh(monkeypatch, 5)
+        with pytest.raises(ValueError, match="jitter escalation exhausted"):
+            build_prior_covariance(grid_nodes(4), sigma_u=1.0, s_0=0.0625)
+        assert tried == pytest.approx([1e-10, 1e-9, 1e-8, 1e-7, 1e-6], rel=1e-5)
 
 
 class TestLowRankSpectrum:
