@@ -118,36 +118,23 @@ def dr_mhmc_delta_E(trajectory, phi_0, phi_I):
     Delta E = Phi(v_I) - Phi(v_0)
               + 1/2 |Lambda^{1/2}(v_I) V^T(v_I) vt_I|^2 - 1/2 |...(v_0) vt_0|^2
               + 1/2 log det D(v_I) - 1/2 log det D(v_0)
-              - (eps^2/8) (|D(v_I) g_r(v_I)|^2 - |D(v_0) g_r(v_0)|^2)
-              + (eps/2) sum_i [<D g_r, V^T vt>_i + <D g_r, V^T vt>_{i+1}]
+              - (eps^2/8) (|ghat_I|^2 - |ghat_0|^2)
+              + (eps/2) sum_i [<ghat, vt>_i + <ghat, vt>_{i+1}]
 
-    with matching complement terms when the trajectory carried a complement
-    drift. Returns +inf for diverged trajectories so they are always rejected.
+    with ghat_i the drift applied at v_i. For orthonormal V its parts
+    V D g_r and c = -gamma_perp (I - VV^T) grad Phi are orthogonal, so these
+    are the subspace terms in D g_r plus the complement terms in c. Returns
+    +inf for diverged trajectories so they are always rejected.
     """
     if trajectory.diverged:
         return float("inf")
-    specs, vts, grs = trajectory.specs, trajectory.vts, trajectory.grs
+    specs, vts, ghats = trajectory.specs, trajectory.vts, trajectory.ghats
     eps = trajectory.eps
     s0, sI = specs[0], specs[-1]
     c0, cI = s0.project(vts[0]), sI.project(vts[-1])
     quad = 0.5 * float(cI @ (sI.eigenvalues * cI)) - 0.5 * float(c0 @ (s0.eigenvalues * c0))
     logdet = 0.5 * sI.logdet_D - 0.5 * s0.logdet_D
-    dg0, dgI = s0.D * grs[0], sI.D * grs[-1]
-    kin = -(eps ** 2 / 8.0) * (float(dgI @ dgI) - float(dg0 @ dg0))
-    cross = 0.0
-    dots = [float((specs[i].D * grs[i]) @ specs[i].project(vts[i]))
-            for i in range(len(vts))]
-    for i in range(len(vts) - 1):
-        cross += dots[i] + dots[i + 1]
-    cross *= eps / 2.0
-    total = float(phi_I - phi_0) + quad + logdet + kin + cross
-    if trajectory.comp_gs is not None:
-        gs = trajectory.comp_gs
-        vps = [vts[i] - specs[i].lift(specs[i].project(vts[i])) for i in range(len(vts))]
-        total += -(eps ** 2 / 8.0) * (float(gs[-1] @ gs[-1]) - float(gs[0] @ gs[0]))
-        pdots = [float(gs[i] @ vps[i]) for i in range(len(vts))]
-        pcross = 0.0
-        for i in range(len(vts) - 1):
-            pcross += pdots[i] + pdots[i + 1]
-        total += (eps / 2.0) * pcross
-    return total
+    kin = -(eps ** 2 / 8.0) * (float(ghats[-1] @ ghats[-1]) - float(ghats[0] @ ghats[0]))
+    dots = [float(g @ vt) for g, vt in zip(ghats, vts)]
+    cross = (eps / 2.0) * (sum(dots[:-1]) + sum(dots[1:]))
+    return float(phi_I - phi_0) + quad + logdet + kin + cross

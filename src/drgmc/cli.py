@@ -77,13 +77,12 @@ def cmd_run(args):
     run_dir.mkdir(parents=True, exist_ok=True)
     started = runio.timestamp()
     try:
-        record = run_from_config(cfg)
+        runio.write_run(run_dir, run_from_config(cfg), cfg, started=started)
     except Exception as exc:
         runio.write_manifest(run_dir, cfg, started, runio.timestamp(),
                              incomplete=True, error=repr(exc))
         print(f"run failed, partial outputs flagged incomplete: {exc}", file=sys.stderr)
         return 1
-    runio.write_run(run_dir, record, cfg, started=started)
     summary = json.loads((run_dir / "summary.json").read_text())
     print(f"run complete: {run_dir}")
     print(f"  AP {summary['AP']:.3f}  minESS {summary['minESS']:.1f}  "
@@ -94,6 +93,9 @@ def cmd_run(args):
 def cmd_compare(args):
     records, dirs = {}, {}
     for run in args.runs:
+        if not (Path(run) / "summary.json").exists():
+            print(f"{run}: no summary.json (incomplete run?)", file=sys.stderr)
+            return 1
         record, _cfg = runio.load_record(run)
         algorithm = record.meta["algorithm"]
         if algorithm in dirs:

@@ -63,18 +63,17 @@ class StepParams:
 
 @dataclass
 class Trajectory:
-    """Leapfrog path: states, boundary momenta and reduced gradients.
+    """Leapfrog path: states, boundary momenta, spectra and drifts.
 
     Everything the energy-difference formula needs is recorded per step
-    boundary: the reduced gradient g_r(v_i), the spectrum in force at v_i,
-    and (when gamma_perp = 1) the complement drift -(I - VV^T) grad Phi(v_i).
+    boundary: the state v_i, the momentum vt_i, the spectrum in force at v_i
+    and the drift ghat(v_i) that the integrator applied there.
     """
 
     vs: list = field(default_factory=list)
     vts: list = field(default_factory=list)
     specs: list = field(default_factory=list)
-    grs: list = field(default_factory=list)
-    comp_gs: list | None = None
+    ghats: list = field(default_factory=list)
     eps: float = 0.0
     diverged: bool = False
 
@@ -179,35 +178,28 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
     n_steps = params.n_leapfrog
     need_grad = bool(params.gamma_r or params.gamma_perp)
 
+    def drift(state_v, state_spec):
+        grad = grad_fn(state_v) if need_grad else None
+        return whitened_ngrad(state_v, grad, state_spec, params.gamma_r,
+                              params.gamma_perp)
+
     if vt0 is None:
         if xi is None:
             xi = rng.standard_normal(len(v))
         vt = apply_sqrtK_hat(xi, spec)
     else:
         vt = np.asarray(vt0, dtype=float)
-    traj = Trajectory(eps=eps, comp_gs=[] if params.gamma_perp else None)
-
-    def drift_parts(state_v, state_spec):
-        grad = grad_fn(state_v) if need_grad else None
-        gr = reduced_ngrad(state_v, grad, state_spec, params.gamma_r)
-        ghat = state_spec.lift(state_spec.D * gr)
-        comp = None
-        if params.gamma_perp:
-            comp = -(grad - state_spec.lift(state_spec.project(grad)))
-            ghat = ghat + comp
-        return gr, ghat, comp
-
-    cur_spec = spec
-    gr, ghat, comp = drift_parts(v, cur_spec)
-    traj.vs.append(v)
-    traj.vts.append(vt)
-    traj.specs.append(cur_spec)
-    traj.grs.append(gr)
-    if traj.comp_gs is not None:
-        traj.comp_gs.append(comp)
+    traj = Trajectory(eps=eps)
+    cur_spec, ghat = spec, drift(v, spec)
 
     c, s = math.cos(eps), math.sin(eps)
-    for _ in range(n_steps):
+    for step in range(n_steps + 1):
+        traj.vs.append(v)
+        traj.vts.append(vt)
+        traj.specs.append(cur_spec)
+        traj.ghats.append(ghat)
+        if step == n_steps:
+            break
         vt_half = vt + (eps / 2.0) * ghat
         v, vt_rot = c * v + s * vt_half, -s * v + c * vt_half
         if not np.all(np.isfinite(v)) or np.linalg.norm(v) > DIVERGENCE_THRESHOLD:
@@ -215,14 +207,8 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
             break
         if spec_fn is not None:
             cur_spec = spec_fn(v)
-        gr, ghat, comp = drift_parts(v, cur_spec)
+        ghat = drift(v, cur_spec)
         vt = vt_rot + (eps / 2.0) * ghat
-        traj.vs.append(v)
-        traj.vts.append(vt)
-        traj.specs.append(cur_spec)
-        traj.grs.append(gr)
-        if traj.comp_gs is not None:
-            traj.comp_gs.append(comp)
 
     return ProposalOutput(v_prime=traj.vs[-1], noise=xi, trajectory=traj,
                           diverged=traj.diverged)

@@ -143,6 +143,38 @@ def dense_leapfrog_path(v, vt, grad_drift, eps, n_steps):
     return vs, vts
 
 
+def split_delta_E(trajectory, phi_0, phi_I, grad_fn, gamma_r, gamma_perp):
+    """Energy difference of a recorded leapfrog path in its split form.
+
+    The subspace terms use D g_r = D (Lam V^T v - gamma_r V^T grad) and
+    V^T vt; when gamma_perp = 1 the complement terms add
+    c = -(I - VV^T) grad and (I - VV^T) vt. Both are recomputed at every
+    recorded state from its spectrum and grad_fn, not read from the drift
+    the integrator applied.
+    """
+    vs, vts, specs = trajectory.vs, trajectory.vts, trajectory.specs
+    eps = trajectory.eps
+    kin, dots = [], []
+    for v, vt, spec in zip(vs, vts, specs):
+        V, lam = spectrum_arrays(spec)
+        grad = grad_fn(v)
+        dg = (lam * (V.T @ v) - gamma_r * (V.T @ grad)) / (1.0 + lam)
+        cvt = V.T @ vt
+        k, d = dg @ dg, dg @ cvt
+        if gamma_perp:
+            c = -(grad - V @ (V.T @ grad))
+            k, d = k + c @ c, d + c @ (vt - V @ cvt)
+        kin.append(k)
+        dots.append(d)
+    (V0, lam0), (VI, lamI) = spectrum_arrays(specs[0]), spectrum_arrays(specs[-1])
+    c0, cI = V0.T @ vts[0], VI.T @ vts[-1]
+    quad = 0.5 * cI @ (lamI * cI) - 0.5 * c0 @ (lam0 * c0)
+    logdet = 0.5 * np.log1p(lam0).sum() - 0.5 * np.log1p(lamI).sum()
+    cross = sum(dots[i] + dots[i + 1] for i in range(len(dots) - 1))
+    return (phi_I - phi_0 + quad + logdet - (eps ** 2 / 8.0) * (kin[-1] - kin[0])
+            + (eps / 2.0) * cross)
+
+
 def forstner_dense(A, B):
     """sqrt(sum log^2 gamma) over generalized eigenvalues of (A, B)."""
     from scipy.linalg import eigh

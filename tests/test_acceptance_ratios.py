@@ -28,6 +28,7 @@ from drgmc.proposals import (
     dili_propose,
     dr_mhmc_propose,
     dr_mmala_propose,
+    inf_hmc_propose,
     inf_mala_propose,
     pcn_propose,
 )
@@ -43,6 +44,7 @@ from _dense_reference import (
     mh_log_ratio,
     rho_params,
     spectrum_arrays,
+    split_delta_E,
 )
 
 
@@ -301,6 +303,44 @@ class TestHmcEnergy:
             ref = (hmc_total_energy(out.v_prime, tr.vts[-1], phi(out.v_prime), V, lam)
                    - hmc_total_energy(v0, tr.vts[0], phi(v0), V, lam))
             assert abs(mine - ref) < 1e-9
+
+    @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_position_specific_matches_split_oracle(self, gamma_r, gamma_perp):
+        # eigenvalues and basis both move with the state, so every recorded
+        # point carries its own spectrum
+        n, r = 7, 3
+        phi, grad = quadratic_target(n, seed=35)
+        rng = np.random.default_rng(36)
+        W = rng.standard_normal((n, r))
+        base = np.array([6.0, 2.5, 0.7])
+
+        def spec_fn(v):
+            V = np.linalg.qr(W + 0.3 * np.outer(np.tanh(v), np.ones(r)))[0]
+            return LowRankSpectrum(base * (1.0 + 0.5 * np.tanh(v @ v / n)), V)
+
+        params = StepParams(h=0.09, gamma_r=gamma_r, gamma_perp=gamma_perp,
+                            n_leapfrog=5)
+        for _ in range(10):
+            v0 = rng.standard_normal(n)
+            out = dr_mhmc_propose(v0, spec_fn(v0), params, grad, rng, spec_fn=spec_fn)
+            phi_0, phi_I = phi(v0), phi(out.v_prime)
+            ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, gamma_r, gamma_perp)
+            assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
+                ref, rel=1e-12)
+
+    def test_inf_hmc_matches_split_oracle(self):
+        # empty spectrum: the whole drift is the complement term
+        n = 7
+        phi, grad = quadratic_target(n, seed=37)
+        params = StepParams(h=0.09, n_leapfrog=5)
+        rng = np.random.default_rng(38)
+        for _ in range(10):
+            v0 = rng.standard_normal(n)
+            out = inf_hmc_propose(v0, params, grad, rng)
+            phi_0, phi_I = phi(v0), phi(out.v_prime)
+            ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, 0, 1)
+            assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
+                ref, rel=1e-12)
 
     def test_flat_target_conserves_energy(self):
         n = 5

@@ -29,6 +29,17 @@ Which arrays a change may rewrite:
   Before writing, this mode asserts that every chain's accepts equal the
   file's exactly and its samples lie within 1e-10 of the file's; the
   accepts and samples arrays are written back unchanged.
+
+A parent-versus-change check dumps the 16 chains (accepts, pde_solves,
+samples and potentials) from the parent tree and compares the change's
+chains with that dump:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python3 tests/test_golden.py --dump parent.npz
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_golden.py --compare parent.npz
+
+--compare prints, per chain, whether accepts and solves are equal, whether
+samples and potentials are bit-identical, and the largest sample gap; it
+exits non-zero when any chain's accepts or solves differ.
 """
 
 import sys
@@ -102,12 +113,19 @@ def test_golden_run(golden, name, algorithm):
     assert np.array_equal(record.pde_solves, golden[_key(name, algorithm, "pde_solves")])
 
 
-def regenerate():
-    arrays = {}
+FIELDS = ("accepts", "pde_solves", "samples")
+DUMP_FIELDS = FIELDS + ("potentials",)
+
+
+def records():
+    """(name, algorithm, record) of every golden chain, run in this tree."""
     for name, algorithm in CASES:
-        record = RUNS[name](algorithm)
-        for field in ("accepts", "pde_solves", "samples"):
-            arrays[_key(name, algorithm, field)] = getattr(record, field)
+        yield name, algorithm, RUNS[name](algorithm)
+
+
+def regenerate():
+    arrays = {_key(name, algorithm, field): getattr(record, field)
+              for name, algorithm, record in records() for field in FIELDS}
     DATA.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(DATA, **arrays)
     return arrays
@@ -120,8 +138,7 @@ def regenerate_solves():
     with np.load(DATA) as data:
         arrays = dict(data)
     changed = {}
-    for name, algorithm in CASES:
-        record = RUNS[name](algorithm)
+    for name, algorithm, record in records():
         _assert_chain_matches(record, arrays, name, algorithm)
         key = _key(name, algorithm, "pde_solves")
         if not np.array_equal(record.pde_solves, arrays[key]):
@@ -131,16 +148,58 @@ def regenerate_solves():
     return changed, arrays
 
 
+def dump(path):
+    np.savez_compressed(path, **{_key(name, algorithm, field): getattr(record, field)
+                                 for name, algorithm, record in records()
+                                 for field in DUMP_FIELDS})
+
+
+def _bit_identical(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compare(path):
+    """Print how each chain of this tree compares with a dump; True when
+    every chain's accepts and solves equal the dump's."""
+    with np.load(path) as data:
+        ref = dict(data)
+    all_equal = True
+    for name, algorithm, record in records():
+        mine = {field: getattr(record, field) for field in DUMP_FIELDS}
+        theirs = {field: ref[_key(name, algorithm, field)] for field in mine}
+        accepts, solves = (np.array_equal(mine[f], theirs[f])
+                           for f in ("accepts", "pde_solves"))
+        samples, potentials = (_bit_identical(mine[f], theirs[f])
+                               for f in ("samples", "potentials"))
+        gap = (np.max(np.abs(mine["samples"] - theirs["samples"]))
+               if mine["samples"].shape == theirs["samples"].shape else np.inf)
+        equal = {True: "equal ", False: "DIFFER"}
+        bits = {True: "bit-identical", False: "differ       "}
+        print(f"{name:9s}{algorithm:14s} accepts {equal[accepts]} solves {equal[solves]} "
+              f"samples {bits[samples]} potentials {bits[potentials]} "
+              f"max sample gap {gap:.1e}")
+        all_equal = all_equal and accepts and solves
+    return all_equal
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--solves-only"]):
-        sys.exit("usage: test_golden.py [--solves-only]")
-    if sys.argv[1:] == ["--solves-only"]:
+    args = sys.argv[1:]
+    if not (args in ([], ["--solves-only"])
+            or (len(args) == 2 and args[0] in ("--dump", "--compare"))):
+        sys.exit("usage: test_golden.py [--solves-only | --dump PATH | --compare PATH]")
+    if args[:1] == ["--dump"]:
+        dump(args[1])
+        print(f"wrote {args[1]}")
+    elif args[:1] == ["--compare"]:
+        sys.exit(0 if compare(args[1]) else "accepts or solves differ")
+    elif args == ["--solves-only"]:
         changed, arrays = regenerate_solves()
         for key, old in changed.items():
             print(f"{key:38s} solves {old} -> {int(arrays[key][-1])}")
+        print(f"wrote {DATA}")
     else:
         arrays = regenerate()
         for name, algorithm in CASES:
             rate = arrays[_key(name, algorithm, "accepts")].mean()
             print(f"{name:9s}{algorithm:14s} accept rate {rate:.2f}")
-    print(f"wrote {DATA}")
+        print(f"wrote {DATA}")

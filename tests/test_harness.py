@@ -377,6 +377,19 @@ class TestCli:
         assert manifest["incomplete"] is True
         assert "synthetic failure" in manifest["error"]
 
+    def test_run_too_short_for_summary_flags_incomplete(self, tmp_path, capsys):
+        # 7 kept samples: the chain runs, but its summary needs ESS, which
+        # needs at least 10
+        cfg_path, _ = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--iterations", "12", "--burn-in", "5"]) == 1
+        assert "too short for ESS" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["incomplete"] is True
+        assert "too short for ESS" in manifest["error"]
+
     def test_compare(self, tmp_path, capsys):
         dirs = []
         for algorithm, h in (("pcn", 0.2), ("dr-inf-mmala", 1.0)):
@@ -401,6 +414,17 @@ class TestCli:
         assert cli.main(["compare", *dirs, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert dirs[0] in err and dirs[1] in err
+        assert not out.exists()
+
+    def test_compare_names_incomplete_run(self, tmp_path, capsys):
+        record, cfg = tiny_record()
+        done = runio.write_run(tmp_path / "done", record, cfg)
+        cut = runio.write_run(tmp_path / "cut", record, cfg)
+        (cut / "summary.json").unlink()
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(done), str(cut), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(cut) in err and "summary.json" in err
         assert not out.exists()
 
     def test_compare_missing_baseline(self, tmp_path, capsys):
