@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import runio
-from .diagnostics import summary_table, table_to_csv, table_to_text
+from .diagnostics import MIN_ESS_SAMPLES, summary_table, table_to_csv, table_to_text
 from .harness import run_from_config
 
 OUTPUT_ROOT_ENV = "DRGMC_OUTPUT_ROOT"
@@ -77,6 +77,8 @@ def cmd_run(args):
     run_dir.mkdir(parents=True, exist_ok=True)
     started = runio.timestamp()
     try:
+        if cfg.iterations - cfg.burn_in < MIN_ESS_SAMPLES:  # refused before sampling
+            raise ValueError(f"too short for ESS (need >= {MIN_ESS_SAMPLES} kept samples)")
         runio.write_run(run_dir, run_from_config(cfg), cfg, started=started)
     except Exception as exc:
         runio.write_manifest(run_dir, cfg, started, runio.timestamp(),

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MIN_ESS_SAMPLES = 10  # shortest series ess accepts; cli refuses shorter runs
+
 
 @dataclass
 class ChainRecord:
@@ -49,8 +51,8 @@ def ess(series):
     sequence truncating the autocorrelation sum; capped at N."""
     x = np.asarray(series, dtype=float)
     n = len(x)
-    if n < 10:
-        raise ValueError("series too short for ESS (need >= 10)")
+    if n < MIN_ESS_SAMPLES:
+        raise ValueError(f"series too short for ESS (need >= {MIN_ESS_SAMPLES})")
     if np.ptp(x) == 0.0 or not np.isfinite(x).all():
         warnings.warn("constant or non-finite series: ESS defined as 0")
         return 0.0

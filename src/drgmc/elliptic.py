@@ -137,12 +137,6 @@ def _observation_matrix(mesh, sensors):
     return O
 
 
-def _incidence(ends, n):
-    """n x E CSR matrix scattering edge values onto the given endpoint nodes."""
-    m = len(ends)
-    return sp.csr_matrix((np.ones(m), (ends, np.arange(m))), shape=(n, m))
-
-
 class SolveCounter:
     """Counts linear solves with the grounded stiffness operator."""
 
@@ -165,11 +159,10 @@ class EllipticProblem:
         self.forcing = np.asarray(self.forcing, dtype=float)
         self.sensors = np.asarray(self.sensors, dtype=float)
         self._ea, self._eb, self._geow = _edge_arrays(self.mesh)
-        # node x edge incidence: (_to_a @ x)[i] sums x over edges whose a-end is i
-        self._to_a = _incidence(self._ea, self.n)
-        self._to_b = _incidence(self._eb, self.n)
-        # edge differences (G p)[e] = p[a_e] - p[b_e]
-        self._G = (self._to_a - self._to_b).T.tocsr()
+        # node x edge incidences: (_to_a @ x)[i] sums x over edges whose a-end is i
+        ones, edges = np.ones(len(self._ea)), np.arange(len(self._ea))
+        self._to_a = sp.csr_matrix((ones, (self._ea, edges)), shape=(self.n, edges.size))
+        self._to_b = sp.csr_matrix((ones, (self._eb, edges)), shape=(self.n, edges.size))
         # LAPACK lower band storage of the grounded stiffness, (kd + 1) x
         # (n - 1), built as its C-ordered transpose: edge (a, b), a < b, not
         # touching node 0 puts -t at band row b - a of column a - 1
@@ -211,7 +204,7 @@ class ForwardSolveResult:
         self.jac = None
         self._problem = problem
         self.p = self.solve(problem.b)
-        self.dpe = problem._G @ self.p  # potential drop along each edge
+        self.dpe = self.p[problem._ea] - self.p[problem._eb]  # G p, drop along each edge
 
     def solve(self, rhs):
         """Zero-mean pseudo-inverse solution for a nodal right-hand side, whose
@@ -298,11 +291,16 @@ def potential(u, problem, result=None):
 
 def _chain_rule_assemble(problem, result, q):
     """Entries -q^T (dA/du_k) p for a nodal vector q or for each column of an
-    n x k block; shared by gradient and Jacobian."""
-    Q = q.reshape(problem.n, -1)
-    s = result.dpe[:, None] * (problem._G @ Q)
+    n x k block; shared by gradient and Jacobian. A vector's edge terms are
+    scattered by bincount, a block's by the sparse incidences."""
+    ea, eb = problem._ea, problem._eb
+    if q.ndim == 1:
+        s = result.dpe * (q[ea] - q[eb])
+        return -(np.bincount(ea, result.ca * s, problem.n)
+                 + np.bincount(eb, result.cb * s, problem.n))
+    s = result.dpe[:, None] * (q.take(ea, axis=0) - q.take(eb, axis=0))
     return -(problem._to_a @ (result.ca[:, None] * s)
-             + problem._to_b @ (result.cb[:, None] * s)).reshape(q.shape)
+             + problem._to_b @ (result.cb[:, None] * s))
 
 
 def gradient(u, problem, result=None):

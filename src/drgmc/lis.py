@@ -3,11 +3,11 @@
 A global basis is accumulated from local spectra of the whitened
 Gauss-Newton Hessian collected along the chain, each exact from the m x m
 Gram eigenproblem of the state's whitened Jacobian. Each update merges the
-running estimate (weight m) with the newest local spectrum (weight 1) on
-their joint span, re-diagonalizes, and truncates at the global threshold.
-Convergence is monitored through the Forstner distance between consecutive
-operators I + V Lambda V^T; adaptation stops once the distance stalls or the
-update budget is exhausted.
+running estimate (weight m) with the newest local spectrum (weight 1) in the
+coordinates of one Householder QR of both bases, re-diagonalizes, and
+truncates at the global threshold. The Forstner distance between consecutive
+operators I + V Lambda V^T comes from the same coordinates; adaptation stops
+once the distance stalls or the update budget is exhausted.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dsyevd
+from scipy.linalg.lapack import dsyevd
 
-from .operators import LowRankSpectrum, _orthonormalize, forstner_distance
+from .operators import LowRankSpectrum, forstner_pencil, householder_frame
 from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it here
 
 
@@ -44,8 +44,7 @@ def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
     if threshold is not None:
         r = int(np.count_nonzero(lam >= threshold))
         lam = lam[:r]
-    qr, tau, _, _ = dgeqrf(jv.T @ u[:, ::-1][:, :r])
-    basis, _, _ = dorgqr(qr, tau)
+    basis, _ = householder_frame(jv.T @ u[:, ::-1][:, :r])
     return LowRankSpectrum._unchecked(lam, basis)
 
 
@@ -72,22 +71,22 @@ class LISState:
         return cls(LowRankSpectrum.empty(n), rho_g, delta_lis, m_max, n_lag)
 
 
-def _merge_spectra(running, m, local):
-    """Weighted re-diagonalization of (m * running + local)/(m + 1) on the
-    joint span of both bases."""
-    blocks = [b for b in (running.basis, local.basis) if b.shape[1]]
-    if not blocks:
-        return np.zeros(0), np.zeros((running.n, 0))
-    joint = _orthonormalize(np.hstack(blocks))
-    r_a = joint.T @ running.basis
-    r_b = joint.T @ local.basis
+def _merge_spectra(running, m, local, rho_g):
+    """(m * running + local)/(m + 1) re-diagonalized and cut at rho_g, and
+    d_F from running to it, in the coordinates R of one Householder QR
+    [V_run, V_loc] = Q R; Q spans both bases even if the stack is rank-
+    deficient or wider than tall, its extra directions at eigenvalue 0."""
+    frame, R = householder_frame(np.hstack([running.basis, local.basis]))
+    r_a, r_b = R[:, :running.r], R[:, running.r:]
     mid = (r_a * (m * running.eigenvalues)) @ r_a.T + (r_b * local.eigenvalues) @ r_b.T
     mid = (mid + mid.T) / (2.0 * (m + 1))
     lam, w = np.linalg.eigh(mid)
     lam, w = lam[::-1], w[:, ::-1]
     if lam.size and lam[-1] < -1e-10:
         raise np.linalg.LinAlgError("merged curvature operator lost positivity")
-    return np.clip(lam, 0.0, None), joint @ w
+    kept = LowRankSpectrum._unchecked(np.clip(lam, 0.0, None), w).truncate(threshold=rho_g)
+    d_f = forstner_pencil(r_a, running.eigenvalues, kept.basis, kept.eigenvalues)
+    return LowRankSpectrum._unchecked(kept.eigenvalues, frame @ kept.basis), d_f
 
 
 def update_lis(state, local_spec):
@@ -96,12 +95,7 @@ def update_lis(state, local_spec):
         raise ValueError("LIS state is frozen")
     if state.m >= state.m_max:
         raise ValueError("LIS update budget exhausted")
-    if state.m == 0:
-        merged = local_spec.truncate(threshold=state.rho_g)
-    else:
-        lam, basis = _merge_spectra(state.spectrum, state.m, local_spec)
-        merged = LowRankSpectrum(lam, basis).truncate(threshold=state.rho_g)
-    d_f = forstner_distance(state.spectrum, merged)
+    merged, d_f = _merge_spectra(state.spectrum, state.m, local_spec, state.rho_g)
     m = state.m + 1
     hist = state.history + ((m, merged.r, d_f),)
     return replace(state, spectrum=merged, m=m, d_f=d_f, history=hist)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 
 class CovarianceOperator:
@@ -125,6 +126,14 @@ class LowRankSpectrum:
         return cls._unchecked(np.zeros(0), np.zeros((n, 0)))
 
 
+def householder_frame(X):
+    """Q (n x t) and R (t x k), t = min(n, k), of one Householder QR X = Q R;
+    Q spans X's columns even where they are rank-deficient or k > n."""
+    qr, tau, _, _ = dgeqrf(X)
+    t = min(X.shape)
+    return dorgqr(qr[:, :t], tau[:t])[0], np.triu(qr[:t])
+
+
 def _orthonormalize(M, rel_tol=1e-12):
     """Orthonormal basis of the column span, rank-revealing via SVD."""
     if M.shape[1] == 0:
@@ -211,25 +220,19 @@ def apply_sqrtK_hat(v, spec):
 
 
 def forstner_distance(spec_a, spec_b):
-    """d_F(A, B) = sqrt(sum_i ln^2 gamma_i) for A = I + V_a L_a V_a^T, B likewise.
+    """d_F(A, B) = sqrt(sum_i ln^2 gamma_i) for A = I + V_a L_a V_a^T, B likewise,
+    from the coordinates R of one Householder QR [V_a, V_b] = Q R; the
+    complement of Q's span contributes ln^2(1) = 0."""
+    _, R = householder_frame(np.hstack([spec_a.basis, spec_b.basis]))
+    return forstner_pencil(R[:, :spec_a.r], spec_a.eigenvalues,
+                           R[:, spec_a.r:], spec_b.eigenvalues)
 
-    Generalized eigenvalues are computed on the joint column span; the
-    identity complement contributes ln^2(1) = 0.
-    """
-    if spec_a.r == 0 and spec_b.r == 0:
-        return 0.0
-    W = _orthonormalize(np.hstack([spec_a.basis, spec_b.basis]))
-    t = W.shape[1]
 
-    def projected(spec):
-        M = np.eye(t)
-        if spec.r:
-            R = W.T @ spec.basis
-            M = M + (R * spec.eigenvalues) @ R.T
-        return 0.5 * (M + M.T)
-
-    A = projected(spec_a)
-    B = projected(spec_b)
+def forstner_pencil(coords_a, lam_a, coords_b, lam_b):
+    """d_F between I + C_a diag(lam_a) C_a^T and I + C_b diag(lam_b) C_b^T
+    from their coordinates C in one orthonormal frame of both spans."""
+    A, B = (np.eye(len(C)) + (C * lam) @ C.T
+            for C, lam in ((coords_a, lam_a), (coords_b, lam_b)))
     gamma = sla.eigh(A, B, eigvals_only=True)
     if np.any(gamma <= 0):
         raise ValueError("SPD violation: non-positive generalized eigenvalue")

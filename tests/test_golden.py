@@ -9,7 +9,8 @@ actions, the grounded elliptic solve, the Jacobian-product GNH, exact
 local spectra in place of the randomized eigensolver, first from a thin
 SVD of the Jacobian and then from its Gram eigenproblem with a QR basis,
 the banded Cholesky solve in place of sparse LU, the dense observation
-matrix in place of sparse sensor sums) move the geometric
+matrix in place of sparse sensor sums, the LIS merge in the coordinates of
+one Householder QR in place of an SVD of the stacked bases) move the geometric
 kernels' samples by up to about 1e-11 (elliptic dili, 6.6e-12), and BLAS
 thread counts by about 1e-13. Bit-for-bit equality is a
 parent-versus-change check: run both trees with OPENBLAS_NUM_THREADS=1 and

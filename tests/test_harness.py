@@ -377,9 +377,14 @@ class TestCli:
         assert manifest["incomplete"] is True
         assert "synthetic failure" in manifest["error"]
 
-    def test_run_too_short_for_summary_flags_incomplete(self, tmp_path, capsys):
-        # 7 kept samples: the chain runs, but its summary needs ESS, which
-        # needs at least 10
+    def test_run_too_short_for_summary_flags_incomplete(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # 7 kept samples: the summary needs ESS, which needs at least 10, so
+        # the run is refused before any sampling
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("a run too short for ESS was sampled")
+
+        monkeypatch.setattr(cli, "run_from_config", must_not_sample)
         cfg_path, _ = self.write_config(tmp_path)
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),

@@ -1,11 +1,15 @@
 """Global subspace accumulation: local spectra, merging, stopping rules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _dense_reference import forstner_dense
+from drgmc import lis
 from drgmc.config import RunConfig
-from drgmc.harness import build_elliptic
+from drgmc.harness import build_elliptic, run_from_config
 from drgmc.lis import (
     LISState,
     _merge_spectra,
@@ -179,7 +183,8 @@ class TestMerge:
         a = random_spectrum(n, 3, seed=5)
         b = random_spectrum(n, 4, seed=6)
         m = 3
-        lam, basis = _merge_spectra(a, m, b)
+        merged, _ = _merge_spectra(a, m, b, 0.0)
+        lam, basis = merged.eigenvalues, merged.basis
         dense = (m * dense_of(a, n) + dense_of(b, n)) / (m + 1)
         lam_ref = np.linalg.eigvalsh(dense)[::-1][: lam.size]
         assert np.allclose(lam, lam_ref, atol=1e-10)
@@ -190,7 +195,8 @@ class TestMerge:
     def test_merge_same_spectrum_is_fixed_point(self):
         n = 8
         a = random_spectrum(n, 3, seed=7)
-        lam, basis = _merge_spectra(a, 5, a)
+        merged, _ = _merge_spectra(a, 5, a, 0.0)
+        lam, basis = merged.eigenvalues, merged.basis
         assert np.allclose(np.sort(lam)[::-1][:3], a.eigenvalues, atol=1e-10)
         merged = LowRankSpectrum(np.clip(lam, 0, None), basis)
         assert forstner_distance(a, merged) < 1e-6
@@ -222,6 +228,74 @@ class TestUpdateLis:
         spent = initial_state(6, m_max=0)
         with pytest.raises(ValueError, match="budget"):
             update_lis(spent, random_spectrum(6, 2))
+
+
+def inside_span(spec, r, seed):
+    """Rank-r spectrum whose basis lies in spec's span."""
+    rng = np.random.default_rng(seed)
+    rot = np.linalg.qr(rng.standard_normal((spec.r, r)))[0]
+    return LowRankSpectrum(np.sort(rng.uniform(0.5, 4.0, r))[::-1], spec.basis @ rot)
+
+
+class TestMergeInQRCoordinates:
+    """update_lis against the dense weighted average and the dense Forstner
+    distance, on the stacks the Householder QR must span."""
+
+    RHO_G = 1e-3
+
+    @pytest.mark.parametrize("n,m,running,local", [
+        (10, 0, None, random_spectrum(10, 5, seed=21)),
+        (10, 3, random_spectrum(10, 4, seed=22),
+         inside_span(random_spectrum(10, 4, seed=22), 2, seed=23)),
+        (6, 2, random_spectrum(6, 4, seed=24), random_spectrum(6, 4, seed=25)),
+    ], ids=["first-update", "local-inside-running", "stack-wider-than-tall"])
+    def test_matches_dense_average_and_forstner(self, n, m, running, local):
+        state = initial_state(n, rho_g=self.RHO_G)
+        if running is not None:
+            state = replace(state, spectrum=running, m=m)
+        new = update_lis(state, local)
+        dense = (m * dense_of(state.spectrum, n) + dense_of(local, n)) / (m + 1)
+        lam_ref, Q = np.linalg.eigh(dense)
+        keep = lam_ref >= self.RHO_G
+        ref = (Q[:, keep] * lam_ref[keep]) @ Q[:, keep].T
+        assert new.m == m + 1 and new.r == keep.sum()
+        assert np.allclose(new.spectrum.eigenvalues, lam_ref[keep][::-1],
+                           rtol=1e-10, atol=1e-12)
+        V = new.spectrum.basis
+        assert np.allclose(V.T @ V, np.eye(new.r), atol=1e-12)
+        assert np.allclose(dense_of(new.spectrum, n), ref, atol=1e-10)
+        d_ref = forstner_dense(np.eye(n) + dense_of(state.spectrum, n), np.eye(n) + ref)
+        assert abs(new.d_f - d_ref) <= 1e-10 * max(1.0, d_ref)
+        assert abs(new.d_f - forstner_distance(state.spectrum, new.spectrum)) <= 1e-10
+
+    def test_merge_calls_no_svd(self, monkeypatch):
+        # desk-sized bases: 441 rows, the rank range the adaptive chains reach
+        running, local = random_spectrum(441, 25, seed=26), random_spectrum(441, 30, seed=27)
+        state = replace(initial_state(441, rho_g=self.RHO_G), spectrum=running, m=2)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the LIS merge called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        new = update_lis(state, local)
+        assert new.r == 55 and np.isfinite(new.d_f)
+        assert np.allclose(new.spectrum.basis.T @ new.spectrum.basis, np.eye(55), atol=1e-12)
+
+    def test_adaptive_chain_with_stacks_wider_than_tall(self, monkeypatch):
+        widths = []
+        frame = lis.householder_frame
+
+        def spy(X):
+            widths.append(X.shape[1] - X.shape[0])
+            return frame(X)
+
+        monkeypatch.setattr(lis, "householder_frame", spy)
+        cfg = RunConfig(model="linear-gaussian", lin_n=4, lin_m=4,
+                        algorithm="adr-inf-mmala", h=0.8, iterations=60,
+                        burn_in=40, n_lag=5)
+        meta = run_from_config(cfg).meta["lis"]
+        assert meta["update_errors"] == 0 and meta["m"] >= 2
+        assert max(widths) > 0
 
 
 class TestAdaptationSchedule:
