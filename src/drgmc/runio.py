@@ -36,6 +36,7 @@ from . import config as config_mod
 from .diagnostics import ChainRecord, efficiency
 
 _MAGIC_LEN = 16
+TRACE_BLOCK_ROWS = 4096
 
 
 def write_samples(path, samples):
@@ -62,12 +63,19 @@ def read_samples(path):
 
 
 def write_trace(path, record):
-    lines = ["iteration,phi,accept,wall_time,pde_solves"]
-    for i in range(len(record.samples)):
-        # fixed-width wall times: equal chains write files of equal size
-        lines.append(f"{i},{record.potentials[i]:.17g},{int(record.accepts[i])},"
-                     f"{record.wall_times[i]:.8e},{int(record.pde_solves[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (record.potentials, record.accepts, record.wall_times, record.pde_solves)
+    with open(path, "w") as fh:
+        fh.write("iteration,phi,accept,wall_time,pde_solves\n")
+        # blocks of rows, so a long chain's trace is never held as one list
+        for lo in range(0, len(record.samples), TRACE_BLOCK_ROWS):
+            phi, accept, wall, solves = (np.asarray(c[lo:lo + TRACE_BLOCK_ROWS])
+                                         for c in columns)
+            # fixed-width wall times: equal chains write files of equal size
+            fh.write("".join(
+                f"{i},{p:.17g},{a},{w:.8e},{s}\n"
+                for i, p, a, w, s in zip(range(lo, lo + len(phi)), phi.tolist(),
+                                         accept.astype(np.int64).tolist(), wall.tolist(),
+                                         solves.astype(np.int64).tolist())))
 
 
 def read_trace(path):

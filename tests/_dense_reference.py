@@ -197,6 +197,33 @@ def spectrum_arrays(spec):
     return np.asarray(spec.basis), np.asarray(spec.eigenvalues)
 
 
+def ess_reference(series):
+    """Per-series ESS, one FFT and one Python pass of Geyer's initial
+    monotone sequence per call: N / (1 + 2 sum rho_k), capped at N, and
+    0.0 for a constant or non-finite series."""
+    x = np.asarray(series, dtype=float)
+    n = len(x)
+    if not np.isfinite(x).all() or np.ptp(x) == 0.0:
+        return 0.0
+    x = x - x.mean()
+    m = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[:n] / n
+    rho = acov / acov[0]
+    terms = []
+    for t in range(n // 2):
+        gamma = rho[2 * t] + rho[2 * t + 1]
+        if gamma <= 0.0:
+            break
+        if terms and gamma > terms[-1]:
+            gamma = terms[-1]
+        terms.append(gamma)
+    tau = -1.0 + 2.0 * sum(terms)
+    if tau <= 0.0:
+        return float(n)
+    return float(min(n, n / tau))
+
+
 # Test-only reduced forms and checks, built on the package's algebra and
 # not oracles: no chain runs them, and criteria 03, 07, 08 and 10 check the
 # package against them.
