@@ -59,21 +59,12 @@ def _build_parser():
 
 
 def cmd_run(args):
-    if args.config:
-        cfg = config_mod.from_yaml(args.config)
-    else:
-        cfg = config_mod.RunConfig()
+    cfg = config_mod.from_yaml(args.config) if args.config else config_mod.RunConfig()
     overrides = {k: getattr(args, k) for k in _OVERRIDABLE if getattr(args, k) is not None}
     if overrides:
-        data = cfg.to_dict()
-        data.update(overrides)
-        cfg = config_mod.from_dict(data)
-    if args.out:
-        run_dir = Path(args.out)
-    elif cfg.out_dir:
-        run_dir = Path(cfg.out_dir)
-    else:
-        run_dir = _output_root() / f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}"
+        cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
+    run_dir = Path(args.out or cfg.out_dir or _output_root()
+                   / f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}")
     run_dir.mkdir(parents=True, exist_ok=True)
     started = runio.timestamp()
     try:
@@ -119,10 +110,9 @@ def cmd_compare(args):
 
 
 def cmd_lis_inspect(args):
-    run_dir = Path(args.run)
-    lis_path = run_dir / "lis.json"
+    lis_path = Path(args.run) / "lis.json"
     if not lis_path.exists():
-        print(f"{run_dir}: no LIS data (not an adaptive run?)", file=sys.stderr)
+        print(f"{args.run}: no LIS data (not an adaptive run?)", file=sys.stderr)
         return 1
     payload = json.loads(lis_path.read_text())
     print(f"updates m={payload['m']}  rank r={payload['r']}  "

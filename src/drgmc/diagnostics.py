@@ -1,11 +1,6 @@
-"""Chain diagnostics: effective sample size and efficiency tables.
-
-ESS is computed for all coordinates of a chain at once. The columns'
-autocorrelations come from one rfft/irfft pair per batch of columns, and
-Geyer's (1992) initial monotone sequence truncates every column's sum
-with array operations, so many short series cost a few numpy calls and
-not one Python loop each. ``ess`` is the one-column case.
-"""
+"""Chain diagnostics: effective sample size and efficiency tables. ESS
+takes all coordinates at once: one rfft/irfft pair per batch of columns,
+and Geyer's (1992) initial monotone sequence in array operations."""
 
 from __future__ import annotations
 
@@ -15,9 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MIN_ESS_SAMPLES = 10  # shortest series ess accepts; cli refuses shorter runs
-# Most padded doubles one FFT batch of ess_per_coordinate holds (1 MiB):
-# 441 coordinates of 64 samples go in one batch, a 40 000-sample series on
-# its own, so the temporaries do not grow with the number of coordinates.
+# padded doubles per FFT batch (1 MiB): 441 series of 64 samples take one
+# batch and a 40 000-sample series its own, whatever the coordinate count
 ACF_BATCH_DOUBLES = 1 << 17
 
 
@@ -59,41 +53,33 @@ def _autocorrelation(x):
 
 
 def _geyer_ess(rho):
-    """N / tau per column of autocorrelations rho, tau = -1 + 2 sum Gamma_t
-    over the pair sums Gamma_t = rho_2t + rho_2t+1 before the first one
-    <= 0, each cut to the running minimum; tau <= 0 gives N, capped at N."""
-    n = len(rho)
-    half = n // 2
+    """N / tau per column of autocorrelations rho, capped at N (so also for
+    tau <= 0); tau = -1 + 2 sum of the pair sums rho_2t + rho_2t+1 before
+    the first one <= 0, each cut to the running minimum."""
+    n, half = len(rho), len(rho) // 2
     pairs = rho[0:2 * half:2] + rho[1:2 * half:2]
     positive = pairs > 0.0
-    cut = np.where(positive.all(axis=0), half, np.argmin(positive, axis=0))
-    sums = np.cumsum(np.minimum.accumulate(pairs, axis=0), axis=0)
-    cols = np.arange(pairs.shape[1])
-    tau = -1.0 + 2.0 * np.where(cut > 0, sums[cut - 1, cols], 0.0)
-    out = np.full(len(tau), float(n))
-    mixing = tau > 0.0
-    out[mixing] = np.minimum(n, n / tau[mixing])
-    return out
+    cut = np.where(positive.all(axis=0), half, positive.argmin(axis=0))
+    terms = np.minimum.accumulate(pairs, axis=0)
+    terms[np.arange(half)[:, None] >= cut] = 0.0
+    tau = -1.0 + 2.0 * np.cumsum(terms, axis=0)[-1]
+    return n / np.maximum(tau, 1.0)
 
 
 def ess_per_coordinate(samples):
-    """ESS of each column of samples (count, n_coord). Columns go through
-    the FFT in batches of at most ACF_BATCH_DOUBLES padded doubles; a
-    constant or non-finite column has ESS 0, with one warning per call."""
-    x = np.asarray(samples, dtype=float)
-    count, n_coord = x.shape
+    """ESS of each column of samples (count, n_coord); constant or
+    non-finite columns get ESS 0, with one warning per call."""
+    count, n_coord = samples.shape
     if count < MIN_ESS_SAMPLES:
         raise ValueError(f"series too short for ESS (need >= {MIN_ESS_SAMPLES})")
     out = np.zeros(n_coord)
-    stuck = 0
     width = max(1, ACF_BATCH_DOUBLES >> (2 * count - 1).bit_length())
     for lo in range(0, n_coord, width):
-        block = x[:, lo:lo + width]
+        block = samples[:, lo:lo + width]
         moving = np.isfinite(block).all(axis=0)
         moving[moving] = np.ptp(block[:, moving], axis=0) > 0.0
-        if moving.any():
-            out[lo:lo + width][moving] = _geyer_ess(_autocorrelation(block[:, moving]))
-        stuck += int(np.count_nonzero(~moving))
+        out[lo:lo + width][moving] = _geyer_ess(_autocorrelation(block[:, moving]))
+    stuck = np.count_nonzero(out == 0.0)
     if stuck:
         warnings.warn(f"constant or non-finite series: ESS defined as 0 for "
                       f"{stuck} of {n_coord} coordinates")
@@ -132,12 +118,10 @@ def summary_table(records, baseline="pcn"):
     """
     if baseline not in records:
         raise ValueError(f"baseline chain '{baseline}' missing from records")
-    rows = []
-    for name, rec in records.items():
-        # the table spells efficiency()'s "_per_" as "/"
-        rows.append({"algorithm": name, "h": rec.meta.get("h", float("nan")),
-                     **{k.replace("_per_", "/"): v
-                        for k, v in efficiency(rec).items()}})
+    # the table spells efficiency()'s "_per_" as "/"
+    rows = [{"algorithm": name, "h": rec.meta.get("h", float("nan")),
+             **{k.replace("_per_", "/"): v for k, v in efficiency(rec).items()}}
+            for name, rec in records.items()]
     base = next(r for r in rows if r["algorithm"] == baseline)["minESS/s"]
     for row in rows:
         row["spdup"] = row["minESS/s"] / base if base else float("nan")
@@ -145,31 +129,25 @@ def summary_table(records, baseline="pcn"):
 
 
 def _fmt(x):
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
-        if x != x:
-            return "nan"
         if x == 0 or 0.001 <= abs(x) < 1e6:
             return f"{x:.4g}"
         return f"{x:.3e}"
     return str(x)
 
 
+def _cells(rows):
+    return [TABLE_COLUMNS] + [[_fmt(row[c]) for c in TABLE_COLUMNS] for row in rows]
+
+
 def table_to_csv(rows):
-    lines = [",".join(TABLE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(line) + "\n" for line in _cells(rows))
 
 
 def table_to_text(rows):
-    cells = [[_fmt(row[c]) for c in TABLE_COLUMNS] for row in rows]
-    widths = [max(len(TABLE_COLUMNS[j]), max((len(c[j]) for c in cells), default=0))
-              for j in range(len(TABLE_COLUMNS))]
-    out = ["  ".join(TABLE_COLUMNS[j].rjust(widths[j]) for j in range(len(widths)))]
-    for c in cells:
-        out.append("  ".join(c[j].rjust(widths[j]) for j in range(len(widths))))
-    return "\n".join(out) + "\n"
+    cells = _cells(rows)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n"
+                   for line in cells)

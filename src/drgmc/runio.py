@@ -36,6 +36,7 @@ from . import config as config_mod
 from .diagnostics import ChainRecord, efficiency
 
 _MAGIC_LEN = 16
+TRACE_COLUMNS = ("iteration", "phi", "accept", "wall_time", "pde_solves")
 TRACE_BLOCK_ROWS = 4096
 
 
@@ -63,29 +64,20 @@ def read_samples(path):
 
 
 def write_trace(path, record):
-    columns = (record.potentials, record.accepts, record.wall_times, record.pde_solves)
     with open(path, "w") as fh:
-        fh.write("iteration,phi,accept,wall_time,pde_solves\n")
-        # blocks of rows, so a long chain's trace is never held as one list
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        # blocks of rows, never the whole file as one list; fixed-width
+        # wall times: equal chains write files of equal size
         for lo in range(0, len(record.samples), TRACE_BLOCK_ROWS):
-            phi, accept, wall, solves = (np.asarray(c[lo:lo + TRACE_BLOCK_ROWS])
-                                         for c in columns)
-            # fixed-width wall times: equal chains write files of equal size
-            fh.write("".join(
-                f"{i},{p:.17g},{a},{w:.8e},{s}\n"
-                for i, p, a, w, s in zip(range(lo, lo + len(phi)), phi.tolist(),
-                                         accept.astype(np.int64).tolist(), wall.tolist(),
-                                         solves.astype(np.int64).tolist())))
+            rows = slice(lo, lo + TRACE_BLOCK_ROWS)
+            fh.write("".join(f"{i},{p:.17g},{a},{w:.8e},{s}\n" for i, p, a, w, s in zip(
+                range(lo, rows.stop), record.potentials[rows].tolist(),
+                record.accepts[rows].astype(int).tolist(), record.wall_times[rows].tolist(),
+                record.pde_solves[rows].astype(int).tolist())))
 
 
 def read_trace(path):
-    rows = Path(path).read_text().strip().splitlines()
-    header = rows[0].split(",")
-    data = {name: [] for name in header}
-    for row in rows[1:]:
-        for name, val in zip(header, row.split(",")):
-            data[name].append(float(val))
-    return {k: np.asarray(v) for k, v in data.items()}
+    return dict(zip(TRACE_COLUMNS, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
 
 
 def write_mean(path, mean, nx=None, ny=None):

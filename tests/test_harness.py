@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,10 @@ from drgmc import cli
 from drgmc import config as config_mod
 from drgmc import runio
 from drgmc.config import DEFAULT_STEPS, RunConfig
+from drgmc.diagnostics import ChainRecord
 from drgmc.harness import build_model, run_from_config
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 
 def small_linear_config(**overrides):
@@ -94,12 +98,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="expected a mapping"):
             config_mod.from_yaml(path)
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("cfg", [
+        config_mod.from_yaml(EXAMPLE_CONFIG),
+        small_linear_config(algorithm="dili", h_r=0.25, h_perp=0.0125, n_leapfrog=3,
+                            eps=0.5, out_dir="runs/x y/z"),
+    ])
+    def test_libyaml_dumper_writes_the_pure_python_bytes(self, cfg, tmp_path):
+        path = tmp_path / "c.yaml"
+        config_mod.to_yaml(cfg, path)
+        data = cfg.to_dict()
+        pure = yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
+        assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == pure
+        assert path.read_text() == pure
+
     def test_shipped_example_config_is_exhaustive_defaults(self):
-        example = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
-        cfg = config_mod.from_yaml(example)
+        cfg = config_mod.from_yaml(EXAMPLE_CONFIG)
         assert cfg == RunConfig()
-        import yaml
-        keys = set(yaml.safe_load(example.read_text()))
+        keys = set(yaml.safe_load(EXAMPLE_CONFIG.read_text()))
         assert keys == {f.name for f in fields(RunConfig)}
 
 
@@ -292,6 +308,24 @@ class TestRunDirectory:
             back = runio.read_trace(path)["wall_time"]
             np.testing.assert_allclose(back, wall, rtol=1e-8, atol=0)
         assert sizes[0] == sizes[1]
+
+    def test_trace_blocks_write_one_line_per_row(self, tmp_path):
+        # a trace longer than one block, with non-finite potentials
+        n = 2 * runio.TRACE_BLOCK_ROWS + 3
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal(n) * 1e3
+        phi[[5, n - 1]] = np.inf, np.nan
+        record = ChainRecord(samples=np.zeros((n, 2)), potentials=phi,
+                             accepts=rng.random(n) < 0.5,
+                             wall_times=rng.random(n) * 1e-3,
+                             pde_solves=np.cumsum(rng.integers(0, 3, n)))
+        path = tmp_path / "trace.csv"
+        runio.write_trace(path, record)
+        rows = [f"{i},{record.potentials[i]:.17g},{int(record.accepts[i])},"
+                f"{record.wall_times[i]:.8e},{int(record.pde_solves[i])}"
+                for i in range(n)]
+        assert path.read_text() == "iteration,phi,accept,wall_time,pde_solves\n" + \
+            "\n".join(rows) + "\n"
 
     def test_git_describe_names_the_package_tree(self, tmp_path, monkeypatch):
         runio._git_describe.cache_clear()
