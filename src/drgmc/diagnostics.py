@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MIN_ESS_SAMPLES = 10  # shortest series ess accepts; cli refuses shorter runs
-# padded doubles per FFT batch (1 MiB): 441 series of 64 samples take one
-# batch and a 40 000-sample series its own, whatever the coordinate count
-ACF_BATCH_DOUBLES = 1 << 17
+# padded doubles per FFT batch (512 KiB): 441 series of 64 samples fit one
+# batch; series over 16 384 samples go singly (bigger batches ran slower)
+ACF_BATCH_DOUBLES = 1 << 16
 
 
 @dataclass
@@ -43,26 +43,26 @@ class ChainRecord:
 
 
 def _autocorrelation(x):
-    """Autocorrelations at lags 0..N-1 of x's columns (axis 0 is time)."""
-    n = len(x)
-    x = x - x.mean(axis=0)
+    """Autocorrelations at lags 0..N-1 of x's rows (the last axis is time)."""
+    n = x.shape[-1]
+    x = x - x.mean(axis=-1, keepdims=True)
     m = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, m, axis=0)
-    acov = np.fft.irfft(f * np.conj(f), m, axis=0)[:n] / n
-    return acov / acov[0]
+    f = np.fft.rfft(x, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[..., :n] / n
+    return acov / acov[..., :1]
 
 
 def _geyer_ess(rho):
-    """N / tau per column of autocorrelations rho, capped at N (so also for
+    """N / tau per row of autocorrelations rho, capped at N (so also for
     tau <= 0); tau = -1 + 2 sum of the pair sums rho_2t + rho_2t+1 before
     the first one <= 0, each cut to the running minimum."""
-    n, half = len(rho), len(rho) // 2
-    pairs = rho[0:2 * half:2] + rho[1:2 * half:2]
+    n, half = rho.shape[1], rho.shape[1] // 2
+    pairs = rho[:, 0:2 * half:2] + rho[:, 1:2 * half:2]
     positive = pairs > 0.0
-    cut = np.where(positive.all(axis=0), half, positive.argmin(axis=0))
-    terms = np.minimum.accumulate(pairs, axis=0)
-    terms[np.arange(half)[:, None] >= cut] = 0.0
-    tau = -1.0 + 2.0 * np.cumsum(terms, axis=0)[-1]
+    cut = np.where(positive.all(axis=1), half, positive.argmin(axis=1))
+    terms = np.minimum.accumulate(pairs[:, :max(1, cut.max(initial=0))], axis=1)
+    terms[np.arange(terms.shape[1]) >= cut[:, None]] = 0.0
+    tau = -1.0 + 2.0 * np.cumsum(terms, axis=1)[:, -1]
     return n / np.maximum(tau, 1.0)
 
 
@@ -74,12 +74,12 @@ def ess_per_coordinate(samples):
         raise ValueError(f"series too short for ESS (need >= {MIN_ESS_SAMPLES})")
     out = np.zeros(n_coord)
     width = max(1, ACF_BATCH_DOUBLES >> (2 * count - 1).bit_length())
-    for lo in range(0, n_coord, width):
-        block = samples[:, lo:lo + width]
-        moving = np.isfinite(block).all(axis=0)
-        moving[moving] = np.ptp(block[:, moving], axis=0) > 0.0
-        out[lo:lo + width][moving] = _geyer_ess(_autocorrelation(block[:, moving]))
-    stuck = np.count_nonzero(out == 0.0)
+    for start in range(0, n_coord, width):
+        rows = samples[:, start:start + width].T.copy()  # each series contiguous
+        hi, lo = rows.max(axis=1), rows.min(axis=1)
+        moving = np.isfinite(hi) & np.isfinite(lo) & (hi > lo)
+        out[start:start + width][moving] = _geyer_ess(_autocorrelation(rows[moving]))
+    stuck = n_coord - np.count_nonzero(out)  # a moving series has ESS > 0
     if stuck:
         warnings.warn(f"constant or non-finite series: ESS defined as 0 for "
                       f"{stuck} of {n_coord} coordinates")
