@@ -326,6 +326,7 @@ class TestRunDirectory:
                 for i in range(n)]
         assert path.read_text() == "iteration,phi,accept,wall_time,pde_solves\n" + \
             "\n".join(rows) + "\n"
+        np.testing.assert_array_equal(runio.read_trace(path)["phi"], phi)
 
     def test_git_describe_names_the_package_tree(self, tmp_path, monkeypatch):
         runio._git_describe.cache_clear()
