@@ -29,7 +29,7 @@ import numpy as np
 from .acceptance import (AcceptDecision, decide, dili_exact_log_ratio,
                          dr_mhmc_delta_E, dr_mmala_log_ratio,
                          inf_mala_log_ratio, pcn_log_ratio)
-from .diagnostics import ChainRecord
+from .diagnostics import COLUMNS, ChainRecord
 from .lis import LISState, adaptation_step, freeze, local_spectrum
 from .proposals import (StepParams, dili_operators, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
@@ -281,7 +281,9 @@ def run_chain(model, config):
     For the adaptive kernels the global subspace is grown during burn-in on
     the n_lag schedule and frozen at the end of burn-in (or earlier, once
     the Forstner distance stalls below delta_lis or the budget m_max is
-    spent). The LIS trail is stored in the record's meta.
+    spent). config.max_rank caps each local spectrum fed to an LIS update;
+    the global subspace is cut by the threshold rho_g alone. The LIS trail
+    is stored in the record's meta.
     """
     steps = config.resolved_steps()
     rng = np.random.default_rng(config.seed)
@@ -302,11 +304,8 @@ def run_chain(model, config):
     kernel = _KERNELS[config.algorithm]
 
     state = model.state(np.zeros(n))
-    samples = np.empty((iterations, n))
-    potentials = np.empty(iterations)
-    accepts = np.zeros(iterations, dtype=bool)
-    wall = np.empty(iterations)
-    solves = np.zeros(iterations, dtype=np.int64)
+    record = ChainRecord(samples=np.empty((iterations, n)), **{
+        col.name: np.zeros(iterations, col.metadata["dtype"]) for col in COLUMNS})
     error_rejects = nonfinite_rejects = update_errors = 0
 
     for it in range(iterations):
@@ -324,15 +323,15 @@ def run_chain(model, config):
                 update_errors += 1
             if it + 1 == burn_in and not ctx.lis.frozen:
                 ctx.lis = freeze(ctx.lis)
-        wall[it] = time.perf_counter() - t0
-        samples[it] = state.u
-        potentials[it] = state.phi
-        accepts[it] = dec.accept
-        solves[it] = model.solves()
+        record.wall_times[it] = time.perf_counter() - t0
+        record.samples[it] = state.u
+        record.potentials[it] = state.phi
+        record.accepts[it] = dec.accept
+        record.pde_solves[it] = model.solves()
 
-    meta = {"algorithm": config.algorithm, "h": steps["h"], "burn_in": burn_in,
-            "seed": config.seed, "error_rejects": error_rejects,
-            "nonfinite_rejects": nonfinite_rejects}
+    record.meta = meta = {"algorithm": config.algorithm, "h": steps["h"],
+                          "burn_in": burn_in, "seed": config.seed,
+                          "error_rejects": error_rejects, "nonfinite_rejects": nonfinite_rejects}
     if ctx.lis is not None:
         meta["lis"] = {
             "m": ctx.lis.m,
@@ -344,5 +343,4 @@ def run_chain(model, config):
             "update_errors": update_errors,
         }
         meta["lis_state"] = ctx.lis
-    return ChainRecord(samples=samples, potentials=potentials, accepts=accepts,
-                       wall_times=wall, pde_solves=solves, meta=meta)
+    return record

@@ -5,7 +5,7 @@ and Geyer's (1992) initial monotone sequence in array operations."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,20 +17,21 @@ ACF_BATCH_DOUBLES = 1 << 16
 
 @dataclass
 class ChainRecord:
-    """Per-iteration outputs of one chain, equal-length arrays throughout."""
+    """Per-iteration outputs of one chain, equal-length arrays throughout.
+    The fields with metadata are the per-iteration columns (COLUMNS)."""
 
     samples: np.ndarray
-    potentials: np.ndarray
-    accepts: np.ndarray
-    wall_times: np.ndarray
-    pde_solves: np.ndarray
+    potentials: np.ndarray = field(metadata={"csv": "phi", "dtype": float, "fmt": "%.17g"})
+    accepts: np.ndarray = field(metadata={"csv": "accept", "dtype": bool, "fmt": "%d"})
+    # fixed width, so that a trace's size does not depend on its wall times
+    wall_times: np.ndarray = field(metadata={"csv": "wall_time", "dtype": float, "fmt": "%.8e"})
+    pde_solves: np.ndarray = field(metadata={"csv": "pde_solves", "dtype": np.int64, "fmt": "%d"})
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n_iter = len(self.samples)
-        for name in ("potentials", "accepts", "wall_times", "pde_solves"):
-            if len(getattr(self, name)) != n_iter:
-                raise ValueError(f"{name} length does not match samples")
+        for col in COLUMNS:
+            if len(getattr(self, col.name)) != len(self.samples):
+                raise ValueError(f"{col.name} length does not match samples")
         if np.any(np.diff(self.pde_solves) < 0):
             raise ValueError("pde_solves must be non-decreasing")
 
@@ -40,6 +41,9 @@ class ChainRecord:
 
     def kept(self):
         return self.samples[self.burn_in:]
+
+
+COLUMNS = tuple(f for f in fields(ChainRecord) if f.metadata)
 
 
 def _autocorrelation(x):

@@ -3,7 +3,7 @@
 A run directory contains:
 
     config.yaml    resolved configuration
-    trace.csv      iteration,phi,accept,wall_time,pde_solves
+    trace.csv      iteration, then the columns of diagnostics.COLUMNS (4096-row blocks)
     samples.bin    binary sample stack, layout below
     mean.csv       posterior mean field as a grid (one CSV row per mesh row)
     summary.json   scalar efficiency summary
@@ -33,11 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .diagnostics import ChainRecord, efficiency
+from .diagnostics import COLUMNS, ChainRecord, efficiency
 
 _MAGIC_LEN = 16
-TRACE_COLUMNS = ("iteration", "phi", "accept", "wall_time", "pde_solves")
+TRACE_COLUMNS = ("iteration", *(col.metadata["csv"] for col in COLUMNS))
 TRACE_BLOCK_ROWS = 4096
+REJECT_COUNTS = ("error_rejects", "nonfinite_rejects")  # meta keys kept in summary.json
 
 
 def write_samples(path, samples):
@@ -64,20 +65,21 @@ def read_samples(path):
 
 
 def write_trace(path, record):
+    line = ",".join(["%d", *(col.metadata["fmt"] for col in COLUMNS)]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        # blocks of rows, never the whole file as one list; fixed-width
-        # wall times: equal chains write files of equal size
+        # blocks of rows, never the whole file as one list
         for lo in range(0, len(record.samples), TRACE_BLOCK_ROWS):
             rows = slice(lo, lo + TRACE_BLOCK_ROWS)
-            fh.write("".join(f"{i},{p:.17g},{a},{w:.8e},{s}\n" for i, p, a, w, s in zip(
-                range(lo, rows.stop), record.potentials[rows].tolist(),
-                record.accepts[rows].astype(int).tolist(), record.wall_times[rows].tolist(),
-                record.pde_solves[rows].astype(int).tolist())))
+            fh.write("".join(line % row for row in zip(range(lo, rows.stop), *(
+                getattr(record, col.name)[rows].tolist() for col in COLUMNS))))
 
 
 def read_trace(path):
-    return dict(zip(TRACE_COLUMNS, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
+    """trace.csv's columns by name, each as its dtype in COLUMNS (iteration: int64)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    dtypes = (np.int64, *(col.metadata["dtype"] for col in COLUMNS))
+    return {name: col.astype(dtype) for name, col, dtype in zip(TRACE_COLUMNS, data, dtypes)}
 
 
 def write_mean(path, mean, nx=None, ny=None):
@@ -170,8 +172,7 @@ def write_run(run_dir, record, config, started=None):
         "iterations": len(record.samples),
         "burn_in": record.burn_in,
         **efficiency(record),
-        "error_rejects": int(record.meta.get("error_rejects", 0)),
-        "nonfinite_rejects": int(record.meta.get("nonfinite_rejects", 0)),
+        **{key: int(record.meta.get(key, 0)) for key in REJECT_COUNTS},
         "wall_time": float(np.sum(record.wall_times)),
         "config_hash": config.hash(),
     }
@@ -187,13 +188,9 @@ def load_record(run_dir):
     trace = read_trace(run_dir / "trace.csv")
     samples = read_samples(run_dir / "samples.bin")
     summary = json.loads((run_dir / "summary.json").read_text())
-    meta = {"algorithm": summary["algorithm"], "h": summary["h"],
-            "burn_in": summary["burn_in"], "seed": cfg.seed}
+    meta = {"seed": cfg.seed,
+            **{key: summary[key] for key in ("algorithm", "h", "burn_in", *REJECT_COUNTS)}}
     if (run_dir / "lis.json").exists():
         meta["lis"] = json.loads((run_dir / "lis.json").read_text())
-    record = ChainRecord(samples=samples, potentials=trace["phi"],
-                         accepts=trace["accept"].astype(bool),
-                         wall_times=trace["wall_time"],
-                         pde_solves=trace["pde_solves"].astype(np.int64),
-                         meta=meta)
-    return record, cfg
+    return ChainRecord(samples=samples, meta=meta, **{
+        col.name: trace[col.metadata["csv"]] for col in COLUMNS}), cfg

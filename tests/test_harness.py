@@ -16,7 +16,7 @@ from drgmc import cli
 from drgmc import config as config_mod
 from drgmc import runio
 from drgmc.config import DEFAULT_STEPS, RunConfig
-from drgmc.diagnostics import ChainRecord
+from drgmc.diagnostics import COLUMNS, ChainRecord
 from drgmc.harness import build_model, run_from_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
@@ -227,6 +227,16 @@ class TestRunDirectory:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["error_rejects"] == 7
 
+    def test_load_record_keeps_reject_counts(self, run, tmp_path):
+        _, record, cfg = run
+        failed = replace(record, meta={**record.meta, "error_rejects": 7,
+                                       "nonfinite_rejects": 3})
+        back, _ = runio.load_record(runio.write_run(tmp_path / "one", failed, cfg))
+        assert (back.meta["error_rejects"], back.meta["nonfinite_rejects"]) == (7, 3)
+        runio.write_run(tmp_path / "two", back, cfg)
+        summary = json.loads((tmp_path / "two" / "summary.json").read_text())
+        assert (summary["error_rejects"], summary["nonfinite_rejects"]) == (7, 3)
+
     def test_manifest(self, run):
         run_dir, _, cfg = run
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -241,16 +251,31 @@ class TestRunDirectory:
             assert entry["bytes"] == len(blob)
             assert entry["sha256"] == __import__("hashlib").sha256(blob).hexdigest()
 
-    def test_load_record_round_trip(self, run):
+    def test_load_record_round_trip(self, run, tmp_path):
         run_dir, record, cfg = run
         back, back_cfg = runio.load_record(run_dir)
         assert back_cfg == cfg
         assert np.array_equal(back.samples, np.asarray(record.samples))
-        assert np.array_equal(back.potentials, record.potentials)
-        assert np.array_equal(back.accepts, record.accepts)
-        assert np.array_equal(back.pde_solves, record.pde_solves)
         assert back.meta["algorithm"] == "dr-inf-mmala"
         assert back.burn_in == 15
+        # every per-iteration column, on both models, through the table
+        ecfg = RunConfig(model="elliptic", algorithm="inf-mala", h=0.01, nx=6, ny=4,
+                         iterations=15, burn_in=5, seed=1)
+        erecord = run_from_config(ecfg)
+        eback, _ = runio.load_record(runio.write_run(tmp_path / "e", erecord, ecfg))
+        assert erecord.pde_solves[-1] > 0
+        expected = {"accepts": np.bool_, "pde_solves": np.int64}
+        assert {col.name for col in COLUMNS} == {"potentials", "accepts", "wall_times",
+                                                 "pde_solves"}
+        for original, loaded in ((record, back), (erecord, eback)):
+            for col in COLUMNS:
+                want, got = getattr(original, col.name), getattr(loaded, col.name)
+                dtype = expected.get(col.name, np.float64)
+                assert want.dtype == got.dtype == dtype, col.name
+                if col.name == "wall_times":
+                    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+                else:
+                    np.testing.assert_array_equal(got, want)
 
     def test_elliptic_mean_grid_shape(self, tmp_path):
         cfg = RunConfig(model="elliptic", algorithm="pcn", h=0.05, nx=6, ny=4,
