@@ -1,8 +1,10 @@
 """Acceptance-rate stability under mesh refinement.
 
 Fixes the step size and the observation vector, then reruns the same
-kernel across a ladder of meshes. Function-space kernels should show a
-flat acceptance-rate profile; a finite-dimensional kernel would decay.
+kernel across a ladder of meshes. Each mesh's model is built once, its
+set-up time printed, and shared by every kernel. Function-space kernels
+should show a flat acceptance-rate profile; a finite-dimensional kernel
+would decay.
 
 Usage: python3 scripts/mesh_robustness.py [--meshes 16,24,32]
        [--algorithms pcn,adr-inf-mmala] [--iterations N]
@@ -10,6 +12,7 @@ Usage: python3 scripts/mesh_robustness.py [--meshes 16,24,32]
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +43,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.meshes.split(",")]
+    algorithms = args.algorithms.split(",")
     data = shared_observations(RunConfig(nx=max(sizes), ny=max(sizes)))
 
-    print(f"{'algorithm':>14} " + " ".join(f"{k:>2d}x{k:<6d}" for k in sizes)
-          + "  max drift")
-    for algorithm in args.algorithms.split(","):
-        aps = []
-        for k in sizes:
+    aps = {algorithm: [] for algorithm in algorithms}
+    for k in sizes:
+        t0 = time.perf_counter()
+        model, _ = build_elliptic(RunConfig(model="elliptic", nx=k, ny=k), data=data)
+        print(f"{k:>2d}x{k:<2d} mesh: set-up {time.perf_counter() - t0:.3f} s", flush=True)
+        for algorithm in algorithms:
             cfg = RunConfig(model="elliptic", algorithm=algorithm, nx=k, ny=k,
                             iterations=args.iterations,
                             burn_in=args.iterations // 4, seed=args.seed)
-            model, _ = build_elliptic(cfg, data=data)
             record = run_from_config(cfg, model=model)
-            aps.append(float(record.accepts[record.burn_in:].mean()))
-        drift = max(aps) - min(aps)
-        print(f"{algorithm:>14} " + " ".join(f"{ap:8.3f}" for ap in aps)
+            aps[algorithm].append(float(record.accepts[record.burn_in:].mean()))
+
+    print(f"{'algorithm':>14} " + " ".join(f"{k:>2d}x{k:<6d}" for k in sizes)
+          + "  max drift")
+    for algorithm, row in aps.items():
+        drift = max(row) - min(row)
+        print(f"{algorithm:>14} " + " ".join(f"{ap:8.3f}" for ap in row)
               + f"  {drift:9.3f}", flush=True)
     return 0
 

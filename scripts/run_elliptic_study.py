@@ -11,6 +11,7 @@ Usage: python3 scripts/run_elliptic_study.py [--out DIR] [--seed N]
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -31,12 +32,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     out_root = Path(args.out)
+    study = RunConfig(model="elliptic", iterations=args.iterations,
+                      burn_in=args.burn_in, seed=args.seed)
+    model, _ = build_model(study)  # one model: every kernel samples the same posterior
     records = {}
     for algorithm in args.algorithms.split(","):
-        cfg = RunConfig(model="elliptic", algorithm=algorithm,
-                        iterations=args.iterations, burn_in=args.burn_in,
-                        seed=args.seed)
-        model, _ = build_model(cfg)
+        cfg = replace(study, algorithm=algorithm)
         record = run_from_config(cfg, model=model)
         records[algorithm] = record
         run_dir = runio.write_run(out_root / f"{algorithm}_seed{args.seed}",

@@ -275,8 +275,8 @@ def _mh_step(kernel, ctx, state):
 def run_chain(model, config):
     """Run the chain a RunConfig describes on a WhitenedModel and return
     its ChainRecord. The config's model and problem fields are not read:
-    the model is given. The chain starts at v = 0, and its RNG is seeded
-    with config.seed.
+    the model is given. The chain starts at v = 0, its RNG is seeded with
+    config.seed, and its pde_solves count the solves made since it started.
 
     For the adaptive kernels the global subspace is grown during burn-in on
     the n_lag schedule and frozen at the end of burn-in (or earlier, once
@@ -303,7 +303,7 @@ def run_chain(model, config):
                                    m_max=config.m_max, n_lag=config.n_lag)
     kernel = _KERNELS[config.algorithm]
 
-    state = model.state(np.zeros(n))
+    solves_before, state = model.solves(), model.state(np.zeros(n))
     record = ChainRecord(samples=np.empty((iterations, n)), **{
         col.name: np.zeros(iterations, col.metadata["dtype"]) for col in COLUMNS})
     error_rejects = nonfinite_rejects = update_errors = 0
@@ -327,7 +327,7 @@ def run_chain(model, config):
         record.samples[it] = state.u
         record.potentials[it] = state.phi
         record.accepts[it] = dec.accept
-        record.pde_solves[it] = model.solves()
+        record.pde_solves[it] = model.solves() - solves_before
 
     record.meta = meta = {"algorithm": config.algorithm, "h": steps["h"],
                           "burn_in": burn_in, "seed": config.seed,

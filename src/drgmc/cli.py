@@ -72,8 +72,8 @@ def cmd_run(args):
             raise ValueError(f"too short for ESS (need >= {MIN_ESS_SAMPLES} kept samples)")
         runio.write_run(run_dir, run_from_config(cfg), cfg, started=started)
     except Exception as exc:
-        runio.write_manifest(run_dir, cfg, started, runio.timestamp(),
-                             incomplete=True, error=repr(exc))
+        runio.write_manifest(run_dir, cfg.to_dict(), cfg.hash(), started,
+                             runio.timestamp(), incomplete=True, error=repr(exc))
         print(f"run failed, partial outputs flagged incomplete: {exc}", file=sys.stderr)
         return 1
     summary = json.loads((run_dir / "summary.json").read_text())

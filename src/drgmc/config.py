@@ -69,9 +69,6 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         def bad(key, msg):
             raise ValueError(f"config key '{key}': {msg}")
 
@@ -131,8 +128,11 @@ class RunConfig:
         return asdict(self)
 
     def hash(self):
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return dict_hash(self.to_dict())
+
+
+def dict_hash(data):  # RunConfig.hash() from the dict its to_dict() gives
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def from_dict(data):
@@ -153,5 +153,7 @@ def from_yaml(path):
 
 
 def to_yaml(config, path):
+    """Write a RunConfig, or the dict its to_dict() gives, as YAML."""
+    data = config if isinstance(config, dict) else config.to_dict()
     with open(path, "w") as fh:
-        yaml.dump(config.to_dict(), fh, Dumper=YAML_DUMPER, sort_keys=True)
+        yaml.dump(data, fh, Dumper=YAML_DUMPER, sort_keys=True)

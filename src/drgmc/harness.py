@@ -28,8 +28,6 @@ def build_elliptic(config, data=None):
         if config.noiseless:
             # likelihood off: flat target, solves still counted
             problem.sigma_eta = float("inf")
-    # data generation costs one forward solve; report chain work only
-    problem.solves.count = 0
     cov = build_prior_covariance(mesh.nodes, config.sigma_u, config.s_0)
     model = WhitenedModel(cov, lambda u: elliptic.make_state(problem, u),
                           counter=problem.solves)

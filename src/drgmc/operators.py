@@ -50,17 +50,17 @@ def build_prior_covariance(nodes, sigma_u, s_0):
     if sigma_u <= 0 or s_0 <= 0:
         raise ValueError("sigma_u and s_0 must be positive")
     pts = np.asarray(nodes, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = (diff ** 2).sum(axis=-1)
-    n = len(pts)
-    off = dist2 + np.eye(n)
-    if off.min() <= 0:
+    C = sum(np.subtract.outer(x, x) ** 2 for x in pts.T)  # squared distances
+    if np.count_nonzero(C == 0) > len(pts):  # a zero besides the self-distances
         raise ValueError("prior nodes must be distinct")
-    C0 = sigma_u ** 2 * np.exp(-np.sqrt(dist2) / (2.0 * s_0))
-    jitter = 1e-10 * sigma_u ** 2
+    np.sqrt(C, out=C)
+    np.exp(np.divide(C, -2.0 * s_0, out=C), out=C)
+    C *= sigma_u ** 2
+    jitter, diagonal = 1e-10 * sigma_u ** 2, C.diagonal().copy()
     while True:
+        np.fill_diagonal(C, diagonal + jitter)
         try:
-            return CovarianceOperator(C0 + jitter * np.eye(n))
+            return CovarianceOperator(C)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > 1e-6 * sigma_u ** 2 * (1 + 1e-12):

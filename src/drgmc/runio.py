@@ -127,16 +127,15 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def write_manifest(run_dir, config, started, finished, incomplete=False, error=None):
-    inventory = {}
-    for item in sorted(run_dir.iterdir()):
-        if item.name == "manifest.json" or not item.is_file():
-            continue
-        inventory[item.name] = {"bytes": item.stat().st_size, "sha256": _sha256(item)}
+def write_manifest(run_dir, config_dict, digest, started, finished, incomplete=False, error=None):
+    """manifest.json of the RunConfig whose to_dict() is config_dict and hash() digest."""
+    inventory = {item.name: {"bytes": item.stat().st_size, "sha256": _sha256(item)}
+                 for item in sorted(run_dir.iterdir())
+                 if item.is_file() and item.name != "manifest.json"}
     payload = {
-        "config": config.to_dict(),
-        "config_hash": config.hash(),
-        "seed": config.seed,
+        "config": config_dict,
+        "config_hash": digest,
+        "seed": config_dict["seed"],
         "git_describe": _git_describe(),
         "started": started,
         "finished": finished,
@@ -158,12 +157,13 @@ def write_run(run_dir, record, config, started=None):
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = started or timestamp()
-    config_mod.to_yaml(config, run_dir / "config.yaml")
+    config_dict = config.to_dict()
+    digest = config_mod.dict_hash(config_dict)
+    config_mod.to_yaml(config_dict, run_dir / "config.yaml")
     write_trace(run_dir / "trace.csv", record)
     write_samples(run_dir / "samples.bin", record.samples)
-    write_mean(run_dir / "mean.csv", record.kept().mean(axis=0),
-               nx=config.nx if config.model == "elliptic" else None,
-               ny=config.ny if config.model == "elliptic" else None)
+    grid = (config.nx, config.ny) if config.model == "elliptic" else (None, None)
+    write_mean(run_dir / "mean.csv", record.kept().mean(axis=0), *grid)
     write_lis(run_dir, record.meta)
 
     summary = {
@@ -174,10 +174,10 @@ def write_run(run_dir, record, config, started=None):
         **efficiency(record),
         **{key: int(record.meta.get(key, 0)) for key in REJECT_COUNTS},
         "wall_time": float(np.sum(record.wall_times)),
-        "config_hash": config.hash(),
+        "config_hash": digest,
     }
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=1))
-    write_manifest(run_dir, config, started, timestamp())
+    write_manifest(run_dir, config_dict, digest, started, timestamp())
     return run_dir
 
 

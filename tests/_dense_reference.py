@@ -13,7 +13,7 @@ import numpy as np
 
 from drgmc.acceptance import dr_mmala_log_ratio
 from drgmc.linear_model import make_state
-from drgmc.operators import LowRankSpectrum
+from drgmc.operators import CovarianceOperator, LowRankSpectrum
 from drgmc.proposals import (DiliOperators, StepParams, dili_propose,
                              dr_mhmc_propose, dr_mmala_propose)
 
@@ -400,3 +400,25 @@ def apply_K_hat(v, spec):
         return np.array(v, dtype=float, copy=True)
     c = spec.project(v)
     return v + spec.lift((spec.D - 1.0) * c)
+
+
+def broadcast_prior_covariance(nodes, sigma_u, s_0):
+    """Exponential-kernel prior built from an n x n x 2 broadcast difference
+    array, fresh n x n temporaries and C0 + jitter I on every escalation
+    step: the build that operators.build_prior_covariance replaced, kept so
+    that its in-place rewrite can be held to the same S bit for bit."""
+    pts = np.asarray(nodes, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = (diff ** 2).sum(axis=-1)
+    n = len(pts)
+    if (dist2 + np.eye(n)).min() <= 0:
+        raise ValueError("prior nodes must be distinct")
+    C0 = sigma_u ** 2 * np.exp(-np.sqrt(dist2) / (2.0 * s_0))
+    jitter = 1e-10 * sigma_u ** 2
+    while True:
+        try:
+            return CovarianceOperator(C0 + jitter * np.eye(n))
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+            if jitter > 1e-6 * sigma_u ** 2 * (1 + 1e-12):
+                raise ValueError("ill-conditioned kernel: jitter escalation exhausted")

@@ -166,6 +166,14 @@ class TestSolveAccounting:
                                          burn_in=10, h=0.02, seed=0))
         assert rec.pde_solves[-1] == 102
 
+    def test_chains_on_one_model_count_only_their_own_solves(self):
+        model, _ = elliptic_whitened(6)
+        cfg = RunConfig(algorithm="pcn", iterations=20, burn_in=5, h=0.05, seed=0)
+        first, second = run_chain(model, cfg), run_chain(model, cfg)
+        assert np.array_equal(first.pde_solves, second.pde_solves)
+        assert second.pde_solves[-1] == 21
+        assert np.array_equal(first.samples, second.samples)
+
     def test_rejected_candidates_still_cost_solves(self):
         model, _ = elliptic_whitened(6)
         # absurd step: everything rejected, solves still 1 per iteration

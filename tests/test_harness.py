@@ -368,7 +368,8 @@ class TestRunDirectory:
             raise AssertionError("git describe ran twice in one process")
 
         monkeypatch.setattr(runio.subprocess, "run", no_subprocess)
-        runio.write_manifest(tmp_path, small_linear_config(), "start", "end")
+        cfg = small_linear_config()
+        runio.write_manifest(tmp_path, cfg.to_dict(), cfg.hash(), "start", "end")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["git_describe"] == here
 

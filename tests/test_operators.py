@@ -14,7 +14,8 @@ from drgmc.operators import (
     randomized_eig,
 )
 
-from _dense_reference import apply_K_hat, dense_K, dense_sqrtK, forstner_dense
+from _dense_reference import (apply_K_hat, broadcast_prior_covariance, dense_K,
+                              dense_sqrtK, forstner_dense)
 
 
 def random_spectrum(n, r, seed=0, scale=10.0):
@@ -56,6 +57,26 @@ class TestPriorCovariance:
             CovarianceOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             CovarianceOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("k, failures", [(5, 0), (5, 3), (21, 0)])
+    @pytest.mark.parametrize("sigma_u, s_0", [(1.25, 0.0625), (0.5, 0.2)])
+    def test_same_factor_as_broadcast_build(self, monkeypatch, k, failures, sigma_u, s_0):
+        """Bit for bit, also after `failures` steps of jitter escalation."""
+        nodes = grid_nodes(k)
+        factors = []
+        for build in (build_prior_covariance, broadcast_prior_covariance):
+            with monkeypatch.context() as patch:
+                self.failing_eigh(patch, failures)
+                factors.append(build(nodes, sigma_u, s_0).S)
+        assert np.array_equal(*factors)
+
+    def test_one_repeated_node_is_rejected(self):
+        nodes = grid_nodes(4)
+        nodes[7] = nodes[2]
+        with pytest.raises(ValueError, match="distinct"):
+            build_prior_covariance(nodes, sigma_u=1.0, s_0=0.1)
+        with pytest.raises(ValueError, match="distinct"):
+            broadcast_prior_covariance(nodes, 1.0, 0.1)
 
     @staticmethod
     def failing_eigh(monkeypatch, failures):
