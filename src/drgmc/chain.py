@@ -333,13 +333,13 @@ def run_chain(model, config):
                           "burn_in": burn_in, "seed": config.seed,
                           "error_rejects": error_rejects, "nonfinite_rejects": nonfinite_rejects}
     if ctx.lis is not None:
-        meta["lis"] = {
+        meta["lis"] = {  # lis.json as written, in this key order
+            "eigenvalues": ctx.lis.spectrum.eigenvalues.tolist(),
+            "history": [list(row) for row in ctx.lis.history],
             "m": ctx.lis.m,
             "r": ctx.lis.r,
             "d_f": ctx.lis.d_f,
             "frozen": ctx.lis.frozen,
-            "history": [list(row) for row in ctx.lis.history],
-            "eigenvalues": ctx.lis.spectrum.eigenvalues.tolist(),
             "update_errors": update_errors,
         }
         meta["lis_state"] = ctx.lis

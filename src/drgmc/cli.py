@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
+
+import yaml
 
 from . import config as config_mod
 from . import runio
@@ -24,11 +25,8 @@ from .harness import run_from_config
 
 OUTPUT_ROOT_ENV = "DRGMC_OUTPUT_ROOT"
 
-# every RunConfig key is a `run` flag, out_dir as --out; annotations are
-# strings such as "float | None"
-_OVERRIDABLE = {f.name: f.type.split(" |")[0]
-                for f in fields(config_mod.RunConfig) if f.name != "out_dir"}
-_FLAG_TYPES = {"str": str, "int": int, "float": float}
+# every RunConfig key is a `run` flag, out_dir as --out
+_OVERRIDABLE = {key: typ for key, (typ, _, _) in config_mod.KEYS.items() if key != "out_dir"}
 
 
 def _output_root():
@@ -44,8 +42,8 @@ def _build_parser():
     p_run.add_argument("--config", help="YAML config file")
     p_run.add_argument("--out", help="run directory (default: auto under output root)")
     for key, typ in _OVERRIDABLE.items():
-        kind = ({"action": argparse.BooleanOptionalAction} if typ == "bool"
-                else {"type": _FLAG_TYPES[typ]})
+        kind = ({"action": argparse.BooleanOptionalAction} if typ is bool
+                else {"type": typ})
         p_run.add_argument(f"--{key.replace('_', '-')}", dest=key, **kind)
 
     p_cmp = sub.add_parser("compare", help="efficiency table across runs")
@@ -59,10 +57,14 @@ def _build_parser():
 
 
 def cmd_run(args):
-    cfg = config_mod.from_yaml(args.config) if args.config else config_mod.RunConfig()
-    overrides = {k: getattr(args, k) for k in _OVERRIDABLE if getattr(args, k) is not None}
-    if overrides:
-        cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
+    try:  # a config that cannot be read or is refused creates no run directory
+        cfg = config_mod.from_yaml(args.config) if args.config else config_mod.RunConfig()
+        overrides = {k: getattr(args, k) for k in _OVERRIDABLE if getattr(args, k) is not None}
+        if overrides:
+            cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     run_dir = Path(args.out or cfg.out_dir or _output_root()
                    / f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}")
     run_dir.mkdir(parents=True, exist_ok=True)

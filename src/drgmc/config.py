@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -37,79 +39,65 @@ DEFAULT_STEPS = {
 
 @dataclass
 class RunConfig:
-    model: str = "elliptic"
-    algorithm: str = "pcn"
-    nx: int = 20
-    ny: int = 20
-    sigma_u: float = 1.25
-    s_0: float = 0.0625
-    snr: float = 10.0
-    noiseless: bool = False
-    h: float | None = None
-    h_r: float | None = None
-    h_perp: float | None = None
-    n_leapfrog: int | None = None
-    eps: float | None = None
-    gamma_r: int = 1
-    gamma_perp: int = 0
-    rank: int = 5
-    threshold: float = 0.01
-    max_rank: int = 30
-    iterations: int = 2500
-    burn_in: int = 500
-    n_lag: int = 200
-    m_max: int = 100
-    delta_lis: float = 1e-5
-    seed: int = 0
-    data_seed: int = 20260815
+    """Every chain setting. Each field declares its domain once: a tuple of
+    allowed values, a lower bound (ints at least it, floats finite and
+    strictly above it) or None (any value of its type). Its type is its
+    annotation; an int is accepted as a float, a bool is not an int."""
+
+    model: str = field(default="elliptic", metadata={"domain": MODELS})
+    algorithm: str = field(default="pcn", metadata={"domain": ALGORITHMS})
+    nx: int = field(default=20, metadata={"domain": 2})
+    ny: int = field(default=20, metadata={"domain": 2})
+    sigma_u: float = field(default=1.25, metadata={"domain": 0.0})
+    s_0: float = field(default=0.0625, metadata={"domain": 0.0})
+    snr: float = field(default=10.0, metadata={"domain": 0.0})
+    noiseless: bool = field(default=False, metadata={"domain": (False, True)})
+    h: float | None = field(default=None, metadata={"domain": 0.0})
+    h_r: float | None = field(default=None, metadata={"domain": 0.0})
+    h_perp: float | None = field(default=None, metadata={"domain": 0.0})
+    n_leapfrog: int | None = field(default=None, metadata={"domain": 1})
+    eps: float | None = field(default=None, metadata={"domain": 0.0})
+    gamma_r: int = field(default=1, metadata={"domain": (0, 1)})
+    gamma_perp: int = field(default=0, metadata={"domain": (0, 1)})
+    rank: int = field(default=5, metadata={"domain": 1})
+    threshold: float = field(default=0.01, metadata={"domain": 0.0})
+    max_rank: int = field(default=30, metadata={"domain": 1})
+    iterations: int = field(default=2500, metadata={"domain": 1})
+    burn_in: int = field(default=500, metadata={"domain": 0})
+    n_lag: int = field(default=200, metadata={"domain": 1})
+    m_max: int = field(default=100, metadata={"domain": 1})
+    delta_lis: float = field(default=1e-5, metadata={"domain": 0.0})
+    seed: int = field(default=0, metadata={"domain": 0})
+    data_seed: int = field(default=20260815, metadata={"domain": 0})
     # linear-gaussian model shape (ignored by the elliptic model)
-    lin_n: int = 8
-    lin_m: int = 4
-    lin_noise: float = 0.5
-    out_dir: str | None = None
+    lin_n: int = field(default=8, metadata={"domain": 1})
+    lin_m: int = field(default=4, metadata={"domain": 1})
+    lin_noise: float = field(default=0.5, metadata={"domain": 0.0})
+    out_dir: str | None = field(default=None, metadata={"domain": None})
 
     def __post_init__(self):
         def bad(key, msg):
             raise ValueError(f"config key '{key}': {msg}")
 
-        if self.model not in MODELS:
-            bad("model", f"must be one of {MODELS}")
-        if self.algorithm not in ALGORITHMS:
-            bad("algorithm", f"must be one of {ALGORITHMS}")
-        if self.iterations <= self.burn_in or self.burn_in < 0:
-            bad("iterations", "must exceed burn_in, and burn_in must be >= 0")
-        for key in ("nx", "ny"):
-            if getattr(self, key) < 2:
-                bad(key, "mesh needs at least 2 cells per direction")
-        for key in ("sigma_u", "s_0"):
-            if getattr(self, key) <= 0:
-                bad(key, "prior scales must be positive")
-        if self.snr <= 0:
-            bad("snr", "must be positive")
-        for key in ("h", "h_r", "h_perp", "eps"):
+        for key, (typ, optional, domain) in KEYS.items():
             val = getattr(self, key)
-            if val is not None and val <= 0:
-                bad(key, "must be positive when given")
-        if self.n_leapfrog is not None and self.n_leapfrog < 1:
-            bad("n_leapfrog", "must be >= 1")
-        for key in ("gamma_r", "gamma_perp"):
-            if getattr(self, key) not in (0, 1):
-                bad(key, "gamma flags must be 0 or 1")
-        for key in ("rank", "max_rank"):
-            if getattr(self, key) < 1:
-                bad(key, "ranks must be >= 1")
-        if not 0 < self.threshold:
-            bad("threshold", "must be positive")
-        for key in ("n_lag", "m_max"):
-            if getattr(self, key) < 1:
-                bad(key, "adaptation cadences must be >= 1")
-        if self.delta_lis <= 0:
-            bad("delta_lis", "must be positive")
-        for key in ("lin_n", "lin_m"):
-            if getattr(self, key) < 1:
-                bad(key, "linear model shape must be positive")
-        if self.lin_noise <= 0:
-            bad("lin_noise", "must be positive")
+            if val is None and optional:
+                continue
+            kinds = (int, float) if typ is float else typ
+            if not isinstance(val, kinds) or isinstance(val, bool) and typ is not bool:
+                bad(key, f"expected {typ.__name__}{' or None' if optional else ''}, "
+                         f"got {type(val).__name__} {val!r}")
+            if typ is float and not math.isfinite(val):
+                bad(key, f"expected a finite float, got {val!r}")
+            if isinstance(domain, tuple) and val not in domain:
+                bad(key, f"expected one of {domain}, got {val!r}")
+            if typ is int and isinstance(domain, int) and val < domain:
+                bad(key, f"expected an int >= {domain}, got {val!r}")
+            if typ is float and val <= domain:
+                bad(key, f"expected a float > {domain}, got {val!r}")
+        if self.iterations <= self.burn_in:
+            bad("iterations", f"expected more than burn_in ({self.burn_in}), "
+                              f"got {self.iterations}")
 
     def resolved_steps(self):
         """The step sizes and leapfrog count a chain runs with: set fields
@@ -131,13 +119,19 @@ class RunConfig:
         return dict_hash(self.to_dict())
 
 
+# key -> (type, None allowed, domain) of every RunConfig field, built once for
+# __post_init__ and the CLI's flags; fields and type hints share declaration order
+KEYS = {f.name: ((typing.get_args(hint) or (hint,))[0], type(None) in typing.get_args(hint),
+                 f.metadata["domain"])
+        for f, hint in zip(fields(RunConfig), typing.get_type_hints(RunConfig).values())}
+
+
 def dict_hash(data):  # RunConfig.hash() from the dict its to_dict() gives
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def from_dict(data):
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(str(key) for key in set(data) - set(KEYS))  # YAML keys need not be str
     if unknown:
         raise ValueError(f"config key '{unknown[0]}': unknown key"
                          + (f" (also: {', '.join(unknown[1:])})" if len(unknown) > 1 else ""))

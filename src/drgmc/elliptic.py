@@ -68,31 +68,26 @@ class Mesh2D:
         return j * (self.nx + 1) + i
 
 
+def _widths(n, h):
+    """Control-volume widths of n + 1 nodes along one axis: h inside, h/2 at both ends."""
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
 def _edge_arrays(mesh):
-    """Endpoint indices and geometric weights (face length / distance) per face."""
+    """Endpoint indices and geometric weights (face length / distance) per
+    face: x-faces row by row, then y-faces."""
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
-    ea, eb, w = [], [], []
-    for j in range(ny + 1):
-        ly = hy if 0 < j < ny else hy / 2.0  # boundary control volumes are halved
-        for i in range(nx):
-            ea.append(mesh.node_index(i, j))
-            eb.append(mesh.node_index(i + 1, j))
-            w.append(ly / hx)
-    for j in range(ny):
-        for i in range(nx + 1):
-            lx = hx if 0 < i < nx else hx / 2.0
-            ea.append(mesh.node_index(i, j))
-            eb.append(mesh.node_index(i, j + 1))
-            w.append(lx / hy)
-    return np.asarray(ea), np.asarray(eb), np.asarray(w, dtype=float)
+    node = np.arange(mesh.n_nodes).reshape(ny + 1, nx + 1)
+    ea = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()])
+    eb = np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])
+    w = np.concatenate([np.repeat(_widths(ny, hy) / hx, nx), np.tile(_widths(nx, hx) / hy, ny)])
+    return ea, eb, w
 
 
 def _cell_areas(mesh):
-    wx = np.full(mesh.nx + 1, mesh.hx)
-    wx[0] = wx[-1] = mesh.hx / 2.0
-    wy = np.full(mesh.ny + 1, mesh.hy)
-    wy[0] = wy[-1] = mesh.hy / 2.0
-    return np.outer(wy, wx).ravel()
+    return np.outer(_widths(mesh.ny, mesh.hy), _widths(mesh.nx, mesh.hx)).ravel()
 
 
 def build_forcing(mesh):
@@ -123,17 +118,17 @@ def default_sensors():
 def _observation_matrix(mesh, sensors):
     """Dense m x n bilinear interpolation weights of the sensors."""
     sensors = np.asarray(sensors, dtype=float)
+    if not np.all((0.0 < sensors) & (sensors < 1.0)):
+        raise ValueError("sensors must be strictly interior to the unit square")
+    x, y = sensors[:, 0] / mesh.hx, sensors[:, 1] / mesh.hy
+    i = np.minimum(x.astype(int), mesh.nx - 1)
+    j = np.minimum(y.astype(int), mesh.ny - 1)
+    tx, ty = x - i, y - j
     O = np.zeros((len(sensors), mesh.n_nodes))
-    for k, (x, y) in enumerate(sensors):
-        if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-            raise ValueError("sensors must be strictly interior to the unit square")
-        i = min(int(x / mesh.hx), mesh.nx - 1)
-        j = min(int(y / mesh.hy), mesh.ny - 1)
-        tx = x / mesh.hx - i
-        ty = y / mesh.hy - j
-        for di, dj, wgt in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
-                            (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
-            O[k, mesh.node_index(i + di, j + dj)] = wgt
+    rows = np.arange(len(sensors))
+    for di, dj, wgt in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
+                        (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
+        O[rows, mesh.node_index(i + di, j + dj)] = wgt
     return O
 
 

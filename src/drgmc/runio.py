@@ -100,10 +100,7 @@ def write_lis(run_dir, meta):
     for i, (m, r, d_f) in enumerate(lis["history"]):
         lines.append(f"{i},{m},{r},{d_f:.17g}")
     (run_dir / "lis.csv").write_text("\n".join(lines) + "\n")
-    payload = {"eigenvalues": lis["eigenvalues"], "history": lis["history"],
-               "m": lis["m"], "r": lis["r"], "d_f": lis["d_f"],
-               "frozen": lis["frozen"], "update_errors": lis["update_errors"]}
-    (run_dir / "lis.json").write_text(json.dumps(payload, indent=1))
+    (run_dir / "lis.json").write_text(json.dumps(lis, indent=1))
 
 
 @functools.cache

@@ -422,3 +422,52 @@ def broadcast_prior_covariance(nodes, sigma_u, s_0):
             jitter *= 10.0
             if jitter > 1e-6 * sigma_u ** 2 * (1 + 1e-12):
                 raise ValueError("ill-conditioned kernel: jitter escalation exhausted")
+
+
+def loop_edge_arrays(mesh):
+    """Endpoint indices and geometric weights per face, one face at a time:
+    the loop that elliptic._edge_arrays replaced."""
+    nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
+    ea, eb, w = [], [], []
+    for j in range(ny + 1):
+        ly = hy if 0 < j < ny else hy / 2.0  # boundary control volumes are halved
+        for i in range(nx):
+            ea.append(mesh.node_index(i, j))
+            eb.append(mesh.node_index(i + 1, j))
+            w.append(ly / hx)
+    for j in range(ny):
+        for i in range(nx + 1):
+            lx = hx if 0 < i < nx else hx / 2.0
+            ea.append(mesh.node_index(i, j))
+            eb.append(mesh.node_index(i, j + 1))
+            w.append(lx / hy)
+    return np.asarray(ea), np.asarray(eb), np.asarray(w, dtype=float)
+
+
+def loop_cell_areas(mesh):
+    """Control-volume areas node by node, h inside and h/2 on each boundary."""
+    area = np.empty(mesh.n_nodes)
+    for j in range(mesh.ny + 1):
+        ly = mesh.hy if 0 < j < mesh.ny else mesh.hy / 2.0
+        for i in range(mesh.nx + 1):
+            lx = mesh.hx if 0 < i < mesh.nx else mesh.hx / 2.0
+            area[mesh.node_index(i, j)] = ly * lx
+    return area
+
+
+def loop_observation_matrix(mesh, sensors):
+    """Bilinear interpolation weights sensor by sensor: the loop that
+    elliptic._observation_matrix replaced."""
+    sensors = np.asarray(sensors, dtype=float)
+    O = np.zeros((len(sensors), mesh.n_nodes))
+    for k, (x, y) in enumerate(sensors):
+        if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+            raise ValueError("sensors must be strictly interior to the unit square")
+        i = min(int(x / mesh.hx), mesh.nx - 1)
+        j = min(int(y / mesh.hy), mesh.ny - 1)
+        tx = x / mesh.hx - i
+        ty = y / mesh.hy - j
+        for di, dj, wgt in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
+                            (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
+            O[k, mesh.node_index(i + di, j + dj)] = wgt
+    return O

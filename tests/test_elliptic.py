@@ -7,6 +7,8 @@ from drgmc import elliptic
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic
 
+from _dense_reference import loop_cell_areas, loop_edge_arrays, loop_observation_matrix
+
 
 def small_problem(k=8, snr=10.0, seed=0):
     mesh = elliptic.Mesh2D(k, k)
@@ -49,6 +51,17 @@ class TestMeshAndForcing:
         nodal = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
         direct = a + b * problem.sensors[:, 0] + c * problem.sensors[:, 1]
         assert np.allclose(problem.O @ nodal, direct, atol=1e-12)
+
+
+    @pytest.mark.parametrize("nx, ny", [(2, 9), (7, 5), (20, 20), (40, 40)])
+    def test_tables_equal_the_loop_builds(self, nx, ny):
+        mesh = elliptic.Mesh2D(nx, ny)
+        sensors = np.vstack([elliptic.default_sensors(), [[0.999, 0.001], [0.5, 0.75]]])
+        for got, want in zip(elliptic._edge_arrays(mesh), loop_edge_arrays(mesh)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(elliptic._cell_areas(mesh), loop_cell_areas(mesh))
+        assert np.array_equal(elliptic._observation_matrix(mesh, sensors),
+                              loop_observation_matrix(mesh, sensors))
 
 
 class TestForwardSolve:

@@ -1,8 +1,10 @@
 """Config round-trips, run-directory formats, and the CLI driver."""
 
+import importlib.util
 import json
 import re
 import struct
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -72,10 +74,60 @@ class TestConfig:
         (dict(m_max=0), "config key 'm_max'"),
         (dict(lin_m=0), "config key 'lin_m'"),
         (dict(lin_noise=0.0), "config key 'lin_noise'"),
+        (dict(h=float("nan")), "config key 'h': expected a finite float, got nan"),
+        (dict(snr=float("inf")), "config key 'snr': expected a finite float, got inf"),
+        (dict(snr=float("-inf")), "config key 'snr': expected a finite float, got -inf"),
+        (dict(delta_lis="1e-5"), "config key 'delta_lis': expected float, got str"),
+        (dict(iterations=100.5), "config key 'iterations': expected int, got float"),
+        (dict(rank=True), "config key 'rank': expected int, got bool"),
+        (dict(noiseless="no"), "config key 'noiseless': expected bool, got str"),
+        (dict(seed=-1), "config key 'seed': expected an int >= 0, got -1"),
+        (dict(data_seed=-1), "config key 'data_seed': expected an int >= 0, got -1"),
+        (dict(out_dir=5), "config key 'out_dir': expected str or None, got int"),
     ])
     def test_validation_messages(self, bad, match):
         with pytest.raises(ValueError, match=match):
             small_linear_config(**bad)
+
+    def test_every_key_declares_a_domain(self):
+        # a key without one would fail at import; this names it instead
+        assert [f.name for f in fields(RunConfig) if "domain" not in f.metadata] == []
+        assert list(config_mod.KEYS) == [f.name for f in fields(RunConfig)]
+
+    def test_unknown_keys_of_mixed_types_all_named(self):
+        # YAML maps may have int keys; sorting them beside str keys raised TypeError
+        with pytest.raises(ValueError, match="config key '1': unknown key \\(also: zz\\)"):
+            config_mod.from_dict({1: 2, "zz": 3})
+
+    def test_yaml_exponent_without_a_dot_is_refused(self, tmp_path):
+        # PyYAML reads 1e-5 as a string and 1.0e-5 as a float
+        path = tmp_path / "c.yaml"
+        path.write_text("delta_lis: 1e-5\n")
+        with pytest.raises(ValueError, match="config key 'delta_lis': expected float"):
+            config_mod.from_yaml(path)
+        path.write_text("delta_lis: 1.0e-5\n")
+        assert config_mod.from_yaml(path).delta_lis == 1e-5
+
+    def test_valid_configs_keep_their_dicts_and_hashes(self):
+        # hashes of configs that were valid before every key's domain was
+        # declared on its field: the example file, the benchmark's chain
+        # configs (seed 0, rounds 0 and 1) and an int given for a float key
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclass() looks its module up
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        for name, digest in (("desk", "40679f95f04ba141"), ("linear", "8ab08f9cb398bd51")):
+            configs = [workloads.WORKLOADS[name].chain_config(0, kernel, round_index)
+                       for round_index in (0, 1) for kernel in workloads.KERNELS]
+            assert config_mod.dict_hash([cfg.to_dict() for cfg in configs]) == digest
+        assert config_mod.from_yaml(EXAMPLE_CONFIG).hash() == "0a5aecd6b928f6ec"
+        cfg = RunConfig(snr=10)
+        assert cfg.snr == 10 and type(cfg.snr) is int
+        assert cfg.hash() == "2a957ad5989ac459"
 
     def test_resolved_steps_fill_defaults(self):
         cfg = RunConfig(algorithm="dr-inf-mhmc", iterations=10, burn_in=0)
@@ -424,6 +476,31 @@ class TestCli:
                          "--lin-noise", "0.25", "--noiseless"]) == 0
         _, back = runio.load_record(out)
         assert back.lin_noise == 0.25 and back.noiseless is True
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--h", "-1"], "config key 'h': expected a float > 0.0, got -1.0"),
+        (["--h", "nan"], "config key 'h': expected a finite float, got nan"),
+        (["--config", "bad.yaml"], "config key 'delta_lis': expected float, got str"),
+    ])
+    def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
+                                                             capsys, argv, match):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        (tmp_path / "bad.yaml").write_text("model: linear-gaussian\ndelta_lis: 1e-5\n")
+        assert cli.main(["run", "--model", "linear-gaussian", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(re.escape(match) + ".*\n", captured.err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+    @pytest.mark.parametrize("name", ["missing.yaml", "broken.yaml"])
+    def test_unreadable_config_file_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        (tmp_path / "broken.yaml").write_text("model: [linear\n")
+        assert cli.main(["run", "--config", name]) == 1
+        assert name in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
 
     def test_run_failure_writes_incomplete_manifest(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
