@@ -30,7 +30,8 @@ from .acceptance import (AcceptDecision, decide, dili_exact_log_ratio,
                          dr_mhmc_delta_E, dr_mmala_log_ratio,
                          inf_mala_log_ratio, pcn_log_ratio)
 from .diagnostics import COLUMNS, ChainRecord
-from .lis import LISState, adaptation_step, freeze, local_spectrum
+from .lis import LISState, adaptation_step, local_spectrum
+from .operators import NUMERICAL_ERRORS, LowRankSpectrum
 from .proposals import (StepParams, dili_operators, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
                         inf_mala_propose, pcn_propose)
@@ -130,7 +131,6 @@ class KernelContext:
     last_spec: tuple = (None, None)
 
 
-_REJECTABLE = (FloatingPointError, np.linalg.LinAlgError, OverflowError)
 _REJECTED = AcceptDecision(float("-inf"), False, 1.0)
 _NONFINITE = AcceptDecision(float("nan"), False, 1.0)
 
@@ -264,7 +264,7 @@ def _mh_step(kernel, ctx, state):
     and a NaN log ratio (which decide rejects) returns _NONFINITE."""
     try:
         cand, log_ratio = kernel(ctx, state)
-    except _REJECTABLE:
+    except NUMERICAL_ERRORS:
         return state, _REJECTED
     dec = decide(log_ratio, ctx.rng)
     if math.isnan(log_ratio):
@@ -278,17 +278,15 @@ def run_chain(model, config):
     the model is given. The chain starts at v = 0, its RNG is seeded with
     config.seed, and its pde_solves count the solves made since it started.
 
-    For the adaptive kernels the global subspace is grown during burn-in on
-    the n_lag schedule and frozen at the end of burn-in (or earlier, once
-    the Forstner distance stalls below delta_lis or the budget m_max is
-    spent). config.max_rank caps each local spectrum fed to an LIS update;
-    the global subspace is cut by the threshold rho_g alone. The LIS trail
-    is stored in the record's meta.
+    For the adaptive kernels lis.adaptation_step grows the global subspace
+    during burn-in and freezes it. config.max_rank caps each local spectrum
+    fed to an LIS update; the global subspace is cut by the threshold alone.
+    The LIS trail is stored in the record's meta.
     """
     steps = config.resolved_steps()
     rng = np.random.default_rng(config.seed)
     n = model.n
-    iterations, burn_in = config.iterations, config.burn_in
+    iterations = config.iterations
     params = StepParams(h=steps["h"], gamma_r=config.gamma_r,
                         gamma_perp=config.gamma_perp,
                         n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
@@ -298,31 +296,22 @@ def run_chain(model, config):
     ctx = KernelContext(model=model, config=config, steps=steps, params=params,
                         rng=rng)
     if config.algorithm in ADAPTIVE:
-        ctx.lis = LISState.initial(n, rho_g=config.threshold,
-                                   delta_lis=config.delta_lis,
-                                   m_max=config.m_max, n_lag=config.n_lag)
+        ctx.lis = LISState(LowRankSpectrum.empty(n))
     kernel = _KERNELS[config.algorithm]
 
     solves_before, state = model.solves(), model.state(np.zeros(n))
     record = ChainRecord(samples=np.empty((iterations, n)), **{
         col.name: np.zeros(iterations, col.metadata["dtype"]) for col in COLUMNS})
-    error_rejects = nonfinite_rejects = update_errors = 0
+    error_rejects = nonfinite_rejects = 0
 
     for it in range(iterations):
         t0 = time.perf_counter()
         state, dec = _mh_step(kernel, ctx, state)
         error_rejects += dec is _REJECTED
         nonfinite_rejects += dec is _NONFINITE
-        if ctx.lis is not None and it < burn_in:
-            try:
-                ctx.lis = adaptation_step(it, ctx.lis, lambda: local_spectrum(
-                    state.jv, threshold=config.threshold,
-                    max_rank=config.max_rank))
-            except _REJECTABLE:
-                # a failed update leaves the subspace as it was
-                update_errors += 1
-            if it + 1 == burn_in and not ctx.lis.frozen:
-                ctx.lis = freeze(ctx.lis)
+        if ctx.lis is not None:
+            ctx.lis = adaptation_step(it, ctx.lis, config, lambda: local_spectrum(
+                state.jv, threshold=config.threshold, max_rank=config.max_rank))
         record.wall_times[it] = time.perf_counter() - t0
         record.samples[it] = state.u
         record.potentials[it] = state.phi
@@ -330,7 +319,7 @@ def run_chain(model, config):
         record.pde_solves[it] = model.solves() - solves_before
 
     record.meta = meta = {"algorithm": config.algorithm, "h": steps["h"],
-                          "burn_in": burn_in, "seed": config.seed,
+                          "burn_in": config.burn_in, "seed": config.seed,
                           "error_rejects": error_rejects, "nonfinite_rejects": nonfinite_rejects}
     if ctx.lis is not None:
         meta["lis"] = {  # lis.json as written, in this key order
@@ -340,7 +329,7 @@ def run_chain(model, config):
             "r": ctx.lis.r,
             "d_f": ctx.lis.d_f,
             "frozen": ctx.lis.frozen,
-            "update_errors": update_errors,
+            "update_errors": ctx.lis.errors,
         }
         meta["lis_state"] = ctx.lis
     return record

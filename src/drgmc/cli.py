@@ -118,7 +118,8 @@ def cmd_lis_inspect(args):
         return 1
     payload = json.loads(lis_path.read_text())
     print(f"updates m={payload['m']}  rank r={payload['r']}  "
-          f"final d_F={payload['d_f']:.3e}  frozen={payload['frozen']}")
+          f"final d_F={payload['d_f']:.3e}  frozen={payload['frozen']}  "
+          f"update_errors={payload['update_errors']}")
     print("eigenvalues:")
     for i, lam in enumerate(payload["eigenvalues"]):
         print(f"  {i + 1:3d}  {lam:.6e}")

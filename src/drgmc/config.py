@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
@@ -87,7 +87,7 @@ class RunConfig:
             if not isinstance(val, kinds) or isinstance(val, bool) and typ is not bool:
                 bad(key, f"expected {typ.__name__}{' or None' if optional else ''}, "
                          f"got {type(val).__name__} {val!r}")
-            if typ is float and not math.isfinite(val):
+            if typ is float and not abs(val) <= sys.float_info.max:  # nan, inf, huge int
                 bad(key, f"expected a finite float, got {val!r}")
             if isinstance(domain, tuple) and val not in domain:
                 bad(key, f"expected one of {domain}, got {val!r}")

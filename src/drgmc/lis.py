@@ -7,17 +7,18 @@ running estimate (weight m) with the newest local spectrum (weight 1) in the
 coordinates of one Householder QR of both bases, re-diagonalizes, and
 truncates at the global threshold. The Forstner distance between consecutive
 operators I + V Lambda V^T comes from the same coordinates; adaptation stops
-once the distance stalls or the update budget is exhausted.
+once the distance stalls, the update budget is exhausted or burn-in ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd
 
-from .operators import LowRankSpectrum, forstner_pencil, householder_frame
+from .operators import (NUMERICAL_ERRORS, LowRankSpectrum, forstner_pencil,
+                        householder_frame)
 from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it here
 
 
@@ -50,30 +51,24 @@ def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
 
 @dataclass(frozen=True)
 class LISState:
-    """Running global subspace estimate with its adaptation bookkeeping."""
+    """Running global subspace estimate: m local spectra merged, last d_F,
+    whether adaptation stopped, the (m, r, d_F) trail, failed updates."""
 
     spectrum: LowRankSpectrum
-    rho_g: float
-    delta_lis: float
-    m_max: int
-    n_lag: int
     m: int = 0
     d_f: float = float("inf")
     frozen: bool = False
-    history: tuple = field(default_factory=tuple)
+    history: tuple = ()
+    errors: int = 0
 
     @property
     def r(self):
         return self.spectrum.r
 
-    @classmethod
-    def initial(cls, n, rho_g, delta_lis, m_max, n_lag):
-        return cls(LowRankSpectrum.empty(n), rho_g, delta_lis, m_max, n_lag)
 
-
-def _merge_spectra(running, m, local, rho_g):
-    """(m * running + local)/(m + 1) re-diagonalized and cut at rho_g, and
-    d_F from running to it, in the coordinates R of one Householder QR
+def _merge_spectra(running, m, local, threshold):
+    """(m * running + local)/(m + 1) re-diagonalized and cut at threshold,
+    and d_F from running to it, in the coordinates R of one Householder QR
     [V_run, V_loc] = Q R; Q spans both bases even if the stack is rank-
     deficient or wider than tall, its extra directions at eigenvalue 0."""
     frame, R = householder_frame(np.hstack([running.basis, local.basis]))
@@ -84,40 +79,33 @@ def _merge_spectra(running, m, local, rho_g):
     lam, w = lam[::-1], w[:, ::-1]
     if lam.size and lam[-1] < -1e-10:
         raise np.linalg.LinAlgError("merged curvature operator lost positivity")
-    kept = LowRankSpectrum._unchecked(np.clip(lam, 0.0, None), w).truncate(threshold=rho_g)
+    kept = LowRankSpectrum._unchecked(np.clip(lam, 0.0, None), w).truncate(threshold=threshold)
     d_f = forstner_pencil(r_a, running.eigenvalues, kept.basis, kept.eigenvalues)
     return LowRankSpectrum._unchecked(kept.eigenvalues, frame @ kept.basis), d_f
 
 
-def update_lis(state, local_spec):
-    """One accumulation step; returns the new state with d_F refreshed."""
-    if state.frozen:
-        raise ValueError("LIS state is frozen")
-    if state.m >= state.m_max:
-        raise ValueError("LIS update budget exhausted")
-    merged, d_f = _merge_spectra(state.spectrum, state.m, local_spec, state.rho_g)
+def update_lis(state, local_spec, threshold):
+    """Merge one local spectrum into the running estimate, cut at threshold;
+    returns the new state with m, d_F and the history advanced."""
+    merged, d_f = _merge_spectra(state.spectrum, state.m, local_spec, threshold)
     m = state.m + 1
     hist = state.history + ((m, merged.r, d_f),)
     return replace(state, spectrum=merged, m=m, d_f=d_f, history=hist)
 
 
-def adaptation_due(n, state):
-    """Whether iteration n (0-based) should trigger an update."""
-    return (not state.frozen and (n + 1) % state.n_lag == 0
-            and state.m < state.m_max and state.d_f >= state.delta_lis)
-
-
-def adaptation_step(n, state, local_spec_fn):
-    """Apply the scheduled update at iteration n, freezing once the
-    subspace has converged or the budget is spent."""
-    if state.frozen:
+def adaptation_step(it, state, config, local_spec_fn):
+    """The state after iteration it (0-based) of a chain run with config.
+    Every n_lag burn-in iterations local_spec_fn() is merged in; an update
+    that raises a numerical error is counted and changes nothing else. The
+    subspace freezes once m_max is spent, d_F < delta_lis or burn-in ends."""
+    if state.frozen or it >= config.burn_in:
         return state
-    if adaptation_due(n, state):
-        state = update_lis(state, local_spec_fn())
-    if state.m >= state.m_max or state.d_f < state.delta_lis:
+    if (it + 1) % config.n_lag == 0:
+        try:  # called as a module global: bench/layers.py wraps lis.update_lis
+            state = update_lis(state, local_spec_fn(), config.threshold)
+        except NUMERICAL_ERRORS:
+            state = replace(state, errors=state.errors + 1)
+    if (state.m >= config.m_max or state.d_f < config.delta_lis
+            or it + 1 == config.burn_in):
         state = replace(state, frozen=True)
     return state
-
-
-def freeze(state):
-    return replace(state, frozen=True)

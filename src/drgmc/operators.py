@@ -16,6 +16,10 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 
+# what a failed solve or decomposition raises; a chain survives each of them
+NUMERICAL_ERRORS = (FloatingPointError, np.linalg.LinAlgError, OverflowError)
+
+
 class CovarianceOperator:
     """Dense SPD covariance C held only by its symmetric factor S, S @ S = C.
 

@@ -303,16 +303,21 @@ class TestRejectionPath:
                                            "adr-inf-mhmc"])
     def test_failed_lis_update_is_counted(self, algorithm, tmp_path):
         # the kernels hold the (empty) global subspace fixed and never call
-        # the block action; only the burn-in LIS updates do, and they fail
+        # the block action; only the burn-in LIS updates do, and they fail.
+        # At burn_in=40 the second failure is on the last burn-in iteration.
         model = WhitenedModel(CovarianceOperator(np.eye(4)), _BlockFailingState)
-        rec = run_small(model, algorithm, iterations=90, burn_in=45, n_lag=20)
-        lis = rec.meta["lis"]
-        due = sum((it + 1) % 20 == 0 for it in range(45))
-        assert lis["update_errors"] == due == 2
-        assert lis["m"] == 0 and lis["r"] == 0 and lis["frozen"]
-        assert rec.meta["error_rejects"] == 0
+        for burn_in in (45, 40):
+            rec = run_small(model, algorithm, iterations=90, burn_in=burn_in, n_lag=20)
+            lis = rec.meta["lis"]
+            due = sum((it + 1) % 20 == 0 for it in range(burn_in))
+            assert lis["update_errors"] == due == 2
+            assert lis["m"] == 0 and lis["r"] == 0 and lis["frozen"]
+            assert rec.meta["error_rejects"] == 0
         runio.write_lis(tmp_path, rec.meta)
         assert json.loads((tmp_path / "lis.json").read_text())["update_errors"] == 2
+        # without burn-in no update is due and the subspace never freezes
+        lis = run_small(model, algorithm, iterations=90, burn_in=0, n_lag=20).meta["lis"]
+        assert lis["m"] == 0 and lis["frozen"] is False and lis["update_errors"] == 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_other_errors_propagate(self, algorithm):

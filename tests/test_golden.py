@@ -32,17 +32,20 @@ Which arrays a change may rewrite:
   accepts and samples arrays are written back unchanged.
 
 A parent-versus-change check dumps the 16 chains (accepts, pde_solves,
-samples and potentials) from the parent tree and compares the change's
-chains with that dump:
+samples and potentials, and each adaptive chain's meta["lis"] as its
+lis.json text) from the parent tree and compares the change's chains with
+that dump:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python3 tests/test_golden.py --dump parent.npz
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_golden.py --compare parent.npz
 
 --compare prints, per chain, whether accepts and solves are equal, whether
-samples and potentials are bit-identical, and the largest sample gap; it
-exits non-zero when any chain's accepts or solves differ.
+samples and potentials are bit-identical, the largest sample gap and, for
+an adaptive chain, whether its lis.json text is equal; it exits non-zero
+when any chain's accepts, solves or lis.json text differ.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -149,10 +152,18 @@ def regenerate_solves():
     return changed, arrays
 
 
+def _dump_arrays(record):
+    """DUMP_FIELDS of a record, and for an adaptive chain its lis.json text."""
+    arrays = {field: getattr(record, field) for field in DUMP_FIELDS}
+    if "lis" in record.meta:
+        arrays["lis"] = np.array(json.dumps(record.meta["lis"], indent=1))
+    return arrays
+
+
 def dump(path):
-    np.savez_compressed(path, **{_key(name, algorithm, field): getattr(record, field)
+    np.savez_compressed(path, **{_key(name, algorithm, field): array
                                  for name, algorithm, record in records()
-                                 for field in DUMP_FIELDS})
+                                 for field, array in _dump_arrays(record).items()})
 
 
 def _bit_identical(a, b):
@@ -161,25 +172,27 @@ def _bit_identical(a, b):
 
 def compare(path):
     """Print how each chain of this tree compares with a dump; True when
-    every chain's accepts and solves equal the dump's."""
+    every chain's accepts, solves and lis.json text equal the dump's."""
     with np.load(path) as data:
         ref = dict(data)
     all_equal = True
     for name, algorithm, record in records():
-        mine = {field: getattr(record, field) for field in DUMP_FIELDS}
-        theirs = {field: ref[_key(name, algorithm, field)] for field in mine}
+        mine = _dump_arrays(record)
+        theirs = {field: ref.get(_key(name, algorithm, field)) for field in mine}
         accepts, solves = (np.array_equal(mine[f], theirs[f])
                            for f in ("accepts", "pde_solves"))
         samples, potentials = (_bit_identical(mine[f], theirs[f])
                                for f in ("samples", "potentials"))
+        lis = str(mine.get("lis")) == str(theirs.get("lis"))
         gap = (np.max(np.abs(mine["samples"] - theirs["samples"]))
                if mine["samples"].shape == theirs["samples"].shape else np.inf)
         equal = {True: "equal ", False: "DIFFER"}
         bits = {True: "bit-identical", False: "differ       "}
         print(f"{name:9s}{algorithm:14s} accepts {equal[accepts]} solves {equal[solves]} "
               f"samples {bits[samples]} potentials {bits[potentials]} "
-              f"max sample gap {gap:.1e}")
-        all_equal = all_equal and accepts and solves
+              f"max sample gap {gap:.1e}"
+              + (f" lis {equal[lis].strip()}" if "lis" in mine else ""))
+        all_equal = all_equal and accepts and solves and lis
     return all_equal
 
 
@@ -192,7 +205,7 @@ if __name__ == "__main__":
         dump(args[1])
         print(f"wrote {args[1]}")
     elif args[:1] == ["--compare"]:
-        sys.exit(0 if compare(args[1]) else "accepts or solves differ")
+        sys.exit(0 if compare(args[1]) else "accepts, solves or lis.json differ")
     elif args == ["--solves-only"]:
         changed, arrays = regenerate_solves()
         for key, old in changed.items():

@@ -84,6 +84,7 @@ class TestConfig:
         (dict(seed=-1), "config key 'seed': expected an int >= 0, got -1"),
         (dict(data_seed=-1), "config key 'data_seed': expected an int >= 0, got -1"),
         (dict(out_dir=5), "config key 'out_dir': expected str or None, got int"),
+        (dict(snr=10 ** 400), "config key 'snr': expected a finite float, got 1000"),
     ])
     def test_validation_messages(self, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -481,17 +482,19 @@ class TestCli:
         (["--h", "-1"], "config key 'h': expected a float > 0.0, got -1.0"),
         (["--h", "nan"], "config key 'h': expected a finite float, got nan"),
         (["--config", "bad.yaml"], "config key 'delta_lis': expected float, got str"),
+        (["--config", "huge.yaml"], "config key 'snr': expected a finite float, got 1000"),
     ])
     def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
                                                              capsys, argv, match):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         (tmp_path / "bad.yaml").write_text("model: linear-gaussian\ndelta_lis: 1e-5\n")
+        (tmp_path / "huge.yaml").write_text("snr: 1" + "0" * 400 + "\n")  # no float holds it
         assert cli.main(["run", "--model", "linear-gaussian", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(re.escape(match) + ".*\n", captured.err)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "huge.yaml"]
 
     @pytest.mark.parametrize("name", ["missing.yaml", "broken.yaml"])
     def test_unreadable_config_file_is_refused(self, tmp_path, monkeypatch, capsys, name):
@@ -585,6 +588,7 @@ class TestCli:
         assert cli.main(["lis-inspect", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "rank r=" in out and "eigenvalues:" in out
+        assert "update_errors=0" in out
 
     def test_lis_inspect_rejects_non_adaptive(self, tmp_path, capsys):
         record, cfg = tiny_record()

@@ -1,7 +1,5 @@
 """Global subspace accumulation: local spectra, merging, stopping rules."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,22 +11,15 @@ from drgmc.harness import build_elliptic, run_from_config
 from drgmc.lis import (
     LISState,
     _merge_spectra,
-    adaptation_due,
     adaptation_step,
-    freeze,
     local_spectrum,
     update_lis,
 )
 from drgmc.operators import LowRankSpectrum, forstner_distance, randomized_eig
 
 
-def initial_state(n, **schedule):
-    """Empty LIS state on RunConfig's default schedule, with overrides."""
-    cfg = RunConfig()
-    args = dict(rho_g=cfg.threshold, delta_lis=cfg.delta_lis,
-                m_max=cfg.m_max, n_lag=cfg.n_lag)
-    args.update(schedule)
-    return LISState.initial(n, **args)
+def initial_state(n):
+    return LISState(LowRankSpectrum.empty(n))
 
 
 def random_spectrum(n, r, seed=0, scale=6.0):
@@ -204,30 +195,22 @@ class TestMerge:
 
 class TestUpdateLis:
     def test_first_update_installs_truncated_local(self):
-        state = initial_state(12, rho_g=0.05)
+        state = initial_state(12)
         local = random_spectrum(12, 5, seed=8)
-        new = update_lis(state, local)
+        new = update_lis(state, local, 0.05)
         keep = int(np.sum(local.eigenvalues >= 0.05))
         assert new.m == 1 and new.r == keep
         assert len(new.history) == 1
         assert new.history[0][0] == 1
 
     def test_d_f_tracks_change(self):
-        state = initial_state(10, rho_g=1e-9)
+        state = initial_state(10)
         a = random_spectrum(10, 3, seed=9)
-        state = update_lis(state, a)
+        state = update_lis(state, a, 1e-9)
         d1 = state.d_f
-        state = update_lis(state, a)  # same information again
+        state = update_lis(state, a, 1e-9)  # same information again
         assert state.d_f < d1
         assert state.d_f < 1e-6  # average of identical operators is itself
-
-    def test_frozen_and_budget_errors(self):
-        state = initial_state(6)
-        with pytest.raises(ValueError, match="frozen"):
-            update_lis(freeze(state), random_spectrum(6, 2))
-        spent = initial_state(6, m_max=0)
-        with pytest.raises(ValueError, match="budget"):
-            update_lis(spent, random_spectrum(6, 2))
 
 
 def inside_span(spec, r, seed):
@@ -250,10 +233,8 @@ class TestMergeInQRCoordinates:
         (6, 2, random_spectrum(6, 4, seed=24), random_spectrum(6, 4, seed=25)),
     ], ids=["first-update", "local-inside-running", "stack-wider-than-tall"])
     def test_matches_dense_average_and_forstner(self, n, m, running, local):
-        state = initial_state(n, rho_g=self.RHO_G)
-        if running is not None:
-            state = replace(state, spectrum=running, m=m)
-        new = update_lis(state, local)
+        state = initial_state(n) if running is None else LISState(running, m=m)
+        new = update_lis(state, local, self.RHO_G)
         dense = (m * dense_of(state.spectrum, n) + dense_of(local, n)) / (m + 1)
         lam_ref, Q = np.linalg.eigh(dense)
         keep = lam_ref >= self.RHO_G
@@ -271,13 +252,13 @@ class TestMergeInQRCoordinates:
     def test_merge_calls_no_svd(self, monkeypatch):
         # desk-sized bases: 441 rows, the rank range the adaptive chains reach
         running, local = random_spectrum(441, 25, seed=26), random_spectrum(441, 30, seed=27)
-        state = replace(initial_state(441, rho_g=self.RHO_G), spectrum=running, m=2)
+        state = LISState(running, m=2)
 
         def no_svd(*args, **kwargs):
             raise AssertionError("the LIS merge called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        new = update_lis(state, local)
+        new = update_lis(state, local, self.RHO_G)
         assert new.r == 55 and np.isfinite(new.d_f)
         assert np.allclose(new.spectrum.basis.T @ new.spectrum.basis, np.eye(55), atol=1e-12)
 
@@ -300,34 +281,67 @@ class TestMergeInQRCoordinates:
 
 class TestAdaptationSchedule:
     def test_due_on_lag_boundaries_only(self):
-        state = initial_state(6, n_lag=10)
-        due = [n for n in range(35) if adaptation_due(n, state)]
-        assert due == [9, 19, 29]
+        cfg, state, due = RunConfig(n_lag=10), initial_state(6), []
 
-    def test_not_due_when_frozen_or_converged(self):
-        state = initial_state(6, n_lag=5)
-        assert not adaptation_due(4, freeze(state))
-        from dataclasses import replace
-        assert not adaptation_due(4, replace(state, d_f=1e-9, delta_lis=1e-5))
+        def spec_fn():
+            due.append(it)
+            return random_spectrum(6, 2, seed=it)
+
+        for it in range(35):
+            state = adaptation_step(it, state, cfg, spec_fn)
+        assert due == [9, 19, 29]
+        assert state.m == 3 and not state.frozen
+
+    def test_no_update_when_frozen_or_after_burn_in(self):
+        cfg = RunConfig(n_lag=5, burn_in=10, iterations=30)
+
+        def spec_fn():
+            raise AssertionError("an update was made")
+
+        frozen = LISState(LowRankSpectrum.empty(6), frozen=True)
+        assert adaptation_step(4, frozen, cfg, spec_fn) is frozen
+        state = initial_state(6)
+        for it in (10, 14, 19, 29):
+            assert adaptation_step(it, state, cfg, spec_fn) is state
 
     def test_step_freezes_on_budget(self):
-        state = initial_state(8, n_lag=1, m_max=2, delta_lis=0.0)
+        cfg = RunConfig(n_lag=1, m_max=2)
+        state = initial_state(8)
         calls = iter(range(100))
         spec_fn = lambda: random_spectrum(8, 3, seed=next(calls))
-        state = adaptation_step(0, state, spec_fn)
+        state = adaptation_step(0, state, cfg, spec_fn)
         assert state.m == 1 and not state.frozen
-        state = adaptation_step(1, state, spec_fn)
+        state = adaptation_step(1, state, cfg, spec_fn)
         assert state.m == 2 and state.frozen
         # frozen states pass through untouched
-        assert adaptation_step(2, state, spec_fn) is state
+        assert adaptation_step(2, state, cfg, spec_fn) is state
 
     def test_step_freezes_on_stall(self):
-        state = initial_state(8, n_lag=1, delta_lis=1e-5)
+        cfg = RunConfig(n_lag=1, delta_lis=1e-5)
+        state = initial_state(8)
         a = random_spectrum(8, 3, seed=11)
-        state = adaptation_step(0, state, lambda: a)
+        state = adaptation_step(0, state, cfg, lambda: a)
         for n in range(1, 6):
-            state = adaptation_step(n, state, lambda: a)
+            state = adaptation_step(n, state, cfg, lambda: a)
             if state.frozen:
                 break
         assert state.frozen
         assert state.d_f < 1e-5
+
+    @pytest.mark.parametrize("last", ["merged", "failed"])
+    def test_step_freezes_at_end_of_burn_in(self, last):
+        # the update due on the last burn-in iteration merges or fails;
+        # either way the subspace freezes there
+        cfg = RunConfig(n_lag=4, burn_in=8, iterations=20)
+
+        def spec_fn():
+            if it == 7 and last == "failed":
+                raise FloatingPointError("synthetic failure")
+            return random_spectrum(8, 3, seed=it)
+
+        state = initial_state(8)
+        for it in range(8):
+            state = adaptation_step(it, state, cfg, spec_fn)
+            assert state.frozen == (it == 7)
+        assert (state.m, state.errors) == ((2, 0) if last == "merged" else (1, 1))
+        assert len(state.history) == state.m

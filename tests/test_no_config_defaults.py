@@ -15,8 +15,7 @@ from drgmc.config import RunConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "drgmc"
 MODULES = ("chain.py", "lis.py", "harness.py", "cli.py")
-# RunConfig's keys, and rho_g, LISState's name for threshold
-KEYS = {f.name for f in fields(RunConfig)} | {"rho_g"}
+KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _is_value(node):
