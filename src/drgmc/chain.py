@@ -82,10 +82,10 @@ class WhitenedState:
 
 
 class WhitenedModel:
-    """cov: prior CovarianceOperator; state_factory(u) -> u-space state with
-    phi (data misfit), grad (its u-gradient) and jac (the m x n Jacobian
-    whose Gram matrix J^T J is the Gauss-Newton Hessian); counter: optional
-    solve counter to snapshot."""
+    """cov: prior CovarianceOperator; state_factory(u) -> the model's one
+    state at u, caching phi (data misfit), grad (its u-gradient) and jac (the
+    m x n Jacobian whose Gram matrix J^T J is the Gauss-Newton Hessian);
+    counter: optional solve counter to snapshot."""
 
     def __init__(self, cov, state_factory, counter=None):
         self.cov = cov

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -76,28 +77,23 @@ class RunConfig:
     out_dir: str | None = field(default=None, metadata={"domain": None})
 
     def __post_init__(self):
-        def bad(key, msg):
-            raise ValueError(f"config key '{key}': {msg}")
-
         for key, (typ, optional, domain) in KEYS.items():
             val = getattr(self, key)
             if val is None and optional:
                 continue
             kinds = (int, float) if typ is float else typ
             if not isinstance(val, kinds) or isinstance(val, bool) and typ is not bool:
-                bad(key, f"expected {typ.__name__}{' or None' if optional else ''}, "
-                         f"got {type(val).__name__} {val!r}")
+                _refuse(key, typ.__name__ + (" or None" if optional else ""), val, typed=True)
             if typ is float and not abs(val) <= sys.float_info.max:  # nan, inf, huge int
-                bad(key, f"expected a finite float, got {val!r}")
+                _refuse(key, "a finite float", val)
             if isinstance(domain, tuple) and val not in domain:
-                bad(key, f"expected one of {domain}, got {val!r}")
+                _refuse(key, f"one of {domain}", val)
             if typ is int and isinstance(domain, int) and val < domain:
-                bad(key, f"expected an int >= {domain}, got {val!r}")
+                _refuse(key, f"an int >= {domain}", val)
             if typ is float and val <= domain:
-                bad(key, f"expected a float > {domain}, got {val!r}")
+                _refuse(key, f"a float > {domain}", val)
         if self.iterations <= self.burn_in:
-            bad("iterations", f"expected more than burn_in ({self.burn_in}), "
-                              f"got {self.iterations}")
+            _refuse("iterations", f"more than burn_in ({self.burn_in})", self.iterations)
 
     def resolved_steps(self):
         """The step sizes and leapfrog count a chain runs with: set fields
@@ -126,6 +122,18 @@ KEYS = {f.name: ((typing.get_args(hint) or (hint,))[0], type(None) in typing.get
         for f, hint in zip(fields(RunConfig), typing.get_type_hints(RunConfig).values())}
 
 
+def _refuse(key, expected, val, typed=False):
+    """Raise the one-line refusal of a config value. It shows an int of more
+    than 20 digits by its digit count (its repr is long, and past 4300
+    digits raises), anything else by its repr, after its type name if typed."""
+    if isinstance(val, int) and abs(val) >= 10 ** 20:
+        k = int(abs(val).bit_length() * math.log10(2))  # the count is k or k + 1
+        shown = f"an int of {k + (abs(val) >= 10 ** k)} digits"
+    else:
+        shown = f"{type(val).__name__} {val!r}" if typed else repr(val)
+    raise ValueError(f"config key '{key}': expected {expected}, got {shown}")
+
+
 def dict_hash(data):  # RunConfig.hash() from the dict its to_dict() gives
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -140,7 +148,10 @@ def from_dict(data):
 
 def from_yaml(path):
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except ValueError as exc:  # e.g. PyYAML's int() of more than 4300 digits
+            raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a mapping at top level")
     return from_dict(data)

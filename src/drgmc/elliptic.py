@@ -14,18 +14,19 @@ observations are bilinear interpolants of p at 25 interior sensors, held
 as one dense m x n observation matrix O: the readings O p, the adjoint
 source O^T r and the Jacobian's sensor sources (the rows of O) all read it.
 
-The potential is the Gaussian data misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2.
-Its gradient comes from one adjoint solve against the exact discrete
-system. Curvature comes from the m x n Jacobian J = O (dp/du) / sigma of
-the m sensors: M = A^+ O^T costs one solve per sensor, once per state, and
-the Gauss-Newton Hessian is J^T J. All solves reuse the factorization
-cached at u, and a shared counter tallies every one so runs can report
-PDE-solution counts.
+The model state at u is one object, the ForwardSolveResult that
+assemble_and_solve(u, problem) returns with p solved. Its phi is the data
+misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2, its grad takes one adjoint
+solve, and its jac, the m x n Jacobian J = O (dp/du) / sigma of the m
+sensors, one solve per sensor (M = A^+ O^T); the Gauss-Newton Hessian is
+J^T J. Each is formed once and every solve reuses the state's
+factorization; problem.solves.count tallies the solves of every state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,15 +133,6 @@ def _observation_matrix(mesh, sensors):
     return O
 
 
-class SolveCounter:
-    """Counts linear solves with the grounded stiffness operator."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
 @dataclass
 class EllipticProblem:
     mesh: Mesh2D
@@ -148,7 +140,7 @@ class EllipticProblem:
     sensors: np.ndarray
     sigma_eta: float = 0.0
     y: np.ndarray | None = None
-    solves: SolveCounter = field(default_factory=SolveCounter)
+    solves: SimpleNamespace = field(default_factory=lambda: SimpleNamespace(count=0))
 
     def __post_init__(self):
         self.forcing = np.asarray(self.forcing, dtype=float)
@@ -183,34 +175,55 @@ def make_problem(mesh, sensors=None):
 
 
 class ForwardSolveResult:
-    """Banded Cholesky factor chol of the grounded stiffness at u (LAPACK
-    lower band storage, kd = nx + 1) with the forward solution p (zero mean,
-    one counted solve), the per-edge transmissivities, their u-derivative
-    coefficients and potential drops that the adjoint and Jacobian
-    assemblies reuse, and the m x n Jacobian jac once formed."""
+    """The model state at u: the banded Cholesky factor chol of the grounded
+    stiffness (LAPACK lower band storage, kd = nx + 1), the zero-mean forward
+    solution p, the per-edge transmissivities, their u-derivative
+    coefficients and potential drops that the adjoint and Jacobian reuse,
+    and phi, grad and jac, each formed on its first read."""
 
-    __slots__ = ("p", "chol", "t", "ca", "cb", "dpe", "jac", "_problem")
+    __slots__ = ("u", "p", "chol", "t", "ca", "cb", "dpe", "problem",
+                 "_phi", "_grad", "_jac")
 
-    def __init__(self, chol, t, ca, cb, problem):
+    def __init__(self, u, chol, t, ca, cb, problem):
+        self.u = u
         self.chol = chol
         self.t = t
         self.ca = ca
         self.cb = cb
-        self.jac = None
-        self._problem = problem
+        self.problem = problem
+        self._phi = self._grad = self._jac = None
         self.p = self.solve(problem.b)
         self.dpe = self.p[problem._ea] - self.p[problem._eb]  # G p, drop along each edge
 
     def solve(self, rhs):
         """Zero-mean pseudo-inverse solution for a nodal right-hand side, whose
         zero-sum projection is solved with node 0 grounded; counts one solve."""
-        self._problem.solves.count += 1
+        self.problem.solves.count += 1
         n = len(rhs)
         x = np.empty(n)
         x[0] = 0.0
         x[1:], _ = dpbtrs(self.chol, rhs[1:] - rhs.sum() / n, lower=1)
         x -= x.sum() / n
         return x
+
+    @property
+    def phi(self):
+        if self._phi is None:
+            res = self.problem.O @ self.p - self.problem.y
+            self._phi = 0.5 * float(res @ res) / self.problem.sigma_eta ** 2
+        return self._phi
+
+    @property
+    def grad(self):
+        if self._grad is None:  # gradient, jacobian: module globals, wrappers see each call
+            self._grad = gradient(self)
+        return self._grad
+
+    @property
+    def jac(self):
+        if self._jac is None:
+            self._jac = jacobian(self)
+        return self._jac
 
 
 def assemble_and_solve(u, problem):
@@ -239,26 +252,23 @@ def assemble_and_solve(u, problem):
     # dt/du at each endpoint, chain rule through the harmonic mean and exp(u)
     ca = t * kb / (ka + kb)
     cb = t * ka / (ka + kb)
-    return ForwardSolveResult(chol, t, ca, cb, problem)
-
-
-def observe(result, problem):
-    return problem.O @ result.p
+    return ForwardSolveResult(u, chol, t, ca, cb, problem)
 
 
 def generate_data(u_true, problem, snr, seed):
     """Observe the true field and add N(0, sigma^2 I) noise, sigma = max(u)/snr.
 
-    snr = inf is the noiseless flag: y = O p(u_true) exactly and sigma_eta is
-    left untouched. Records (y, sigma_eta) on the problem.
+    snr = inf is the noiseless flag: y = O p(u_true) exactly and sigma_eta =
+    inf, which switches the likelihood off (phi and grad are 0). Records (y,
+    sigma_eta) on the problem.
     """
     u_true = np.asarray(u_true, dtype=float)
     umax = float(np.max(u_true))
     if umax <= 0:
         raise ValueError("SNR undefined: max of the true field is not positive")
-    g = observe(assemble_and_solve(u_true, problem), problem)
+    g = problem.O @ assemble_and_solve(u_true, problem).p
     if np.isinf(snr):
-        problem.y = g.copy()
+        problem.sigma_eta, problem.y = float("inf"), g
         return problem.y
     if snr <= 0:
         raise ValueError("snr must be positive")
@@ -271,96 +281,47 @@ def generate_data(u_true, problem, snr, seed):
 
 def attach_data(problem, y, sigma_eta):
     """Install externally generated data (e.g. reused across meshes)."""
-    if sigma_eta <= 0:
-        raise ValueError("sigma_eta must be positive")
-    problem.y = np.asarray(y, dtype=float)
+    if not sigma_eta > 0:  # also refuses nan
+        raise ValueError(f"sigma_eta must be positive, got {sigma_eta!r}")
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(problem.sensors),):
+        raise ValueError(f"y must hold one reading per sensor, got shape {y.shape}")
+    problem.y = y
     problem.sigma_eta = float(sigma_eta)
 
 
-def potential(u, problem, result=None):
-    if result is None:
-        result = assemble_and_solve(u, problem)
-    res = observe(result, problem) - problem.y
-    return 0.5 * float(res @ res) / problem.sigma_eta ** 2
-
-
-def _chain_rule_assemble(problem, result, q):
+def _chain_rule_assemble(problem, state, q):
     """Entries -q^T (dA/du_k) p for a nodal vector q or for each column of an
     n x k block; shared by gradient and Jacobian. A vector's edge terms are
     scattered by bincount, a block's by the sparse incidences."""
     ea, eb = problem._ea, problem._eb
     if q.ndim == 1:
-        s = result.dpe * (q[ea] - q[eb])
-        return -(np.bincount(ea, result.ca * s, problem.n)
-                 + np.bincount(eb, result.cb * s, problem.n))
-    s = result.dpe[:, None] * (q.take(ea, axis=0) - q.take(eb, axis=0))
-    return -(problem._to_a @ (result.ca[:, None] * s)
-             + problem._to_b @ (result.cb[:, None] * s))
+        s = state.dpe * (q[ea] - q[eb])
+        return -(np.bincount(ea, state.ca * s, problem.n)
+                 + np.bincount(eb, state.cb * s, problem.n))
+    s = state.dpe[:, None] * (q.take(ea, axis=0) - q.take(eb, axis=0))
+    return -(problem._to_a @ (state.ca[:, None] * s)
+             + problem._to_b @ (state.cb[:, None] * s))
 
 
-def gradient(u, problem, result=None):
-    """grad Phi(u) via one adjoint solve against the cached factorization."""
-    if result is None:
-        result = assemble_and_solve(u, problem)
-    res = observe(result, problem) - problem.y
-    q = result.solve(problem.O.T @ (res / problem.sigma_eta ** 2))
-    return _chain_rule_assemble(problem, result, q)
+def gradient(state):
+    """grad Phi(u) via one adjoint solve against the state's factorization."""
+    problem = state.problem
+    res = problem.O @ state.p - problem.y
+    q = state.solve(problem.O.T @ (res / problem.sigma_eta ** 2))
+    return _chain_rule_assemble(problem, state, q)
 
 
-def jacobian(u, problem, result=None):
+def jacobian(state):
     """m x n Jacobian J = O (dp/du) / sigma of the sensor readings, formed
-    from M = A^+ O^T (one solve per sensor) on the first request at u and
-    cached on the result: A^+ is symmetric, so J[i, k] = -M[:, i]^T
-    (dA/du_k) p / sigma."""
-    if result is None:
-        result = assemble_and_solve(u, problem)
-    if result.jac is None:
-        M = np.column_stack([result.solve(c) for c in problem.O])
-        result.jac = (_chain_rule_assemble(problem, result, M) / problem.sigma_eta).T
-    return result.jac
+    from M = A^+ O^T, one solve per sensor: A^+ is symmetric, so J[i, k] =
+    -M[:, i]^T (dA/du_k) p / sigma."""
+    problem = state.problem
+    M = np.column_stack([state.solve(c) for c in problem.O])
+    return (_chain_rule_assemble(problem, state, M) / problem.sigma_eta).T
 
 
-def gnh_action(u, w, problem, result=None):
+def gnh_action(state, w):
     """Gauss-Newton Hessian J^T (J w) on a vector or an n x k block."""
-    J = jacobian(u, problem, result)
+    J = state.jac
     return J.T @ (J @ w)
-
-
-class EllipticState:
-    """Per-state cache: shares one factorization across Phi, gradient and
-    Jacobian."""
-
-    __slots__ = ("u", "_problem", "_result", "_phi", "_grad")
-
-    def __init__(self, problem, u):
-        self._problem = problem
-        self.u = np.asarray(u, dtype=float)
-        self._result = None
-        self._phi = None
-        self._grad = None
-
-    @property
-    def result(self):
-        if self._result is None:
-            self._result = assemble_and_solve(self.u, self._problem)
-        return self._result
-
-    @property
-    def phi(self):
-        if self._phi is None:
-            self._phi = potential(self.u, self._problem, self.result)
-        return self._phi
-
-    @property
-    def grad(self):
-        if self._grad is None:
-            self._grad = gradient(self.u, self._problem, self.result)
-        return self._grad
-
-    @property
-    def jac(self):
-        return jacobian(self.u, self._problem, self.result)
-
-
-def make_state(problem, u):
-    return EllipticState(problem, u)

@@ -25,11 +25,9 @@ def build_elliptic(config, data=None):
     else:
         snr = float("inf") if config.noiseless else config.snr
         elliptic.generate_data(u_true, problem, snr, config.data_seed)
-        if config.noiseless:
-            # likelihood off: flat target, solves still counted
-            problem.sigma_eta = float("inf")
     cov = build_prior_covariance(mesh.nodes, config.sigma_u, config.s_0)
-    model = WhitenedModel(cov, lambda u: elliptic.make_state(problem, u),
+    # looked up at call time, so a wrapper on elliptic.assemble_and_solve sees each call
+    model = WhitenedModel(cov, lambda u: elliptic.assemble_and_solve(u, problem),
                           counter=problem.solves)
     return model, {"problem": problem, "mesh": mesh, "u_true": u_true, "cov": cov}
 

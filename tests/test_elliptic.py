@@ -5,7 +5,7 @@ import pytest
 
 from drgmc import elliptic
 from drgmc.config import RunConfig
-from drgmc.harness import build_elliptic
+from drgmc.harness import build_elliptic, build_model, run_from_config
 
 from _dense_reference import loop_cell_areas, loop_edge_arrays, loop_observation_matrix
 
@@ -113,8 +113,7 @@ class TestForwardSolve:
             mesh = elliptic.Mesh2D(k, k)
             problem = elliptic.make_problem(mesh)
             u = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
-            res = elliptic.assemble_and_solve(u, problem)
-            obs[k] = elliptic.observe(res, problem)
+            obs[k] = problem.O @ elliptic.assemble_and_solve(u, problem).p
         scale = np.abs(obs[48]).max()
         d_coarse = np.abs(obs[8] - obs[48]).max() / scale
         d_fine = np.abs(obs[16] - obs[48]).max() / scale
@@ -152,17 +151,32 @@ class TestData:
         assert not np.array_equal(p1.y, p3.y)
 
     def test_noiseless(self):
+        # snr = inf switches the likelihood off: a flat target, not a
+        # ZeroDivisionError that the chain would not catch
         mesh = elliptic.Mesh2D(6, 6)
         problem = elliptic.make_problem(mesh)
         u_true = elliptic.true_field(mesh)
         y = elliptic.generate_data(u_true, problem, float("inf"), 0)
-        res = elliptic.assemble_and_solve(u_true, problem)
-        assert np.array_equal(y, elliptic.observe(res, problem))
+        assert problem.sigma_eta == float("inf")
+        state = elliptic.assemble_and_solve(u_true, problem)
+        assert np.array_equal(y, problem.O @ state.p)
+        u = 0.3 * np.random.default_rng(0).standard_normal(problem.n)
+        for state in (state, elliptic.assemble_and_solve(u, problem)):
+            assert state.phi == 0.0
+            assert not state.grad.any()
 
     def test_attach_data_validation(self):
+        # a length-1 y would broadcast into a wrong phi, a nan sigma into a nan one
         mesh, problem, _ = small_problem(6)
-        with pytest.raises(ValueError, match="sigma_eta"):
-            elliptic.attach_data(problem, problem.y, 0.0)
+        y, sigma = problem.y, problem.sigma_eta
+        for bad_y, bad_sigma, match in ((y, 0.0, "sigma_eta"),
+                                        (y, float("nan"), "sigma_eta"),
+                                        (y[:1], sigma, "one reading per sensor"),
+                                        (y[:-1], sigma, "one reading per sensor"),
+                                        (y[:, None], sigma, "one reading per sensor")):
+            with pytest.raises(ValueError, match=match):
+                elliptic.attach_data(problem, bad_y, bad_sigma)
+            assert problem.y is y and problem.sigma_eta == sigma
 
 
 class TestAdjointCalculus:
@@ -171,14 +185,14 @@ class TestAdjointCalculus:
             mesh, problem, _ = small_problem(k)
             rng = np.random.default_rng(1)
             u = 0.3 * rng.standard_normal(problem.n)
-            g = elliptic.gradient(u, problem)
+            g = elliptic.assemble_and_solve(u, problem).grad
             t = 1e-5
             worst = 0.0
             for _ in range(directions):
                 w = rng.standard_normal(problem.n)
                 w /= np.linalg.norm(w)
-                fd = (elliptic.potential(u + t * w, problem)
-                      - elliptic.potential(u - t * w, problem)) / (2 * t)
+                fd = (elliptic.assemble_and_solve(u + t * w, problem).phi
+                      - elliptic.assemble_and_solve(u - t * w, problem).phi) / (2 * t)
                 worst = max(worst, abs(fd - g @ w) / max(abs(fd), 1e-12))
             assert worst < 1e-4, f"{k}x{k}: relative error {worst:.2e}"
 
@@ -193,7 +207,7 @@ class TestAdjointCalculus:
         u = 0.2 * rng.standard_normal(problem.n)
 
         def gobs(uu):
-            return elliptic.observe(elliptic.assemble_and_solve(uu, problem), problem)
+            return problem.O @ elliptic.assemble_and_solve(uu, problem).p
 
         t = 1e-5
         J = np.zeros((len(problem.sensors), problem.n))
@@ -202,9 +216,10 @@ class TestAdjointCalculus:
             e[k] = t
             J[:, k] = (gobs(u + e) - gobs(u - e)) / (2 * t)
         H_dense = J.T @ J / problem.sigma_eta ** 2
+        state = elliptic.assemble_and_solve(u, problem)
         for _ in range(5):
             w = rng.standard_normal(problem.n)
-            hw = elliptic.gnh_action(u, w, problem)
+            hw = elliptic.gnh_action(state, w)
             assert np.allclose(hw, H_dense @ w, rtol=2e-4, atol=1e-7 * np.abs(H_dense @ w).max())
 
     def test_gnh_symmetric_psd_rank_bounded(self):
@@ -214,13 +229,12 @@ class TestAdjointCalculus:
             u = 0.3 * rng.standard_normal(problem.n)
             res = elliptic.assemble_and_solve(u, problem)
             W = rng.standard_normal((problem.n, 8))
-            HW = np.column_stack([elliptic.gnh_action(u, W[:, j], problem, res)
-                                  for j in range(8)])
+            HW = np.column_stack([elliptic.gnh_action(res, W[:, j]) for j in range(8)])
             G = W.T @ HW
             assert np.abs(G - G.T).max() < 1e-9 * max(np.abs(G).max(), 1.0)
             assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > -1e-10
             # GNH factors through 25 observations, so its rank cannot exceed 25
-            H_dense = np.column_stack([elliptic.gnh_action(u, col, problem, res)
+            H_dense = np.column_stack([elliptic.gnh_action(res, col)
                                        for col in np.eye(problem.n)])
             lam = np.linalg.eigvalsh(0.5 * (H_dense + H_dense.T))
             assert np.sum(lam > 1e-10 * lam.max()) <= 25
@@ -231,9 +245,8 @@ class TestAdjointCalculus:
         u = 0.3 * rng.standard_normal(problem.n)
         res = elliptic.assemble_and_solve(u, problem)
         W = rng.standard_normal((problem.n, 7))
-        cols = np.column_stack([elliptic.gnh_action(u, W[:, j], problem, res)
-                                for j in range(7)])
-        block = elliptic.gnh_action(u, W, problem, res)
+        cols = np.column_stack([elliptic.gnh_action(res, W[:, j]) for j in range(7)])
+        block = elliptic.gnh_action(res, W)
         assert block.shape == W.shape
         assert np.abs(block - cols).max() <= 1e-12 * np.abs(cols).max()
 
@@ -266,7 +279,7 @@ class TestAdjointCalculus:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         w = rng.standard_normal(problem.n)
         ref = gnh_ref(w)
-        got = elliptic.gnh_action(u, w, problem, res)
+        got = elliptic.gnh_action(res, w)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -274,16 +287,20 @@ class TestSolveAccounting:
     def test_unit_costs(self):
         mesh, problem, _ = small_problem(6)
         problem.solves.count = 0
-        state = elliptic.make_state(problem, np.zeros(problem.n))
-        assert problem.solves.count == 0  # lazy until something is requested
+        state = elliptic.assemble_and_solve(np.zeros(problem.n), problem)
+        assert problem.solves.count == 1  # construction costs one forward solve
         state.phi
-        assert problem.solves.count == 1  # one forward solve
+        assert problem.solves.count == 1  # phi reads the forward solution
         state.phi
         assert problem.solves.count == 1  # cached
         state.grad
         assert problem.solves.count == 2  # one adjoint against the same factorization
+        state.grad
+        assert problem.solves.count == 2  # cached
         state.jac
         assert problem.solves.count == 2 + len(problem.sensors)  # one per sensor
+        state.jac
+        assert problem.solves.count == 2 + len(problem.sensors)  # cached
 
     def test_jacobian_costs_one_solve_per_sensor_once(self, monkeypatch):
         # a chain state's first curvature request forms J with one solve per
@@ -311,5 +328,29 @@ class TestSolveAccounting:
         assert set(calls) == {(problem.n,)}
         for w in (rng.standard_normal((problem.n, 7)), rng.standard_normal(problem.n)):
             state.gnh_action(w)
-        elliptic.gnh_action(state.u, np.ones(problem.n), problem, state.ustate.result)
+        elliptic.gnh_action(state.ustate, np.ones(problem.n))
         assert problem.solves.count - before == len(calls) == m
+
+    def test_traced_names_are_looked_up_at_call_time(self, monkeypatch):
+        # the traced bench wraps these three names after the model is built;
+        # a factory or property that bound them early would hide every call
+        # from its wrappers and silently zero the traced layers
+        config = RunConfig(model="elliptic", nx=6, ny=6, algorithm="inf-mala",
+                           iterations=20, burn_in=5, seed=1)
+        model, extras = build_model(config)
+        problem = extras["problem"]
+        calls = {"assemble_and_solve": 0, "gradient": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for owner, name in ((elliptic, "assemble_and_solve"), (elliptic, "gradient"),
+                            (elliptic.ForwardSolveResult, "solve")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        before = problem.solves.count
+        record = run_from_config(config, model=model)
+        assert calls["assemble_and_solve"] == calls["gradient"] == config.iterations + 1
+        assert calls["solve"] == problem.solves.count - before == record.pde_solves[-1]

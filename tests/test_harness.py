@@ -84,7 +84,16 @@ class TestConfig:
         (dict(seed=-1), "config key 'seed': expected an int >= 0, got -1"),
         (dict(data_seed=-1), "config key 'data_seed': expected an int >= 0, got -1"),
         (dict(out_dir=5), "config key 'out_dir': expected str or None, got int"),
-        (dict(snr=10 ** 400), "config key 'snr': expected a finite float, got 1000"),
+        (dict(snr=10 ** 400),
+         "config key 'snr': expected a finite float, got an int of 401 digits"),
+        # an int of more than 20 digits is shown by its digit count, which
+        # is also all a refusal can show of one past Python's 4300-digit repr
+        (dict(seed=-10 ** 400), "config key 'seed': expected an int >= 0, got an int of 401"),
+        (dict(gamma_r=10 ** 20),
+         r"config key 'gamma_r': expected one of \(0, 1\), got an int of 21 digits"),
+        (dict(model=10 ** 5000), "config key 'model': expected str, got an int of 5001 digits"),
+        (dict(h=-10 ** 20), "config key 'h': expected a float > 0.0, got an int of 21 digits"),
+        (dict(h=1 - 10 ** 20), "config key 'h': expected a float > 0.0, got -9999999999999999"),
     ])
     def test_validation_messages(self, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -482,7 +491,10 @@ class TestCli:
         (["--h", "-1"], "config key 'h': expected a float > 0.0, got -1.0"),
         (["--h", "nan"], "config key 'h': expected a finite float, got nan"),
         (["--config", "bad.yaml"], "config key 'delta_lis': expected float, got str"),
-        (["--config", "huge.yaml"], "config key 'snr': expected a finite float, got 1000"),
+        (["--config", "huge.yaml"],
+         "config key 'snr': expected a finite float, got an int of 401 digits"),
+        (["--config", "huger.yaml"],
+         "config file huger.yaml: Exceeds the limit (4300 digits) for integer string"),
     ])
     def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
                                                              capsys, argv, match):
@@ -490,11 +502,25 @@ class TestCli:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         (tmp_path / "bad.yaml").write_text("model: linear-gaussian\ndelta_lis: 1e-5\n")
         (tmp_path / "huge.yaml").write_text("snr: 1" + "0" * 400 + "\n")  # no float holds it
+        # PyYAML's int() refuses more than 4300 digits before any key is read
+        (tmp_path / "huger.yaml").write_text("snr: 1" + "0" * 5000 + "\n")
         assert cli.main(["run", "--model", "linear-gaussian", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(re.escape(match) + ".*\n", captured.err)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "huge.yaml"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "huge.yaml",
+                                                              "huger.yaml"]
+
+    def test_noiseless_elliptic_pcn_accepts_every_proposal(self, tmp_path, capsys):
+        # a flat target: phi = 0 at every state, so pCN's ratio is exactly 1
+        out = tmp_path / "run"
+        assert cli.main(["run", "--model", "elliptic", "--algorithm", "pcn",
+                         "--noiseless", "--nx", "6", "--ny", "6", "--iterations", "40",
+                         "--burn-in", "10", "--h", "0.5", "--out", str(out)]) == 0
+        record, _ = runio.load_record(out)
+        assert record.accepts.all()
+        assert not record.potentials.any()
+        assert record.meta["error_rejects"] == record.meta["nonfinite_rejects"] == 0
 
     @pytest.mark.parametrize("name", ["missing.yaml", "broken.yaml"])
     def test_unreadable_config_file_is_refused(self, tmp_path, monkeypatch, capsys, name):
