@@ -5,9 +5,9 @@ manifold HMC) with low-rank curvature, a self-contained elliptic PDE
 inverse problem, and the diagnostics to compare them.
 """
 
-from .acceptance import (AcceptDecision, decide, dili_exact_log_ratio,
-                         dr_mhmc_delta_E, dr_mmala_log_ratio,
-                         inf_mala_log_ratio, log_lambda, pcn_log_ratio)
+from .acceptance import (decide, dili_exact_log_ratio, dr_mhmc_delta_E,
+                         dr_mmala_log_ratio, inf_mala_log_ratio, log_lambda,
+                         pcn_log_ratio)
 from .chain import ALGORITHMS, WhitenedModel, run_chain
 from .config import RunConfig, from_dict, from_yaml, to_yaml
 from .diagnostics import ChainRecord, ess, ess_per_coordinate, summary_table

@@ -20,27 +20,17 @@ The acceptance ratio is then [Phi(v) - Phi(v')] + log lambda(w*_rev; v')
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .proposals import reduced_ngrad
 
 
-@dataclass(frozen=True)
-class AcceptDecision:
-    log_ratio: float
-    accept: bool
-    uniform_draw: float
-
-
 def decide(log_ratio, rng):
-    u = 1.0 - rng.random()  # in (0, 1], so log is finite
-    lr = float(log_ratio)
-    if math.isnan(lr):
-        lr = float("-inf")
-    accept = math.log(u) < min(0.0, lr)
-    return AcceptDecision(lr, bool(accept), float(u))
+    """Accept iff log u < min(0, log_ratio) for one draw u in (0, 1]. Every
+    call makes the draw; a NaN ratio compares false, so it is rejected."""
+    log_u = math.log(1.0 - rng.random())  # u in (0, 1], so log_u is finite
+    return log_u < 0.0 and log_u < float(log_ratio)
 
 
 def pcn_log_ratio(phi_old, phi_new):

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acceptance import (AcceptDecision, decide, dili_exact_log_ratio,
-                         dr_mhmc_delta_E, dr_mmala_log_ratio,
-                         inf_mala_log_ratio, pcn_log_ratio)
+from .acceptance import (decide, dili_exact_log_ratio, dr_mhmc_delta_E,
+                         dr_mmala_log_ratio, inf_mala_log_ratio,
+                         pcn_log_ratio)
 from .diagnostics import COLUMNS, ChainRecord
 from .lis import LISState, adaptation_step, local_spectrum
 from .operators import NUMERICAL_ERRORS, LowRankSpectrum
@@ -38,6 +38,8 @@ from .proposals import (StepParams, dili_operators, dili_propose,
 
 ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
 HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
+# what one Metropolis-Hastings step did with its candidate
+ACCEPTED, REJECTED, ERROR, NONFINITE = range(4)
 
 
 class WhitenedState:
@@ -131,10 +133,6 @@ class KernelContext:
     last_spec: tuple = (None, None)
 
 
-_REJECTED = AcceptDecision(float("-inf"), False, 1.0)
-_NONFINITE = AcceptDecision(float("nan"), False, 1.0)
-
-
 def _ensure_spec(ctx, state):
     """The state's rank-mode spectrum, decomposed only when its whitened
     Jacobian is not the array the chain decomposed last."""
@@ -224,7 +222,6 @@ def _dr_mhmc(ctx, state):
     out = dr_mhmc_propose(state.v, spec_v, params, grad_fn, ctx.rng,
                           spec_fn=spec_fn)
     cand = ensure(out.v_prime)
-    cand.spec = out.trajectory.specs[-1]
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
@@ -259,17 +256,17 @@ ALGORITHMS = tuple(_KERNELS)
 
 
 def _mh_step(kernel, ctx, state):
-    """One Metropolis-Hastings step; a solver or arithmetic failure while
-    proposing or scoring the candidate rejects it and returns _REJECTED,
-    and a NaN log ratio (which decide rejects) returns _NONFINITE."""
+    """One Metropolis-Hastings step: (next state, outcome). A solver or
+    arithmetic failure while proposing or scoring the candidate is ERROR;
+    otherwise decide draws its uniform, and a rejected NaN log ratio is
+    NONFINITE."""
     try:
         cand, log_ratio = kernel(ctx, state)
     except NUMERICAL_ERRORS:
-        return state, _REJECTED
-    dec = decide(log_ratio, ctx.rng)
-    if math.isnan(log_ratio):
-        return state, _NONFINITE
-    return (cand if dec.accept else state), dec
+        return state, ERROR
+    if decide(log_ratio, ctx.rng):
+        return cand, ACCEPTED
+    return state, NONFINITE if math.isnan(log_ratio) else REJECTED
 
 
 def run_chain(model, config):
@@ -302,25 +299,24 @@ def run_chain(model, config):
     solves_before, state = model.solves(), model.state(np.zeros(n))
     record = ChainRecord(samples=np.empty((iterations, n)), **{
         col.name: np.zeros(iterations, col.metadata["dtype"]) for col in COLUMNS})
-    error_rejects = nonfinite_rejects = 0
+    outcomes = [0] * 4  # iterations per outcome code
 
     for it in range(iterations):
         t0 = time.perf_counter()
-        state, dec = _mh_step(kernel, ctx, state)
-        error_rejects += dec is _REJECTED
-        nonfinite_rejects += dec is _NONFINITE
+        state, outcome = _mh_step(kernel, ctx, state)
+        outcomes[outcome] += 1
         if ctx.lis is not None:
             ctx.lis = adaptation_step(it, ctx.lis, config, lambda: local_spectrum(
                 state.jv, threshold=config.threshold, max_rank=config.max_rank))
         record.wall_times[it] = time.perf_counter() - t0
         record.samples[it] = state.u
         record.potentials[it] = state.phi
-        record.accepts[it] = dec.accept
+        record.accepts[it] = outcome == ACCEPTED
         record.pde_solves[it] = model.solves() - solves_before
 
     record.meta = meta = {"algorithm": config.algorithm, "h": steps["h"],
                           "burn_in": config.burn_in, "seed": config.seed,
-                          "error_rejects": error_rejects, "nonfinite_rejects": nonfinite_rejects}
+                          "error_rejects": outcomes[ERROR], "nonfinite_rejects": outcomes[NONFINITE]}
     if ctx.lis is not None:
         meta["lis"] = {  # lis.json as written, in this key order
             "eigenvalues": ctx.lis.spectrum.eigenvalues.tolist(),

@@ -41,9 +41,8 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run one chain")
     p_run.add_argument("--config", help="YAML config file")
     p_run.add_argument("--out", help="run directory (default: auto under output root)")
-    for key, typ in _OVERRIDABLE.items():
-        kind = ({"action": argparse.BooleanOptionalAction} if typ is bool
-                else {"type": typ})
+    for key, typ in _OVERRIDABLE.items():  # text flags are converted by cmd_run
+        kind = {"action": argparse.BooleanOptionalAction} if typ is bool else {}
         p_run.add_argument(f"--{key.replace('_', '-')}", dest=key, **kind)
 
     p_cmp = sub.add_parser("compare", help="efficiency table across runs")
@@ -56,10 +55,22 @@ def _build_parser():
     return parser
 
 
+def _flag_value(key, value):
+    """A run flag's value as its config key's type; text it cannot convert
+    is refused in one line, and shown by its length past 20 characters."""
+    typ = _OVERRIDABLE[key]
+    try:
+        return typ(value)
+    except ValueError:  # includes int()'s refusal of more than 4300 digits
+        shown = repr(value) if len(value) <= 20 else f"a text of {len(value)} characters"
+        raise ValueError(f"config key '{key}': expected {typ.__name__}, got {shown}") from None
+
+
 def cmd_run(args):
     try:  # a config that cannot be read or is refused creates no run directory
         cfg = config_mod.from_yaml(args.config) if args.config else config_mod.RunConfig()
-        overrides = {k: getattr(args, k) for k in _OVERRIDABLE if getattr(args, k) is not None}
+        overrides = {k: _flag_value(k, getattr(args, k)) for k in _OVERRIDABLE
+                     if getattr(args, k) is not None}
         if overrides:
             cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
     except (OSError, ValueError, yaml.YAMLError) as exc:

@@ -31,8 +31,10 @@ class CovarianceOperator:
 
     def __init__(self, C):
         C = np.asarray(C, dtype=float)
-        scale = np.abs(C).max()
-        if scale > 0 and np.abs(C - C.T).max() > 1e-12 * scale:
+        scale = max(C.max(), -C.min())  # max |C|, read without a temporary
+        # compared in blocks of 32 rows, so no n x n temporary is made
+        if scale > 0 and any(np.abs(C[i:i + 32] - C[:, i:i + 32].T).max() > 1e-12 * scale
+                             for i in range(0, len(C), 32)):
             raise ValueError("covariance matrix is not symmetric")
         w, Q = np.linalg.eigh(C)
         if w.min() <= 0:

@@ -63,32 +63,56 @@ def quadratic_target(n, seed=0):
     return (lambda v: 0.5 * v @ H @ v - b @ v), (lambda v: H @ v - b)
 
 
+class _ZeroRandom:
+    """An rng stub whose one uniform draw is 0.0, the bottom of [0, 1)."""
+
+    def random(self):
+        return 0.0
+
+
 class TestDecide:
     def test_always_accepts_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert decide(0.0, rng).accept
-            assert decide(5.0, rng).accept
+            assert decide(0.0, rng)
+            assert decide(5.0, rng)
 
     def test_never_accepts_minus_inf(self):
         rng = np.random.default_rng(1)
-        assert not any(decide(float("-inf"), rng).accept for _ in range(100))
+        assert not any(decide(float("-inf"), rng) for _ in range(100))
 
     def test_nan_rejected(self):
         rng = np.random.default_rng(2)
-        d = decide(float("nan"), rng)
-        assert not d.accept and d.log_ratio == float("-inf")
+        assert not any(decide(float("nan"), rng) for _ in range(100))
+        assert not decide(np.float64("nan"), rng)
+
+    @pytest.mark.parametrize("log_ratio", [0.5, -0.7, float("-inf"), float("nan")])
+    def test_draws_exactly_one_uniform(self, log_ratio):
+        # every outcome consumes the same stream, so a chain's later draws
+        # do not depend on what its ratios were
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        assert type(decide(log_ratio, rng)) is bool
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_draw_is_u_equal_one(self):
+        # random() may return 0.0; u = 1 - 0.0 = 1 keeps log u finite, and
+        # log u = 0 is never below min(0, lr), so nothing is accepted
+        for lr in (5.0, 0.0, -0.7, float("-inf"), float("nan")):
+            assert decide(lr, _ZeroRandom()) is False
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_uniform_draw_in_half_open_interval(self, seed):
-        d = decide(-1.0, np.random.default_rng(seed))
-        assert 0.0 < d.uniform_draw <= 1.0
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(-5.0, 0.0))
+    def test_uniform_draw_in_half_open_interval(self, seed, log_ratio):
+        # decide's u is 1 - random() of its stream, and it accepts iff log u < lr
+        u = 1.0 - np.random.default_rng(seed).random()
+        assert 0.0 < u <= 1.0
+        assert decide(log_ratio, np.random.default_rng(seed)) == (math.log(u) < log_ratio)
 
     def test_acceptance_frequency(self):
         rng = np.random.default_rng(3)
         lr = -0.7
-        hits = sum(decide(lr, rng).accept for _ in range(200000))
+        hits = sum(decide(lr, rng) for _ in range(200000))
         assert hits / 200000 == pytest.approx(math.exp(lr), abs=0.005)
 
 

@@ -495,6 +495,10 @@ class TestCli:
          "config key 'snr': expected a finite float, got an int of 401 digits"),
         (["--config", "huger.yaml"],
          "config file huger.yaml: Exceeds the limit (4300 digits) for integer string"),
+        # flag text is converted in cmd_run; argparse would exit 2 with its usage
+        (["--seed", "1.5"], "config key 'seed': expected int, got '1.5'"),
+        (["--seed", "1" + "0" * 5000],
+         "config key 'seed': expected int, got a text of 5001 characters"),
     ])
     def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
                                                              capsys, argv, match):

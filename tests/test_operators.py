@@ -58,6 +58,19 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             CovarianceOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 99), (99, 0), (31, 32), (70, 40)])
+    def test_asymmetry_in_any_row_block_is_refused(self, i, j):
+        # one entry off by more than 1e-12 max|C| is refused, wherever it is
+        M = np.random.default_rng(0).standard_normal((100, 100))
+        C = M @ M.T + 100.0 * np.eye(100)
+        C = (C + C.T) / 2.0
+        tol = 1e-12 * np.abs(C).max()
+        C[i, j] += 0.5 * tol
+        CovarianceOperator(C)
+        C[i, j] += tol
+        with pytest.raises(ValueError, match="not symmetric"):
+            CovarianceOperator(C)
+
     @pytest.mark.parametrize("k, failures", [(5, 0), (5, 3), (21, 0)])
     @pytest.mark.parametrize("sigma_u, s_0", [(1.25, 0.0625), (0.5, 0.2)])
     def test_same_factor_as_broadcast_build(self, monkeypatch, k, failures, sigma_u, s_0):
