@@ -19,8 +19,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from drgmc.chain import ADAPTIVE, HAMILTONIAN, run_chain
-from drgmc.config import ALGORITHMS, RunConfig
+from drgmc.chain import ADAPTIVE, run_chain
+from drgmc.config import ALGORITHMS, DEFAULT_STEPS, RunConfig
 from drgmc.harness import build_elliptic
 
 BAND = (0.60, 0.70)
@@ -36,7 +36,7 @@ def acceptance(model, algorithm, h, iterations, seed=0):
     if algorithm in ADAPTIVE:
         # enough subspace updates inside the short tuning burn-in
         kwargs.update(n_lag=max(20, iterations // 12))
-    if algorithm in HAMILTONIAN:
+    if "n_leapfrog" in DEFAULT_STEPS[algorithm]:
         kwargs.update(n_leapfrog=LEAPFROG)
     if algorithm == "dili":
         kwargs.update(h_r=h * DILI_SHAPE[0], h_perp=h * DILI_SHAPE[1])
@@ -84,7 +84,7 @@ def main(argv=None):
                                  "h_perp": round(h * DILI_SHAPE[1], 4)}
         else:
             frozen[algorithm] = {"h": round(h, 4)}
-        if algorithm in HAMILTONIAN:
+        if "n_leapfrog" in DEFAULT_STEPS[algorithm]:
             frozen[algorithm]["n_leapfrog"] = LEAPFROG
         print(f"{algorithm:>14}  h={h:.4f}  AP={ap:.3f}  ({elapsed:.0f}s)",
               flush=True)

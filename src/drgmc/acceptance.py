@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .proposals import reduced_ngrad
 
 
@@ -86,16 +84,8 @@ def dili_exact_log_ratio(v, v_prime, spec, grad_v, grad_vp, phi_v, phi_vp, ops):
     (a_perp^2 + b_perp^2 = 1). Agrees with the DR ratio minus its
     determinant correction (dili_log_ratio in tests/_dense_reference.py)
     whenever the operators come from the autoregressive substitution."""
-    if abs(ops.a_perp ** 2 + ops.b_perp ** 2 - 1.0) > 1e-10:
-        raise ValueError("complement parameters are not prior-reversible")
     z, zp = spec.project(v), spec.project(v_prime)
-    if spec.r == 0:
-        return pcn_log_ratio(phi_v, phi_vp)
-    uses_grad = bool(np.any(np.asarray(ops.D_Gr) != 0.0))
-    if uses_grad and (grad_v is None or grad_vp is None):
-        raise ValueError("gradient-weighted operators need both gradients")
-    cg = ops.D_Gr * spec.project(grad_v) if uses_grad else 0.0
-    cgp = ops.D_Gr * spec.project(grad_vp) if uses_grad else 0.0
+    cg, cgp = ops.grad_step(spec, grad_v), ops.grad_step(spec, grad_vp)
     fwd = (zp - (ops.D_Ar * z - cg)) / ops.D_Br
     rev = (z - (ops.D_Ar * zp - cgp)) / ops.D_Br
     return (float(phi_v - phi_vp) + 0.5 * float(z @ z) - 0.5 * float(zp @ zp)

@@ -7,12 +7,11 @@ exact, from the Gram eigenproblem of the state's whitened Jacobian and a QR
 basis, so it is a deterministic function of position and draws nothing from
 the stream.
 
-Curvature is formed once per distinct Jacobian array: the model whitens a
-Jacobian only when it is not the one it whitened last, and a chain
-decomposes a whitened Jacobian only when it is not the one it decomposed
-last. A model whose states share one Jacobian object (the linear model)
-pays for both once per chain; a model whose states form their own
-(the elliptic one) pays once per state, as before.
+Curvature is decomposed once per distinct Jacobian array: a chain
+decomposes a state's whitened Jacobian only when the model Jacobian it came
+from is not the array the chain decomposed last. A model whose states share
+one Jacobian object (the linear model) pays once per chain; a model whose
+states form their own (the elliptic one) pays once per state.
 
 The eight samplers share one Metropolis-Hastings step; each kernel only
 maps the current state to a candidate and its log acceptance ratio.
@@ -37,17 +36,15 @@ from .proposals import (StepParams, dili_operators, dili_propose,
                         inf_mala_propose, pcn_propose)
 
 ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
-HAMILTONIAN = ("inf-hmc", "dr-inf-mhmc", "adr-inf-mhmc")
 # what one Metropolis-Hastings step did with its candidate
 ACCEPTED, REJECTED, ERROR, NONFINITE = range(4)
 
 
 class WhitenedState:
-    """Lazy caches in v coordinates on top of a u-space model state. The
-    whitened Jacobian Jv = J S comes from the model, which whitens each
-    distinct Jacobian array once: the Gauss-Newton Hessian S J^T J S is
-    Jv^T Jv, whose eigenpairs come from the m x m Gram matrix Jv Jv^T
-    (lis.local_spectrum)."""
+    """Lazy caches in v coordinates on top of a u-space model state: the
+    whitened gradient S grad and Jacobian Jv = J S. The Gauss-Newton Hessian
+    S J^T J S is Jv^T Jv, whose eigenpairs come from the m x m Gram matrix
+    Jv Jv^T (lis.local_spectrum)."""
 
     __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec")
 
@@ -76,7 +73,7 @@ class WhitenedState:
     @property
     def jv(self):
         if self._jv is None:
-            self._jv = self._model.whiten(self.ustate.jac)
+            self._jv = self._model.cov.sqrt_apply(self.ustate.jac.T).T
         return self._jv
 
     def gnh_action(self, w):
@@ -93,7 +90,6 @@ class WhitenedModel:
         self.cov = cov
         self._factory = state_factory
         self._counter = counter
-        self._whitened = (None, None)
 
     @property
     def n(self):
@@ -102,15 +98,6 @@ class WhitenedModel:
     def state(self, v):
         u = self.cov.sqrt_apply(v)
         return WhitenedState(self, self._factory(u), v)
-
-    def whiten(self, jac):
-        """Jv = J S, read-only, reused while jac is the array it came from."""
-        last_jac, jv = self._whitened
-        if jac is not last_jac:
-            jv = self.cov.sqrt_apply(jac.T).T
-            jv.flags.writeable = False
-            self._whitened = (jac, jv)
-        return jv
 
     def solves(self):
         return self._counter.count if self._counter is not None else 0
@@ -129,21 +116,27 @@ class KernelContext:
     lis: LISState | None = None
     # (spectrum, DILI operators built from it)
     dili_ops: tuple = (None, None)
-    # (jv, spectrum) of the last position-specific decomposition
+    # (model Jacobian, spectrum) of the last position-specific decomposition
     last_spec: tuple = (None, None)
 
 
 def _ensure_spec(ctx, state):
-    """The state's rank-mode spectrum, decomposed only when its whitened
-    Jacobian is not the array the chain decomposed last."""
+    """The state's spectrum of rank config.rank, decomposed only when its
+    model Jacobian is not the array the chain decomposed last."""
     if state.spec is None:
-        jv = state.jv
-        last_jv, spec = ctx.last_spec
-        if jv is not last_jv:
-            spec = local_spectrum(jv, rank=ctx.config.rank)
-            ctx.last_spec = (jv, spec)
+        jac = state.ustate.jac
+        last_jac, spec = ctx.last_spec
+        if jac is not last_jac:
+            spec = local_spectrum(state.jv, ctx.config.rank)
+            ctx.last_spec = (jac, spec)
         state.spec = spec
     return state.spec
+
+
+def _spectrum(ctx, state):
+    """The curvature a DR kernel uses at state: the global LIS spectrum when
+    the chain adapts one, the state's own spectrum otherwise."""
+    return ctx.lis.spectrum if ctx.lis is not None else _ensure_spec(ctx, state)
 
 
 def _randomize_steps(ctx):
@@ -202,11 +195,10 @@ def _inf_hmc(ctx, state):
 
 
 def _dr_mmala(ctx, state):
-    fixed = ctx.lis is not None
-    spec_v = ctx.lis.spectrum if fixed else _ensure_spec(ctx, state)
+    spec_v = _spectrum(ctx, state)
     out = dr_mmala_propose(state.v, state.grad, spec_v, ctx.params, ctx.rng)
     cand = ctx.model.state(out.v_prime)
-    spec_vp = spec_v if fixed else _ensure_spec(ctx, cand)
+    spec_vp = _spectrum(ctx, cand)
     return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
                                     state.grad, cand.grad, state.phi, cand.phi,
                                     ctx.params)
@@ -215,29 +207,23 @@ def _dr_mmala(ctx, state):
 def _dr_mhmc(ctx, state):
     params = _randomize_steps(ctx)
     ensure, grad_fn, spec_fn = _hmc_callbacks(ctx, state)
-    if ctx.lis is not None:
-        spec_v, spec_fn = ctx.lis.spectrum, None
-    else:
-        spec_v = _ensure_spec(ctx, state)
-    out = dr_mhmc_propose(state.v, spec_v, params, grad_fn, ctx.rng,
-                          spec_fn=spec_fn)
+    out = dr_mhmc_propose(state.v, _spectrum(ctx, state), params, grad_fn, ctx.rng,
+                          spec_fn=spec_fn if ctx.lis is None else None)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
 def _dili(ctx, state):
     spec = ctx.lis.spectrum
-    h_r, h_perp = ctx.steps["h_r"], ctx.steps["h_perp"]
     built_for, ops = ctx.dili_ops
     if spec is not built_for:
-        ops = dili_operators(spec, h_r, h_perp, ctx.params.gamma_r)
+        ops = dili_operators(spec, ctx.steps["h_r"], ctx.steps["h_perp"],
+                             ctx.params.gamma_r)
         ctx.dili_ops = (spec, ops)
-    grad_needed = bool(ctx.params.gamma_r) and spec.r > 0
-    grad = state.grad if grad_needed else None
-    out = dili_propose(state.v, grad, spec, h_r, h_perp,
-                       ctx.params.gamma_r, ctx.rng, operators=ops)
+    grad = state.grad if ops.uses_grad else None
+    out = dili_propose(state.v, grad, spec, ops, ctx.rng)
     cand = ctx.model.state(out.v_prime)
-    grad_p = cand.grad if grad_needed else None
+    grad_p = cand.grad if ops.uses_grad else None
     return cand, dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
                                       state.phi, cand.phi, ops)
 
@@ -307,7 +293,7 @@ def run_chain(model, config):
         outcomes[outcome] += 1
         if ctx.lis is not None:
             ctx.lis = adaptation_step(it, ctx.lis, config, lambda: local_spectrum(
-                state.jv, threshold=config.threshold, max_rank=config.max_rank))
+                state.jv, config.max_rank, config.threshold))
         record.wall_times[it] = time.perf_counter() - t0
         record.samples[it] = state.u
         record.potentials[it] = state.phi

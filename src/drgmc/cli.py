@@ -102,7 +102,11 @@ def cmd_compare(args):
         if not (Path(run) / "summary.json").exists():
             print(f"{run}: no summary.json (incomplete run?)", file=sys.stderr)
             return 1
-        record, _cfg = runio.load_record(run)
+        try:
+            record, _cfg = runio.load_record(run)
+        except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
+            print(f"{run}: unreadable run: {exc!r}", file=sys.stderr)
+            return 1
         algorithm = record.meta["algorithm"]
         if algorithm in dirs:
             print(f"runs {dirs[algorithm]} and {run} are both '{algorithm}'; "
@@ -127,16 +131,19 @@ def cmd_lis_inspect(args):
     if not lis_path.exists():
         print(f"{args.run}: no LIS data (not an adaptive run?)", file=sys.stderr)
         return 1
-    payload = json.loads(lis_path.read_text())
-    print(f"updates m={payload['m']}  rank r={payload['r']}  "
-          f"final d_F={payload['d_f']:.3e}  frozen={payload['frozen']}  "
-          f"update_errors={payload['update_errors']}")
-    print("eigenvalues:")
-    for i, lam in enumerate(payload["eigenvalues"]):
-        print(f"  {i + 1:3d}  {lam:.6e}")
-    print("history (update, m, r, d_F):")
-    for i, (m, r, d_f) in enumerate(payload["history"]):
-        print(f"  {i:3d}  {m:3d}  {r:3d}  {d_f:.6e}")
+    try:  # the whole report is formed before any of it is printed
+        payload = json.loads(lis_path.read_text())
+        lines = [f"updates m={payload['m']}  rank r={payload['r']}  "
+                 f"final d_F={payload['d_f']:.3e}  frozen={payload['frozen']}  "
+                 f"update_errors={payload['update_errors']}", "eigenvalues:"]
+        lines += [f"  {i + 1:3d}  {lam:.6e}" for i, lam in enumerate(payload["eigenvalues"])]
+        lines.append("history (update, m, r, d_F):")
+        lines += [f"  {i:3d}  {m:3d}  {r:3d}  {d_f:.6e}"
+                  for i, (m, r, d_f) in enumerate(payload["history"])]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"{args.run}: unreadable lis.json: {exc!r}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 

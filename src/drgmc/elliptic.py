@@ -259,23 +259,21 @@ def generate_data(u_true, problem, snr, seed):
     """Observe the true field and add N(0, sigma^2 I) noise, sigma = max(u)/snr.
 
     snr = inf is the noiseless flag: y = O p(u_true) exactly and sigma_eta =
-    inf, which switches the likelihood off (phi and grad are 0). Records (y,
-    sigma_eta) on the problem.
+    inf, which switches the likelihood off (phi and grad are 0). Installs (y,
+    sigma_eta) on the problem through attach_data.
     """
     u_true = np.asarray(u_true, dtype=float)
     umax = float(np.max(u_true))
     if umax <= 0:
         raise ValueError("SNR undefined: max of the true field is not positive")
+    if not snr > 0:
+        raise ValueError("snr must be positive")
     g = problem.O @ assemble_and_solve(u_true, problem).p
     if np.isinf(snr):
-        problem.sigma_eta, problem.y = float("inf"), g
-        return problem.y
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    sigma = umax / snr
-    rng = np.random.default_rng(seed)
-    problem.sigma_eta = sigma
-    problem.y = g + sigma * rng.standard_normal(len(g))
+        attach_data(problem, g, float("inf"))
+    else:
+        noise = np.random.default_rng(seed).standard_normal(len(g))
+        attach_data(problem, g + (umax / snr) * noise, umax / snr)
     return problem.y
 
 

@@ -22,22 +22,16 @@ from .operators import (NUMERICAL_ERRORS, LowRankSpectrum, forstner_pencil,
 from .operators import randomized_eig  # noqa: F401  bench/layers.py wraps it here
 
 
-def local_spectrum(jv, rank=None, threshold=None, max_rank=None):
+def local_spectrum(jv, rank, threshold=None):
     """Leading eigenpairs of the whitened Gauss-Newton Hessian Jv^T Jv, exact
     from the m x m Gram matrix Jv Jv^T of the m x n whitened Jacobian jv: its
     eigenvalues, clipped at 0, and as basis the orthonormal QR factor of
-    Jv^T U for its leading eigenvectors U, at most min(m, n) pairs. The
-    basis matches Jv's right singular vectors up to column signs, and it
-    stays orthonormal where Jv is zero or rank-deficient.
-
-    Either a fixed rank (position-specific kernels) or an eigenvalue
-    threshold (global LIS accumulation) decides the truncation. In
-    threshold mode at most ``max_rank`` pairs (all n when not given) are
-    kept and cut where eigenvalues drop below the threshold.
+    Jv^T U for its leading eigenvectors U. At most rank pairs are kept (and
+    at most min(m, n)), none with an eigenvalue below threshold when one is
+    given. The basis matches Jv's right singular vectors up to column signs,
+    and it stays orthonormal where Jv is zero or rank-deficient.
     """
-    if (rank is None) == (threshold is None):
-        raise ValueError("exactly one of rank and threshold is required")
-    r = min(rank if rank is not None else (max_rank or jv.shape[1]), *jv.shape)
+    r = min(rank, *jv.shape)
     w, u, info = dsyevd(jv @ jv.T)
     if info or not np.isfinite(w).all():
         raise np.linalg.LinAlgError("Gram eigenproblem of the Jacobian failed")

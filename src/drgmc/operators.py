@@ -32,6 +32,8 @@ class CovarianceOperator:
     def __init__(self, C):
         C = np.asarray(C, dtype=float)
         scale = max(C.max(), -C.min())  # max |C|, read without a temporary
+        if not np.isfinite(scale):  # an inf or a NaN anywhere in C
+            raise ValueError("covariance matrix has a non-finite entry")
         # compared in blocks of 32 rows, so no n x n temporary is made
         if scale > 0 and any(np.abs(C[i:i + 32] - C[:, i:i + 32].T).max() > 1e-12 * scale
                              for i in range(0, len(C), 32)):

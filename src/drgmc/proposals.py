@@ -124,11 +124,29 @@ def dr_mmala_propose(v, grad, spec, params, rng, xi=None):
 
 @dataclass(frozen=True)
 class DiliOperators:
+    """Diagonal operators (A, B, G) on the LIS and the complement pair
+    (a_perp, b_perp), refused unless a_perp^2 + b_perp^2 = 1 (a prior-
+    reversible complement). uses_grad: whether G weights the gradient."""
+
     D_Ar: np.ndarray
     D_Br: np.ndarray
     D_Gr: np.ndarray
     a_perp: float
     b_perp: float
+    uses_grad: bool = field(init=False)
+
+    def __post_init__(self):
+        if abs(self.a_perp ** 2 + self.b_perp ** 2 - 1.0) > 1e-10:
+            raise ValueError("complement parameters are not prior-reversible")
+        object.__setattr__(self, "uses_grad", bool(np.any(np.asarray(self.D_Gr) != 0.0)))
+
+    def grad_step(self, spec, grad):
+        """G V^T grad in subspace coordinates, 0.0 when G is zero."""
+        if not self.uses_grad:
+            return 0.0
+        if grad is None:
+            raise ValueError("gradient-weighted operators need the gradient")
+        return self.D_Gr * spec.project(grad)
 
 
 def dili_operators(spec, h_r, h_perp, gamma_r):
@@ -151,17 +169,16 @@ def dili_operators(spec, h_r, h_perp, gamma_r):
     return DiliOperators(D_Ar, D_Br, np.asarray(D_Gr), a_perp, b_perp)
 
 
-def dili_propose(v, grad, spec, h_r, h_perp, gamma_r, rng, operators=None, xi=None):
+def dili_propose(v, grad, spec, ops, rng, xi=None):
     """v' = A v - G grad + B xi, split between the LIS and its complement."""
-    ops = operators if operators is not None else dili_operators(spec, h_r, h_perp, gamma_r)
     if xi is None:
         xi = rng.standard_normal(len(v))
     cv = spec.project(v)
     cxi = spec.project(xi)
     v_prime = (ops.a_perp * (v - spec.lift(cv)) + spec.lift(ops.D_Ar * cv)
                + ops.b_perp * (xi - spec.lift(cxi)) + spec.lift(ops.D_Br * cxi))
-    if gamma_r and spec.r and grad is not None:
-        v_prime = v_prime - spec.lift(ops.D_Gr * spec.project(grad))
+    if ops.uses_grad:
+        v_prime = v_prime - spec.lift(ops.grad_step(spec, grad))
     return ProposalOutput(v_prime=v_prime, noise=xi)
 
 

@@ -347,7 +347,7 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
                                 params.rho2 * np.sqrt(k_diag),
                                 params.rho1 * k_diag,
                                 params.rho0, params.rho2)
-            vp_dili = dili_propose(v, g, spec_r, h, h, 1, rng, operators=ops, xi=xi).v_prime
+            vp_dili = dili_propose(v, g, spec_r, ops, rng, xi=xi).v_prime
             if gp:
                 g_perp = g - spec_r.lift(spec_r.project(g))
                 vp_dili = vp_dili - params.rho1 * g_perp

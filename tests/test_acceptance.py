@@ -268,8 +268,7 @@ def test_criterion_10_operator_form_reproduces_reduced_proposal():
         v, g = rng.standard_normal(n), rng.standard_normal(n)
         xi = rng.standard_normal(n)
         vp_dr = dr_mmala_propose(v, g, spec, params, rng, xi=xi).v_prime
-        vp_op = dili_propose(v, g, spec, params.h, params.h, 1, rng,
-                             operators=ops, xi=xi).v_prime
+        vp_op = dili_propose(v, g, spec, ops, rng, xi=xi).v_prime
         assert np.max(np.abs(vp_dr - vp_op)) < 1e-10
 
 

@@ -165,6 +165,13 @@ class TestData:
             assert state.phi == 0.0
             assert not state.grad.any()
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, float("-inf"), float("nan")])
+    def test_non_positive_snr_is_refused(self, snr):
+        mesh = elliptic.Mesh2D(6, 6)
+        problem = elliptic.make_problem(mesh)
+        with pytest.raises(ValueError, match="snr must be positive"):
+            elliptic.generate_data(elliptic.true_field(mesh), problem, snr, 0)
+
     def test_attach_data_validation(self):
         # a length-1 y would broadcast into a wrong phi, a nan sigma into a nan one
         mesh, problem, _ = small_problem(6)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from drgmc import cli
 from drgmc import config as config_mod
 from drgmc import runio
-from drgmc.config import DEFAULT_STEPS, RunConfig
+from drgmc.config import ALGORITHMS, DEFAULT_STEPS, RunConfig
 from drgmc.diagnostics import COLUMNS, ChainRecord
 from drgmc.harness import build_model, run_from_config
 
@@ -144,6 +144,9 @@ class TestConfig:
         steps = cfg.resolved_steps()
         assert steps["h"] == DEFAULT_STEPS["dr-inf-mhmc"]["h"]
         assert steps["n_leapfrog"] == DEFAULT_STEPS["dr-inf-mhmc"]["n_leapfrog"]
+
+    def test_every_algorithm_has_tuned_steps(self):
+        assert set(DEFAULT_STEPS) == set(ALGORITHMS)
 
     def test_resolved_steps_explicit_wins(self):
         cfg = RunConfig(algorithm="pcn", h=0.5, iterations=10, burn_in=0)
@@ -619,6 +622,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rank r=" in out and "eigenvalues:" in out
         assert "update_errors=0" in out
+
+    def test_compare_names_unreadable_run(self, tmp_path, capsys):
+        record, cfg = tiny_record()
+        done = runio.write_run(tmp_path / "done", record, cfg)
+        cut = runio.write_run(tmp_path / "cut", record, cfg)
+        samples = cut / "samples.bin"
+        samples.write_bytes(samples.read_bytes()[:-8])
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(done), str(cut), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and str(cut) in captured.err
+        assert "ValueError" in captured.err and "Traceback" not in captured.err
+        assert not out.exists() and captured.out == ""
+
+    def test_lis_inspect_names_unreadable_lis(self, tmp_path, capsys):
+        record, cfg = tiny_record()
+        run_dir = runio.write_run(tmp_path / "d", record, cfg)
+        (run_dir / "lis.json").write_text("{}")
+        assert cli.main(["lis-inspect", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and str(run_dir) in captured.err
+        assert "KeyError" in captured.err and captured.out == ""
 
     def test_lis_inspect_rejects_non_adaptive(self, tmp_path, capsys):
         record, cfg = tiny_record()

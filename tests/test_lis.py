@@ -55,23 +55,16 @@ class TestLocalSpectrum:
         rng = np.random.default_rng(2)
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         lam = np.concatenate([[10.0, 5.0, 1.0], np.full(n - 3, 1e-4)])
-        spec = local_spectrum(np.sqrt(lam)[:, None] * Q.T, threshold=2.0,
-                              max_rank=10)
+        spec = local_spectrum(np.sqrt(lam)[:, None] * Q.T, 10, threshold=2.0)
         # absolute cutoff: eigenvalues below 2.0 are prior-dominated
         assert spec.r == 2
         assert np.allclose(spec.eigenvalues, [10.0, 5.0], rtol=1e-6)
 
-    def test_mode_exclusivity(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            local_spectrum(np.eye(5))
-        with pytest.raises(ValueError, match="exactly one"):
-            local_spectrum(np.eye(5), rank=2, threshold=0.1)
-
     @pytest.mark.parametrize("m,n,kw,keep", [
         (3, 10, dict(rank=6), 3),                      # rank > m
         (12, 5, dict(rank=4), 4),                      # m > n
-        (12, 5, dict(threshold=1e-8), 5),              # m > n, all n pairs
-        (9, 14, dict(threshold=1e-3, max_rank=4), 4),  # max_rank cuts first
+        (12, 5, dict(rank=5, threshold=1e-8), 5),      # m > n, all n pairs
+        (9, 14, dict(rank=4, threshold=1e-3), 4),      # rank cuts first
     ])
     def test_matches_dense_eigh(self, m, n, kw, keep):
         jv = np.random.default_rng(m * n).standard_normal((m, n))
@@ -87,7 +80,7 @@ class TestLocalSpectrum:
         Q = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
         lam = np.array([9.0, 4.0, 2.5, 0.5, 0.1, 0.01])
         jv = np.sqrt(lam)[:, None] * Q[:, :6].T
-        spec = local_spectrum(jv, threshold=1.0, max_rank=5)
+        spec = local_spectrum(jv, 5, threshold=1.0)
         ref, P = dense_oracle(jv, 3)
         assert spec.r == 3
         assert np.allclose(spec.eigenvalues, ref, rtol=1e-10)
@@ -99,7 +92,7 @@ class TestLocalSpectrum:
         assert spec.r == 3
         assert not spec.eigenvalues.any()
         assert np.allclose(spec.basis.T @ spec.basis, np.eye(3), atol=1e-12)
-        assert local_spectrum(jv, threshold=1e-6).r == 0
+        assert local_spectrum(jv, 6, threshold=1e-6).r == 0
 
     def test_rank_deficient_jacobian_pads_with_null_directions(self):
         rng = np.random.default_rng(3)
@@ -127,8 +120,8 @@ class TestLocalSpectrum:
             # a threshold halfway between the k-th and (k+1)-th eigenvalues
             lam_all = np.append(np.linalg.eigvalsh(jv.T @ jv)[::-1][:min(m, n)], 0.0)
             upper = lam_all[k - 1] if k else 2.0 * lam_all[0] + 1.0
-            spec = local_spectrum(jv, threshold=0.5 * (upper + lam_all[k]),
-                                  max_rank=max_rank)
+            spec = local_spectrum(jv, max_rank or n,
+                                  threshold=0.5 * (upper + lam_all[k]))
             keep = min(k, max_rank or n)
         lam, P = dense_oracle(jv, keep)
         assert spec.r == keep and spec.basis.shape == (n, keep)

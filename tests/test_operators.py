@@ -58,6 +58,20 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             CovarianceOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 1), (2, 0)])
+    def test_non_finite_entry_is_refused(self, entry, i, j):
+        C = np.eye(3)
+        C[i, j] = float(entry)
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceOperator(C)
+
+    def test_non_finite_node_is_refused(self):
+        nodes = grid_nodes(4)
+        nodes[5, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            build_prior_covariance(nodes, sigma_u=1.0, s_0=0.1)
+
     @pytest.mark.parametrize("i, j", [(0, 1), (0, 99), (99, 0), (31, 32), (70, 40)])
     def test_asymmetry_in_any_row_block_is_refused(self, i, j):
         # one entry off by more than 1e-12 max|C| is refused, wherever it is

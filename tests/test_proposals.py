@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drgmc.operators import LowRankSpectrum, apply_sqrtK_hat
+from drgmc.acceptance import dili_exact_log_ratio
 from drgmc.proposals import (
     DIVERGENCE_THRESHOLD,
+    DiliOperators,
     StepParams,
     dili_operators,
     dili_propose,
@@ -183,6 +185,15 @@ class TestDiliOperators:
         with pytest.raises(ValueError):
             dili_operators(spec, h_r=0.0, h_perp=1.0, gamma_r=0)
 
+    def test_rejects_non_reversible_complement(self):
+        with pytest.raises(ValueError, match="reversible"):
+            DiliOperators(np.ones(2), np.ones(2), np.zeros(2), 0.9, 0.9)
+
+    @pytest.mark.parametrize("gamma_r", [0, 1])
+    def test_uses_grad_follows_gamma_r_on_a_nonempty_subspace(self, gamma_r):
+        ops = dili_operators(random_spectrum(5, 2, seed=6), 0.5, 0.5, gamma_r)
+        assert ops.uses_grad is bool(gamma_r)
+
 
 class TestDiliPropose:
     def test_connection_equals_dr_proposal(self):
@@ -194,8 +205,7 @@ class TestDiliPropose:
             v, grad = rng.standard_normal(n), rng.standard_normal(n)
             xi = rng.standard_normal(n)
             ops = dili_connection_operators(spec, params)
-            out_d = dili_propose(v, grad, spec, None, None, 1, rng,
-                                 operators=ops, xi=xi)
+            out_d = dili_propose(v, grad, spec, ops, rng, xi=xi)
             out_m = dr_mmala_propose(v, grad, spec, params, rng, xi=xi)
             assert np.allclose(out_d.v_prime, out_m.v_prime, atol=1e-10)
 
@@ -205,9 +215,24 @@ class TestDiliPropose:
         spec = LowRankSpectrum.empty(n)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(n)
-        out = dili_propose(v, None, spec, 0.5, 0.5, 1, rng)
         ops = dili_operators(spec, 0.5, 0.5, 1)
+        assert not ops.uses_grad
+        out = dili_propose(v, None, spec, ops, rng)
         assert np.allclose(out.v_prime, ops.a_perp * v + ops.b_perp * out.noise)
+
+    def test_missing_gradient_raises_in_proposal_and_ratio(self):
+        n = 6
+        spec = random_spectrum(n, 2, seed=8)
+        ops = dili_operators(spec, 0.5, 0.5, 1)
+        rng = np.random.default_rng(2)
+        v, g = rng.standard_normal(n), rng.standard_normal(n)
+        message = "gradient-weighted operators need the gradient"
+        with pytest.raises(ValueError, match=message):
+            dili_propose(v, None, spec, ops, rng)
+        with pytest.raises(ValueError, match=message):
+            dili_exact_log_ratio(v, v, spec, g, None, 0.0, 0.0, ops)
+        with pytest.raises(ValueError, match=message):
+            dili_exact_log_ratio(v, v, spec, None, g, 0.0, 0.0, ops)
 
 
 class TestLeapfrog:
