@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class KernelContext:
     dili_ops: tuple = (None, None)
     # (model Jacobian, spectrum) of the last position-specific decomposition
     last_spec: tuple = (None, None)
+    # built once per chain: params by leapfrog count, inf-hmc's empty spectrum
+    leapfrog_params: dict = field(default_factory=dict)
+    flat: LowRankSpectrum | None = None
 
 
 def _ensure_spec(ctx, state):
@@ -143,21 +146,20 @@ def _randomize_steps(ctx):
     """Leapfrog count drawn uniformly from {1..I} each iteration."""
     top = ctx.params.n_leapfrog
     count = int(ctx.rng.integers(1, top + 1)) if top > 1 else 1
-    return replace(ctx.params, n_leapfrog=count)
+    if count not in ctx.leapfrog_params:
+        ctx.leapfrog_params[count] = replace(ctx.params, n_leapfrog=count)
+    return ctx.leapfrog_params[count]
 
 
 def _hmc_callbacks(ctx, state):
-    """Boundary-state factory sharing one model state per trajectory point."""
-    cache = {"last": None}
+    """Boundary-state factory sharing one model state per trajectory point.
+    A trajectory visits its points in order, so only the latest is kept."""
+    last = [state]
 
     def ensure(v):
-        if v is state.v:
-            return state
-        st = cache["last"]
-        if st is None or st.v is not v:
-            st = ctx.model.state(v)
-            cache["last"] = st
-        return st
+        if last[0].v is not v:
+            last[0] = ctx.model.state(v)
+        return last[0]
 
     def grad_fn(v):
         return ensure(v).grad
@@ -189,7 +191,7 @@ def _inf_mala(ctx, state):
 def _inf_hmc(ctx, state):
     params = _randomize_steps(ctx)
     ensure, grad_fn, _ = _hmc_callbacks(ctx, state)
-    out = inf_hmc_propose(state.v, params, grad_fn, ctx.rng)
+    out = inf_hmc_propose(state.v, params, grad_fn, ctx.rng, flat=ctx.flat)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
@@ -278,6 +280,9 @@ def run_chain(model, config):
     rng.standard_normal((n, min(max(config.rank, min(config.max_rank, n)) + 5, n)))
     ctx = KernelContext(model=model, config=config, steps=steps, params=params,
                         rng=rng)
+    if config.algorithm == "inf-hmc":
+        ctx.params = replace(params, gamma_r=0, gamma_perp=1)
+        ctx.flat = LowRankSpectrum.empty(n)
     if config.algorithm in ADAPTIVE:
         ctx.lis = LISState(LowRankSpectrum.empty(n))
     kernel = _KERNELS[config.algorithm]

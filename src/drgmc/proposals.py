@@ -19,7 +19,7 @@ drift-free flow is an exact rotation of (v, vtilde) by the angle eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class StepParams:
     gamma_perp: int = 0
     n_leapfrog: int = 1
     eps: float | None = None
+    rho0: float = field(init=False)
+    rho1: float = field(init=False)
+    rho2: float = field(init=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -47,18 +50,10 @@ class StepParams:
             object.__setattr__(self, "eps", math.sqrt(self.h))
         elif self.eps <= 0:
             raise ValueError("leapfrog step eps must be positive")
-
-    @property
-    def rho0(self):
-        return (1.0 - self.h / 4.0) / (1.0 + self.h / 4.0)
-
-    @property
-    def rho1(self):
-        return 1.0 - self.rho0
-
-    @property
-    def rho2(self):
-        return math.sqrt(1.0 - self.rho0 ** 2)
+        rho0 = (1.0 - self.h / 4.0) / (1.0 + self.h / 4.0)
+        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "rho1", 1.0 - rho0)
+        object.__setattr__(self, "rho2", math.sqrt(1.0 - rho0 ** 2))
 
 
 @dataclass
@@ -106,6 +101,8 @@ def reduced_ngrad(v, grad, spec, gamma_r):
 
 
 def whitened_ngrad(v, grad, spec, gamma_r=1, gamma_perp=0):
+    if not spec.r:  # the general formula's 0 - (grad - 0), in one operation
+        return 0.0 - grad if gamma_perp else np.zeros(len(v))
     gr = reduced_ngrad(v, grad, spec, gamma_r)
     ghat = spec.lift(spec.D * gr)
     if gamma_perp:
@@ -191,14 +188,12 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
     momentum draw always uses the initial state's spectrum). Records the
     whole path so the energy difference can be assembled afterwards.
     """
-    eps = params.eps
-    n_steps = params.n_leapfrog
+    eps, n_steps = params.eps, params.n_leapfrog
     need_grad = bool(params.gamma_r or params.gamma_perp)
 
     def drift(state_v, state_spec):
         grad = grad_fn(state_v) if need_grad else None
-        return whitened_ngrad(state_v, grad, state_spec, params.gamma_r,
-                              params.gamma_perp)
+        return whitened_ngrad(state_v, grad, state_spec, params.gamma_r, params.gamma_perp)
 
     if vt0 is None:
         if xi is None:
@@ -219,7 +214,7 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
             break
         vt_half = vt + (eps / 2.0) * ghat
         v, vt_rot = c * v + s * vt_half, -s * v + c * vt_half
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v) > DIVERGENCE_THRESHOLD:
+        if not math.sqrt(v @ v) <= DIVERGENCE_THRESHOLD:  # NaN and inf fail it too
             traj.diverged = True
             break
         if spec_fn is not None:
@@ -227,13 +222,13 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
         ghat = drift(v, cur_spec)
         vt = vt_rot + (eps / 2.0) * ghat
 
-    return ProposalOutput(v_prime=traj.vs[-1], noise=xi, trajectory=traj,
-                          diverged=traj.diverged)
+    return ProposalOutput(v_prime=traj.vs[-1], noise=xi, trajectory=traj, diverged=traj.diverged)
 
 
-def inf_hmc_propose(v, params, grad_fn, rng, xi=None):
-    """Hamiltonian proposal with identity mass: empty spectrum, full gradient."""
-    spec = LowRankSpectrum.empty(len(v))
-    p = StepParams(h=params.h, gamma_r=0, gamma_perp=1,
-                   n_leapfrog=params.n_leapfrog, eps=params.eps)
-    return dr_mhmc_propose(v, spec, p, grad_fn, rng, spec_fn=None, xi=xi)
+def inf_hmc_propose(v, params, grad_fn, rng, xi=None, flat=None):
+    """Hamiltonian proposal with identity mass: the empty spectrum (flat,
+    built here when not given) and the full gradient (gamma_r = 0, gamma_perp = 1)."""
+    if (params.gamma_r, params.gamma_perp) != (0, 1):
+        params = replace(params, gamma_r=0, gamma_perp=1)
+    flat = LowRankSpectrum.empty(len(v)) if flat is None else flat
+    return dr_mhmc_propose(v, flat, params, grad_fn, rng, spec_fn=None, xi=xi)

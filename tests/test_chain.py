@@ -1,5 +1,6 @@
 """Chain driver: kernel dispatch, determinism, solve accounting, adaptation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
 from drgmc.operators import CovarianceOperator
+from drgmc.proposals import StepParams
 
 
 def linear_whitened(n=4, m=3, seed=1):
@@ -325,6 +327,37 @@ class TestRejectionPath:
     def test_other_errors_propagate(self, algorithm):
         with pytest.raises(ValueError, match="synthetic failure"):
             run_small(failing_whitened(ValueError), algorithm, iterations=60)
+
+
+class TestLeapfrogParams:
+    def test_one_params_object_per_drawn_count(self):
+        model, _ = linear_whitened()
+        params = StepParams(h=0.5, gamma_r=1, gamma_perp=1, n_leapfrog=4, eps=0.3)
+        ctx = chain.KernelContext(model=model, config=None, steps={}, params=params,
+                                  rng=np.random.default_rng(0))
+        ref = np.random.default_rng(0)
+        seen = {}
+        for _ in range(60):
+            p = chain._randomize_steps(ctx)
+            assert p.n_leapfrog == int(ref.integers(1, 5))
+            assert seen.setdefault(p.n_leapfrog, p) is p
+            assert dataclasses.replace(p, n_leapfrog=4) == params
+        assert sorted(seen) == [1, 2, 3, 4]
+        assert ctx.rng.bit_generator.state == ref.bit_generator.state
+        # a single step draws nothing
+        ctx = chain.KernelContext(model=model, config=None, steps={},
+                                  params=dataclasses.replace(params, n_leapfrog=1),
+                                  rng=np.random.default_rng(0))
+        assert chain._randomize_steps(ctx) is chain._randomize_steps(ctx)
+        assert ctx.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_inf_hmc_ignores_the_configured_flags(self):
+        # inf-hmc is always identity mass with the full gradient
+        model, _ = linear_whitened()
+        a = run_small(model, "inf-hmc", gamma_r=1, gamma_perp=0, iterations=40)
+        b = run_small(model, "inf-hmc", gamma_r=0, gamma_perp=1, iterations=40)
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.accepts, b.accepts)
 
 
 class TestRobustness:

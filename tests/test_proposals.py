@@ -1,5 +1,6 @@
 """Proposal kernels against dense single-purpose references."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,23 @@ class TestStepParams:
     def test_explicit_eps_kept(self):
         assert StepParams(h=1.0, eps=0.3).eps == 0.3
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 3.999), st.integers(1, 9))
+    def test_rho_stored_exactly_as_the_formulas(self, h, count):
+        # computed once at construction, bit for bit the documented formulas,
+        # and recomputed by dataclasses.replace
+        p = StepParams(h=h, n_leapfrog=count)
+        rho0 = (1.0 - h / 4.0) / (1.0 + h / 4.0)
+        assert {k: vars(p)[k] for k in ("rho0", "rho1", "rho2")} == {
+            "rho0": rho0, "rho1": 1.0 - rho0, "rho2": math.sqrt(1.0 - rho0 ** 2)}
+        q = dataclasses.replace(p, h=h / 2.0)
+        assert q.rho0 == (1.0 - h / 8.0) / (1.0 + h / 8.0)
+        assert dataclasses.replace(p, n_leapfrog=1).rho2 == p.rho2
+
+    def test_rho_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            StepParams(h=1.0, rho0=0.5)
+
 
 class TestSimpleProposals:
     def test_pcn_is_autoregressive(self):
@@ -110,6 +128,25 @@ class TestNaturalGradient:
         K = dense_K(spec.basis, spec.eigenvalues, n)
         ref = (np.eye(n) - K) @ v - K @ grad
         assert np.allclose(whitened_ngrad(v, grad, spec, 1, 1), ref, atol=1e-11)
+
+    @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_empty_spectrum_matches_general_formula_bit_for_bit(self, gamma_r, gamma_perp):
+        # r = 0 takes one operation; it must equal the general formula's
+        # lift(D g_r) - gamma_perp (grad - lift(project(grad))) in every bit,
+        # the sign of a zero included
+        n = 6
+        spec = LowRankSpectrum.empty(n)
+        v = np.array([0.3, -1.2, 0.0, -0.0, 2.5, 1e-300])
+        grad = np.array([1.5, -0.0, 0.0, -2.0, 1e300, -1e-300])
+        general = spec.lift(spec.D * reduced_ngrad(v, grad, spec, gamma_r))
+        if gamma_perp:
+            general = general - (grad - spec.lift(spec.project(grad)))
+        ghat = whitened_ngrad(v, grad, spec, gamma_r, gamma_perp)
+        assert ghat.dtype == general.dtype and ghat.shape == general.shape
+        assert np.array_equal(ghat, general)
+        assert np.array_equal(np.signbit(ghat), np.signbit(general))
+        assert not np.signbit(ghat).any() or gamma_perp
+        assert ghat is not grad
 
     def test_reduced_part_only(self):
         n, r = 7, 3
@@ -254,6 +291,18 @@ class TestLeapfrog:
         assert np.allclose(-back.trajectory.vts[-1], vt0, atol=1e-9)
 
 
+EPS_ONE = 0.5  # leapfrog step of TestDrMhmc.first_step
+
+
+def momentum_reaching(target):
+    """The float a with sin(EPS_ONE) * a == target exactly."""
+    s = math.sin(EPS_ONE)
+    a = target / s
+    while s * a != target:
+        a = np.nextafter(a, np.inf if s * a < target else -np.inf)
+    return float(a)
+
+
 class TestDrMhmc:
     def test_trajectory_matches_dense_path(self):
         n, r = 8, 3
@@ -294,6 +343,48 @@ class TestDrMhmc:
                               np.random.default_rng(5))
         assert out.diverged
         assert len(out.trajectory.vs) <= params.n_leapfrog + 1
+
+    @staticmethod
+    def first_step(momentum):
+        """One leapfrog step from v_0 = 0 with no drift and vt_0 = [momentum,
+        0, 0]: v_1 = sin(eps) vt_0."""
+        params = StepParams(h=0.5, gamma_r=0, gamma_perp=0, n_leapfrog=1, eps=EPS_ONE)
+        return dr_mhmc_propose(np.zeros(3), LowRankSpectrum.empty(3), params,
+                               lambda v: np.zeros(3), np.random.default_rng(0),
+                               vt0=np.array([momentum, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("momentum", [
+        np.nan, np.inf, -np.inf,
+        momentum_reaching(np.nextafter(DIVERGENCE_THRESHOLD, np.inf)),
+        momentum_reaching(1e7)])
+    def test_divergence_flag_on_nonfinite_or_beyond_threshold(self, momentum):
+        out = self.first_step(momentum)
+        assert out.diverged and out.trajectory.diverged
+        # the diverged point is not recorded; the proposal stays at v_0
+        assert len(out.trajectory.vs) == 1
+        assert np.array_equal(out.v_prime, np.zeros(3))
+
+    def test_no_divergence_exactly_at_threshold(self):
+        # the test is strict: |v| = DIVERGENCE_THRESHOLD is not a divergence
+        out = self.first_step(momentum_reaching(DIVERGENCE_THRESHOLD))
+        assert np.linalg.norm(out.v_prime) == DIVERGENCE_THRESHOLD
+        assert not out.diverged and not out.trajectory.diverged
+        assert len(out.trajectory.vs) == 2
+
+    def test_inf_hmc_reuses_given_flat_spectrum_and_params(self):
+        # the chain passes its own flat params and empty spectrum; the
+        # proposal must equal the one that builds both itself
+        n = 5
+        _, grad = quadratic_target(n, seed=61)
+        v0 = np.random.default_rng(62).standard_normal(n)
+        params = StepParams(h=0.2, n_leapfrog=3)
+        flat = dataclasses.replace(params, gamma_r=0, gamma_perp=1)
+        spec = LowRankSpectrum.empty(n)
+        a = inf_hmc_propose(v0, params, grad, np.random.default_rng(63))
+        b = inf_hmc_propose(v0, flat, grad, np.random.default_rng(63), flat=spec)
+        assert all(s is spec for s in b.trajectory.specs)
+        for x, y in zip(a.trajectory.vs + a.trajectory.vts, b.trajectory.vs + b.trajectory.vts):
+            assert np.array_equal(x, y)
 
     def test_inf_hmc_is_identity_mass_full_gradient(self):
         n = 6

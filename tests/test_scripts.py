@@ -1,7 +1,9 @@
 """Smoke runs of the experiment scripts: each main() completes on a tiny
-budget and returns 0."""
+budget and returns 0. The benchmark-pairs writer is checked on canned
+bench output."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,125 @@ def test_elliptic_study_writes_table(tmp_path):
 
 def test_tune_steps():
     assert load("tune_steps").main(["--iterations", "20", "--algorithms", "pcn"]) == 0
+
+
+# scripts/bench_pairs.py, on canned bench output: no bench process is started.
+
+def canned_stdout(side, seed, ms, correct=True, trace=0, steps=2.0):
+    env = {"workload": "linear", "seed": seed, "seconds": 55.0, "trace": trace,
+           "blas_threads": "1", "git_describe": f"{side}-sha"}
+    metrics = {"ms_per_iter.inf-hmc": {"value": ms, "unit": "ms"},
+               "setup_s": {"value": 0.001, "unit": "s"}}
+    if trace:
+        metrics = {"proposals.leapfrog_steps_per_iter.inf-hmc": {"value": steps,
+                                                                  "unit": "count/iter"},
+                   "proposals.ms_per_iter.inf-hmc": {"value": ms, "unit": "ms/iter"}}
+    result = {"correct": correct, "attempted": 16, "failed": 0 if correct else 1,
+              "metrics": metrics}
+    return "\n".join(["env " + json.dumps(env), "rounds 3  set-up batches 5",
+                      "metric ms_per_iter.inf-hmc  0.1 ms", json.dumps(result)]) + "\n"
+
+
+def canned_runner(ms_of, wrong=(), steps_of=None):
+    """A stand-in for run_bench: ms_of[(side, seed)] is the run's ms/iter."""
+    bench_pairs = load("bench_pairs")
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace):
+        side = tree.name
+        calls.append((side, seed, trace))
+        steps = (steps_of or {}).get(side, 2.0)
+        stdout = canned_stdout(side, seed, ms_of.get((side, seed), 0.1),
+                               correct=(side, seed) not in wrong, trace=trace, steps=steps)
+        env, result = bench_pairs.parse_output(stdout)
+        return {"env": env, "result": result}
+    return run, calls
+
+
+def trees(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def test_bench_pairs_parses_env_and_last_line():
+    bench_pairs = load("bench_pairs")
+    env, result = bench_pairs.parse_output(canned_stdout("parent", 5, 0.25))
+    assert env["seed"] == 5 and env["git_describe"] == "parent-sha"
+    assert result["metrics"]["ms_per_iter.inf-hmc"]["value"] == 0.25
+    # a run killed before its result line has no result
+    assert bench_pairs.parse_output("env {}\nrounds 1\n") == ({}, None)
+    assert bench_pairs.parse_output("") == (None, None)
+
+
+def test_bench_pairs_seeds_and_alternation():
+    bench_pairs = load("bench_pairs")
+    assert bench_pairs.parse_seeds("2411-2414") == [2411, 2412, 2413, 2414]
+    assert bench_pairs.parse_seeds("3,9") == [3, 9]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("9-3")
+    order = [sides[0] for _, _, sides in bench_pairs.schedule([7, 8, 9])]
+    assert order == ["parent", "change", "parent"]
+
+
+def test_bench_pairs_aggregates_medians_quartiles_and_pairs_won():
+    bench_pairs = load("bench_pairs")
+    parent = [0.10, 0.14, 0.12, 0.16]
+    change = [0.08, 0.14, 0.05, 0.09]  # pair 2 is a tie: it counts for neither side
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        for side, ms in (("parent", p), ("change", c)):
+            env, result = bench_pairs.parse_output(canned_stdout(side, pair, ms))
+            runs.append({"pair": pair, "side": side, "seed": pair, "env": env,
+                         "result": result})
+    m = bench_pairs.summarize(runs)["ms_per_iter.inf-hmc"]
+    assert m["parent_median"] == pytest.approx(0.13)
+    assert m["parent_q1"] == pytest.approx(0.115) and m["parent_q3"] == pytest.approx(0.145)
+    assert m["change_median"] == pytest.approx(0.085)
+    assert m["change_q1"] == pytest.approx(0.0725) and m["change_q3"] == pytest.approx(0.1025)
+    assert m["change_over_parent"] == pytest.approx(0.085 / 0.13)
+    assert m["change_lower_in_pairs"] == "3/4"
+    assert m["gap_exceeds_parent_iqr"] is True  # 0.045 > 0.03
+    assert bench_pairs.summarize(runs)["setup_s"]["change_lower_in_pairs"] == "0/4"
+
+
+def test_bench_pairs_writes_and_merges_workloads(tmp_path, capsys):
+    bench_pairs = load("bench_pairs")
+    out = tmp_path / "BENCH.json"
+    run, calls = canned_runner({("change", 21): 0.05})
+    argv = trees(tmp_path) + ["--workload", "linear", "--seeds", "21-22",
+                              "--out", str(out), "--traced-seed", "23"]
+    assert bench_pairs.main(argv, run=run) == 0
+    assert calls == [("parent", 21, 0), ("change", 21, 0), ("change", 22, 0),
+                     ("parent", 22, 0), ("parent", 23, 1), ("change", 23, 1)]
+    doc = json.loads(out.read_text())
+    assert doc["parent_commit"] == "parent-sha" and doc["change_commit"] == "change-sha"
+    assert doc["blas_threads"] == "1" and doc["seeds"] == {"linear": [21, 22]}
+    entry = doc["workloads"]["linear"]
+    assert entry["first_in_pair"] == {"21": "parent", "22": "change"}
+    assert entry["all_correct"] and len(entry["runs"]) == 4
+    assert entry["medians"]["ms_per_iter.inf-hmc"]["change_lower_in_pairs"] == "1/2"
+    assert entry["traced"]["differing_counts"] == []
+
+    # a second workload joins the same file; an incorrect run fails the exit code
+    run, _ = canned_runner({}, wrong={("parent", 31)})
+    argv = trees(tmp_path / "b") + ["--workload", "desk", "--seeds", "31",
+                                    "--out", str(out)]
+    assert bench_pairs.main(argv, run=run) == 1
+    doc = json.loads(out.read_text())
+    assert set(doc["workloads"]) == {"linear", "desk"}
+    assert not doc["workloads"]["desk"]["all_correct"]
+    assert doc["workloads"]["linear"] == entry
+    assert "NOT CORRECT" in capsys.readouterr().out
+
+
+def test_bench_pairs_flags_count_metrics_that_moved(tmp_path):
+    bench_pairs = load("bench_pairs")
+    run, _ = canned_runner({}, steps_of={"change": 2.5})
+    out = tmp_path / "BENCH.json"
+    argv = trees(tmp_path) + ["--workload", "linear", "--seeds", "1", "--out", str(out),
+                              "--traced-seed", "2"]
+    assert bench_pairs.main(argv, run=run) == 0
+    traced = json.loads(out.read_text())["workloads"]["linear"]["traced"]
+    assert traced["differing_counts"] == ["proposals.leapfrog_steps_per_iter.inf-hmc"]
