@@ -2,10 +2,11 @@
 
 A WhitenedModel bridges model states (which live in u coordinates and cache
 their own forward/adjoint solves) to the whitened coordinates v = C^{-1/2} u
-that every kernel works in. One chain = one RNG stream. A local spectrum is
-exact, from the Gram eigenproblem of the state's whitened Jacobian and a QR
-basis, so it is a deterministic function of position and draws nothing from
-the stream.
+that every kernel works in. One chain = one RNG stream, drawn from here
+alone: proposals are pure maps of their noise and leapfrog count. A local
+spectrum is exact, from the Gram eigenproblem of the state's whitened
+Jacobian and a QR basis, so it is a deterministic function of position and
+draws nothing from the stream.
 
 Curvature is decomposed once per distinct Jacobian array: a chain
 decomposes a state's whitened Jacobian only when the model Jacobian it came
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .acceptance import (decide, dili_exact_log_ratio, dr_mhmc_delta_E,
                          pcn_log_ratio)
 from .diagnostics import COLUMNS, ChainRecord
 from .lis import LISState, adaptation_step, local_spectrum
-from .operators import NUMERICAL_ERRORS, LowRankSpectrum
+from .operators import NUMERICAL_ERRORS, LowRankSpectrum, apply_sqrtK_hat
 from .proposals import (StepParams, dili_operators, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
                         inf_mala_propose, pcn_propose)
@@ -118,8 +119,7 @@ class KernelContext:
     dili_ops: tuple = (None, None)
     # (model Jacobian, spectrum) of the last position-specific decomposition
     last_spec: tuple = (None, None)
-    # built once per chain: params by leapfrog count, inf-hmc's empty spectrum
-    leapfrog_params: dict = field(default_factory=dict)
+    # inf-hmc's empty spectrum, built once per chain
     flat: LowRankSpectrum | None = None
 
 
@@ -142,13 +142,10 @@ def _spectrum(ctx, state):
     return ctx.lis.spectrum if ctx.lis is not None else _ensure_spec(ctx, state)
 
 
-def _randomize_steps(ctx):
-    """Leapfrog count drawn uniformly from {1..I} each iteration."""
-    top = ctx.params.n_leapfrog
-    count = int(ctx.rng.integers(1, top + 1)) if top > 1 else 1
-    if count not in ctx.leapfrog_params:
-        ctx.leapfrog_params[count] = replace(ctx.params, n_leapfrog=count)
-    return ctx.leapfrog_params[count]
+def _leapfrog_count(ctx):
+    """Leapfrog count drawn uniformly from {1..I}; I = 1 draws nothing."""
+    top = ctx.steps["n_leapfrog"]
+    return int(ctx.rng.integers(1, top + 1)) if top > 1 else 1
 
 
 def _hmc_callbacks(ctx, state):
@@ -174,42 +171,49 @@ def _hmc_callbacks(ctx, state):
 # the global LIS spectrum fixed when the chain adapts one (ctx.lis set).
 # Proposals and ratios are looked up as module globals at call time, so
 # wrappers installed on this module (bench/layers.py) see every call.
+# The count is drawn first; then the spectrum and gradient the proposal needs
+# are read, and only then the noise, so a failed read leaves it undrawn.
 
 def _pcn(ctx, state):
-    out = pcn_propose(state.v, ctx.params, ctx.rng)
-    cand = ctx.model.state(out.v_prime)
+    xi = ctx.rng.standard_normal(len(state.v))
+    cand = ctx.model.state(pcn_propose(state.v, ctx.params, xi))
     return cand, pcn_log_ratio(state.phi, cand.phi)
 
 
 def _inf_mala(ctx, state):
-    out = inf_mala_propose(state.v, state.grad, ctx.params, ctx.rng)
-    cand = ctx.model.state(out.v_prime)
-    return cand, inf_mala_log_ratio(state.v, cand.v, state.grad, cand.grad,
+    grad = state.grad
+    xi = ctx.rng.standard_normal(len(state.v))
+    cand = ctx.model.state(inf_mala_propose(state.v, grad, ctx.params, xi))
+    return cand, inf_mala_log_ratio(state.v, cand.v, grad, cand.grad,
                                     state.phi, cand.phi, ctx.params)
 
 
 def _inf_hmc(ctx, state):
-    params = _randomize_steps(ctx)
+    count = _leapfrog_count(ctx)
     ensure, grad_fn, _ = _hmc_callbacks(ctx, state)
-    out = inf_hmc_propose(state.v, params, grad_fn, ctx.rng, flat=ctx.flat)
+    xi = ctx.rng.standard_normal(len(state.v))
+    out = inf_hmc_propose(state.v, ctx.params, grad_fn, xi, count, flat=ctx.flat)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
 def _dr_mmala(ctx, state):
     spec_v = _spectrum(ctx, state)
-    out = dr_mmala_propose(state.v, state.grad, spec_v, ctx.params, ctx.rng)
-    cand = ctx.model.state(out.v_prime)
+    grad = state.grad
+    xi = ctx.rng.standard_normal(len(state.v))
+    cand = ctx.model.state(dr_mmala_propose(state.v, grad, spec_v, ctx.params, xi))
     spec_vp = _spectrum(ctx, cand)
     return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
-                                    state.grad, cand.grad, state.phi, cand.phi,
+                                    grad, cand.grad, state.phi, cand.phi,
                                     ctx.params)
 
 
 def _dr_mhmc(ctx, state):
-    params = _randomize_steps(ctx)
+    count = _leapfrog_count(ctx)
     ensure, grad_fn, spec_fn = _hmc_callbacks(ctx, state)
-    out = dr_mhmc_propose(state.v, _spectrum(ctx, state), params, grad_fn, ctx.rng,
+    spec = _spectrum(ctx, state)
+    vt = apply_sqrtK_hat(ctx.rng.standard_normal(len(state.v)), spec)
+    out = dr_mhmc_propose(state.v, spec, ctx.params, grad_fn, vt, count,
                           spec_fn=spec_fn if ctx.lis is None else None)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
@@ -223,8 +227,8 @@ def _dili(ctx, state):
                              ctx.params.gamma_r)
         ctx.dili_ops = (spec, ops)
     grad = state.grad if ops.uses_grad else None
-    out = dili_propose(state.v, grad, spec, ops, ctx.rng)
-    cand = ctx.model.state(out.v_prime)
+    xi = ctx.rng.standard_normal(len(state.v))
+    cand = ctx.model.state(dili_propose(state.v, grad, spec, ops, xi))
     grad_p = cand.grad if ops.uses_grad else None
     return cand, dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
                                       state.phi, cand.phi, ops)
@@ -273,8 +277,7 @@ def run_chain(model, config):
     n = model.n
     iterations = config.iterations
     params = StepParams(h=steps["h"], gamma_r=config.gamma_r,
-                        gamma_perp=config.gamma_perp,
-                        n_leapfrog=steps["n_leapfrog"], eps=steps["eps"])
+                        gamma_perp=config.gamma_perp, eps=steps["eps"])
     # The randomized eigensolver's probe block: unused since local spectra are
     # exact, but drawn so that every chain's RNG stream stays as it was.
     rng.standard_normal((n, min(max(config.rank, min(config.max_rank, n)) + 5, n)))

@@ -7,8 +7,6 @@ kernels, so the CLI, the scripts, and the test suite all share it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import elliptic, linear_model
 from .chain import WhitenedModel, run_chain
 from .operators import build_prior_covariance

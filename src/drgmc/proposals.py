@@ -1,7 +1,8 @@
 """Proposal kernels in whitened coordinates.
 
 All kernels operate on v = C^{-1/2} u, where the prior is a standard
-Gaussian. The autoregressive parameters derive from a step size h:
+Gaussian. Each maps its noise (and leapfrog count) to a candidate; the
+chain draws them. The autoregressive parameters derive from a step size h:
 
     rho0 = rho = (1 - h/4)/(1 + h/4),  rho1 = 1 - rho,  rho2 = sqrt(1 - rho^2)
 
@@ -31,25 +32,22 @@ DIVERGENCE_THRESHOLD = 1e6  # |v| beyond this flags a diverged trajectory
 @dataclass(frozen=True)
 class StepParams:
     h: float
-    gamma_r: int = 1
-    gamma_perp: int = 0
-    n_leapfrog: int = 1
+    gamma_r: int
+    gamma_perp: int
     eps: float | None = None
     rho0: float = field(init=False)
     rho1: float = field(init=False)
     rho2: float = field(init=False)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step size h must be positive")
+        if not 0.0 < self.h < math.inf:  # NaN fails it too
+            raise ValueError("step size h must be positive and finite")
         if self.gamma_r not in (0, 1) or self.gamma_perp not in (0, 1):
             raise ValueError("gamma flags must be 0 or 1")
-        if self.n_leapfrog < 1:
-            raise ValueError("leapfrog count must be >= 1")
         if self.eps is None:
             object.__setattr__(self, "eps", math.sqrt(self.h))
-        elif self.eps <= 0:
-            raise ValueError("leapfrog step eps must be positive")
+        elif not 0.0 < self.eps < math.inf:
+            raise ValueError("leapfrog step eps must be positive and finite")
         rho0 = (1.0 - self.h / 4.0) / (1.0 + self.h / 4.0)
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "rho1", 1.0 - rho0)
@@ -65,31 +63,28 @@ class Trajectory:
     and the drift ghat(v_i) that the integrator applied there.
     """
 
+    eps: float
     vs: list = field(default_factory=list)
     vts: list = field(default_factory=list)
     specs: list = field(default_factory=list)
     ghats: list = field(default_factory=list)
-    eps: float = 0.0
     diverged: bool = False
 
 
 @dataclass
-class ProposalOutput:
+class ProposalOutput:  # a Hamiltonian proposal's end point and path
     v_prime: np.ndarray
-    noise: np.ndarray | None = None
-    trajectory: Trajectory | None = None
-    diverged: bool = False
+    trajectory: Trajectory
+    diverged: bool
 
 
-def pcn_propose(v, params, rng):
-    xi = rng.standard_normal(len(v))
-    return ProposalOutput(v_prime=params.rho0 * v + params.rho2 * xi, noise=xi)
+def pcn_propose(v, params, xi):
+    return params.rho0 * v + params.rho2 * xi
 
 
-def inf_mala_propose(v, grad, params, rng):
-    xi = rng.standard_normal(len(v))
+def inf_mala_propose(v, grad, params, xi):
     vt = xi - (math.sqrt(params.h) / 2.0) * grad
-    return ProposalOutput(v_prime=params.rho0 * v + params.rho2 * vt, noise=xi)
+    return params.rho0 * v + params.rho2 * vt
 
 
 def reduced_ngrad(v, grad, spec, gamma_r):
@@ -100,7 +95,7 @@ def reduced_ngrad(v, grad, spec, gamma_r):
     return gr
 
 
-def whitened_ngrad(v, grad, spec, gamma_r=1, gamma_perp=0):
+def whitened_ngrad(v, grad, spec, gamma_r, gamma_perp):
     if not spec.r:  # the general formula's 0 - (grad - 0), in one operation
         return 0.0 - grad if gamma_perp else np.zeros(len(v))
     gr = reduced_ngrad(v, grad, spec, gamma_r)
@@ -110,13 +105,10 @@ def whitened_ngrad(v, grad, spec, gamma_r=1, gamma_perp=0):
     return ghat
 
 
-def dr_mmala_propose(v, grad, spec, params, rng, xi=None):
+def dr_mmala_propose(v, grad, spec, params, xi):
     """v' = rho0 v + rho1 ghat(v) + rho2 Khat^{1/2} xi."""
-    if xi is None:
-        xi = rng.standard_normal(len(v))
     ghat = whitened_ngrad(v, grad, spec, params.gamma_r, params.gamma_perp)
-    v_prime = params.rho0 * v + params.rho1 * ghat + params.rho2 * apply_sqrtK_hat(xi, spec)
-    return ProposalOutput(v_prime=v_prime, noise=xi)
+    return params.rho0 * v + params.rho1 * ghat + params.rho2 * apply_sqrtK_hat(xi, spec)
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ class DiliOperators:
     uses_grad: bool = field(init=False)
 
     def __post_init__(self):
-        if abs(self.a_perp ** 2 + self.b_perp ** 2 - 1.0) > 1e-10:
+        if not abs(self.a_perp ** 2 + self.b_perp ** 2 - 1.0) <= 1e-10:  # NaN fails it too
             raise ValueError("complement parameters are not prior-reversible")
         object.__setattr__(self, "uses_grad", bool(np.any(np.asarray(self.D_Gr) != 0.0)))
 
@@ -154,8 +146,8 @@ def dili_operators(spec, h_r, h_perp, gamma_r):
     D_Gr = h D gamma_r,  a_perp = (2 - h_perp)/(2 + h_perp),
     b_perp = sqrt(8 h_perp)/(2 + h_perp).
     """
-    if h_r <= 0 or h_perp <= 0:
-        raise ValueError("DILI step sizes must be positive")
+    if not (0.0 < h_r < math.inf and 0.0 < h_perp < math.inf):  # NaN fails it too
+        raise ValueError("DILI step sizes must be positive and finite")
     D = spec.D
     hD = h_r * D
     D_Ar = (1.0 - hD) + hD ** 2 * (1.0 - gamma_r) / (2.0 + hD)
@@ -166,42 +158,34 @@ def dili_operators(spec, h_r, h_perp, gamma_r):
     return DiliOperators(D_Ar, D_Br, np.asarray(D_Gr), a_perp, b_perp)
 
 
-def dili_propose(v, grad, spec, ops, rng, xi=None):
+def dili_propose(v, grad, spec, ops, xi):
     """v' = A v - G grad + B xi, split between the LIS and its complement."""
-    if xi is None:
-        xi = rng.standard_normal(len(v))
     cv = spec.project(v)
     cxi = spec.project(xi)
     v_prime = (ops.a_perp * (v - spec.lift(cv)) + spec.lift(ops.D_Ar * cv)
                + ops.b_perp * (xi - spec.lift(cxi)) + spec.lift(ops.D_Br * cxi))
     if ops.uses_grad:
         v_prime = v_prime - spec.lift(ops.grad_step(spec, grad))
-    return ProposalOutput(v_prime=v_prime, noise=xi)
+    return v_prime
 
 
-def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=None):
-    """Multi-step Hamiltonian proposal with low-rank curvature.
+def dr_mhmc_propose(v, spec, params, grad_fn, vt, n_steps, spec_fn=None):
+    """n_steps leapfrog steps with low-rank curvature from (v, vt).
 
-    Momentum is drawn from Khat(v_0) via its square root. The drift at each
-    state uses the spectrum in force there: fixed global spectrum when
-    spec_fn is None, refreshed at every leapfrog state otherwise (the
-    momentum draw always uses the initial state's spectrum). Records the
-    whole path so the energy difference can be assembled afterwards.
+    The caller draws the initial momentum vt from Khat(v_0), as
+    Khat(v_0)^{1/2} xi. The drift at each state uses the spectrum in force
+    there: fixed global spectrum when spec_fn is None, refreshed at every
+    leapfrog state otherwise. Records the whole path so the energy
+    difference can be assembled afterwards.
     """
-    eps, n_steps = params.eps, params.n_leapfrog
+    eps = params.eps
     need_grad = bool(params.gamma_r or params.gamma_perp)
 
     def drift(state_v, state_spec):
         grad = grad_fn(state_v) if need_grad else None
         return whitened_ngrad(state_v, grad, state_spec, params.gamma_r, params.gamma_perp)
 
-    if vt0 is None:
-        if xi is None:
-            xi = rng.standard_normal(len(v))
-        vt = apply_sqrtK_hat(xi, spec)
-    else:
-        vt = np.asarray(vt0, dtype=float)
-    traj = Trajectory(eps=eps)
+    traj = Trajectory(eps)
     cur_spec, ghat = spec, drift(v, spec)
 
     c, s = math.cos(eps), math.sin(eps)
@@ -222,13 +206,13 @@ def dr_mhmc_propose(v, spec, params, grad_fn, rng, spec_fn=None, xi=None, vt0=No
         ghat = drift(v, cur_spec)
         vt = vt_rot + (eps / 2.0) * ghat
 
-    return ProposalOutput(v_prime=traj.vs[-1], noise=xi, trajectory=traj, diverged=traj.diverged)
+    return ProposalOutput(traj.vs[-1], traj, traj.diverged)
 
 
-def inf_hmc_propose(v, params, grad_fn, rng, xi=None, flat=None):
+def inf_hmc_propose(v, params, grad_fn, vt, n_steps, flat=None):
     """Hamiltonian proposal with identity mass: the empty spectrum (flat,
     built here when not given) and the full gradient (gamma_r = 0, gamma_perp = 1)."""
     if (params.gamma_r, params.gamma_perp) != (0, 1):
         params = replace(params, gamma_r=0, gamma_perp=1)
     flat = LowRankSpectrum.empty(len(v)) if flat is None else flat
-    return dr_mhmc_propose(v, flat, params, grad_fn, rng, spec_fn=None, xi=xi)
+    return dr_mhmc_propose(v, flat, params, grad_fn, vt, n_steps)

@@ -13,7 +13,7 @@ import numpy as np
 
 from drgmc.acceptance import dr_mmala_log_ratio
 from drgmc.linear_model import make_state
-from drgmc.operators import CovarianceOperator, LowRankSpectrum
+from drgmc.operators import CovarianceOperator, LowRankSpectrum, apply_sqrtK_hat
 from drgmc.proposals import (DiliOperators, StepParams, dili_propose,
                              dr_mhmc_propose, dr_mmala_propose)
 
@@ -328,10 +328,10 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
         state = {"v": v.tolist(), "xi": xi.tolist(), "r": r}
 
         full_params = StepParams(h=h, gamma_r=1, gamma_perp=0)
-        vp_full = dr_mmala_propose(v, g, full_spec, full_params, rng, xi=xi).v_prime
+        vp_full = dr_mmala_propose(v, g, full_spec, full_params, xi)
         for gp in (0, 1):
             params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, rng, xi=xi).v_prime
+            vp_dr = dr_mmala_propose(v, g, spec_r, params, xi)
             lhs = np.linalg.norm(vp_dr - vp_full)
             if gp:
                 rhs = params.rho1 * c_v * (nv + ng) + params.rho2 * c_xi * nxi
@@ -342,12 +342,12 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
         k_diag = spec_r.D * np.exp(rng.uniform(-0.5, 0.5, size=spec_r.r))
         for gp in (0, 1):
             params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, rng, xi=xi).v_prime
+            vp_dr = dr_mmala_propose(v, g, spec_r, params, xi)
             ops = DiliOperators(1.0 - params.rho1 * k_diag,
                                 params.rho2 * np.sqrt(k_diag),
                                 params.rho1 * k_diag,
                                 params.rho0, params.rho2)
-            vp_dili = dili_propose(v, g, spec_r, ops, rng, xi=xi).v_prime
+            vp_dili = dili_propose(v, g, spec_r, ops, xi)
             if gp:
                 g_perp = g - spec_r.lift(spec_r.project(g))
                 vp_dili = vp_dili - params.rho1 * g_perp
@@ -365,11 +365,12 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
 
 
 def _hmc_bound_trial(v, xi, grad_v, h_w, spec_r, full_spec, c_v, c_xi, h, n_steps):
-    params_dr = StepParams(h=h, gamma_r=1, gamma_perp=1, n_leapfrog=n_steps)
-    params_full = StepParams(h=h, gamma_r=1, gamma_perp=0, n_leapfrog=n_steps)
-    rng = np.random.default_rng(0)  # inert: noise supplied explicitly
-    out_dr = dr_mhmc_propose(v, spec_r, params_dr, grad_v, rng, xi=xi)
-    out_full = dr_mhmc_propose(v, full_spec, params_full, grad_v, rng, xi=xi)
+    params_dr = StepParams(h=h, gamma_r=1, gamma_perp=1)
+    params_full = StepParams(h=h, gamma_r=1, gamma_perp=0)
+    out_dr = dr_mhmc_propose(v, spec_r, params_dr, grad_v,
+                             apply_sqrtK_hat(xi, spec_r), n_steps)
+    out_full = dr_mhmc_propose(v, full_spec, params_full, grad_v,
+                               apply_sqrtK_hat(xi, full_spec), n_steps)
     if out_dr.diverged or out_full.diverged:
         return None
     lhs = np.linalg.norm(out_dr.v_prime - out_full.v_prime)

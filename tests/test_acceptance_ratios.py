@@ -20,7 +20,7 @@ from drgmc.acceptance import (
     inf_mala_log_ratio,
     pcn_log_ratio,
 )
-from drgmc.operators import LowRankSpectrum
+from drgmc.operators import LowRankSpectrum, apply_sqrtK_hat
 from drgmc.proposals import (
     StepParams,
     dili_operators,
@@ -124,13 +124,12 @@ class TestPcnRatio:
         # the potential difference: verifies the proposal is prior-reversible
         n = 7
         phi, _ = quadratic_target(n, seed=3)
-        params = StepParams(h=0.6)
+        params = StepParams(h=0.6, gamma_r=1, gamma_perp=0)
         rng = np.random.default_rng(4)
         rho0, _, rho2 = rho_params(params.h)
         for _ in range(25):
             v = rng.standard_normal(n)
-            out = pcn_propose(v, params, rng)
-            vp = out.v_prime
+            vp = pcn_propose(v, params, rng.standard_normal(n))
             ref = mh_log_ratio(v, vp, phi(v), phi(vp),
                                rho0 * v, rho2 ** 2 * np.eye(n),
                                rho0 * vp, rho2 ** 2 * np.eye(n))
@@ -141,12 +140,11 @@ class TestInfMalaRatio:
     def test_matches_dense_densities(self):
         n = 5
         phi, grad = quadratic_target(n, seed=5)
-        params = StepParams(h=0.5)
+        params = StepParams(h=0.5, gamma_r=1, gamma_perp=0)
         rng = np.random.default_rng(6)
         for _ in range(100):
             v = rng.standard_normal(n)
-            out = inf_mala_propose(v, grad(v), params, rng)
-            vp = out.v_prime
+            vp = inf_mala_propose(v, grad(v), params, rng.standard_normal(n))
             m_f, c_f = inf_mala_mean_cov(v, grad(v), params.h)
             m_r, c_r = inf_mala_mean_cov(vp, grad(vp), params.h)
             ref = mh_log_ratio(v, vp, phi(v), phi(vp), m_f, c_f, m_r, c_r)
@@ -157,7 +155,7 @@ class TestInfMalaRatio:
     def test_antisymmetry(self):
         n = 4
         phi, grad = quadratic_target(n, seed=7)
-        params = StepParams(h=0.8)
+        params = StepParams(h=0.8, gamma_r=1, gamma_perp=0)
         rng = np.random.default_rng(8)
         v, vp = rng.standard_normal(n), rng.standard_normal(n)
         a = inf_mala_log_ratio(v, vp, grad(v), grad(vp), phi(v), phi(vp), params)
@@ -178,8 +176,7 @@ class TestDrMmalaRatio:
             spec_v = random_spectrum(n, r, seed=200 + trial)
             spec_vp = random_spectrum(n, r + 1, seed=400 + trial)
             v = rng.standard_normal(n)
-            out = dr_mmala_propose(v, grad(v), spec_v, params, rng)
-            vp = out.v_prime
+            vp = dr_mmala_propose(v, grad(v), spec_v, params, rng.standard_normal(n))
             Vv, lv = spectrum_arrays(spec_v)
             Vp, lp = spectrum_arrays(spec_vp)
             m_f, c_f = dr_mmala_mean_cov(v, grad(v), Vv, lv, params.h, 1, gamma_perp)
@@ -225,8 +222,7 @@ class TestDiliRatios:
             V, lam = spectrum_arrays(spec)
             for _ in range(40):
                 v = rng.standard_normal(n)
-                out = dili_propose(v, grad(v), spec, ops, rng)
-                vp = out.v_prime
+                vp = dili_propose(v, grad(v), spec, ops, rng.standard_normal(n))
                 m_f, c_f = dili_mean_cov(v, grad(v), V, ops)
                 m_r, c_r = dili_mean_cov(vp, grad(vp), V, ops)
                 ref = mh_log_ratio(v, vp, phi(v), phi(vp), m_f, c_f, m_r, c_r)
@@ -245,8 +241,7 @@ class TestDiliRatios:
             spec_v = random_spectrum(n, r, seed=600 + trial)
             spec_vp = random_spectrum(n, r, seed=800 + trial)
             v = rng.standard_normal(n)
-            out = dr_mmala_propose(v, grad(v), spec_v, params, rng)
-            vp = out.v_prime
+            vp = dr_mmala_propose(v, grad(v), spec_v, params, rng.standard_normal(n))
             Vv, lv = spectrum_arrays(spec_v)
             Vp, lp = spectrum_arrays(spec_vp)
             m_f, c_f = dr_mmala_mean_cov(v, grad(v), Vv, lv, params.h, 1, 0)
@@ -285,9 +280,9 @@ class TestDiliRatios:
         elsewhere = np.random.default_rng(34)
         for _ in range(30):
             v = rng.standard_normal(n)
-            out = dr_mmala_propose(v, grad(v), spec, params, rng)
+            v_prime = dr_mmala_propose(v, grad(v), spec, params, rng.standard_normal(n))
             # the proposed candidate, and one the proposal did not draw
-            for vp in (out.v_prime, elsewhere.standard_normal(n)):
+            for vp in (v_prime, elsewhere.standard_normal(n)):
                 dr = dr_mmala_log_ratio(v, vp, spec, spec, grad(v), grad(vp),
                                         phi(v), phi(vp), params)
                 exact = dili_exact_log_ratio(v, vp, spec, grad(v), grad(vp),
@@ -306,13 +301,13 @@ class TestHmcEnergy:
         n, r = 8, 3
         phi, grad = quadratic_target(n, seed=28)
         spec = random_spectrum(n, r, seed=29)
-        params = StepParams(h=0.09, gamma_r=gamma_r, gamma_perp=gamma_perp,
-                            n_leapfrog=steps)
+        params = StepParams(h=0.09, gamma_r=gamma_r, gamma_perp=gamma_perp)
         rng = np.random.default_rng(30)
         V, lam = spectrum_arrays(spec)
         for _ in range(10):
             v0 = rng.standard_normal(n)
-            out = dr_mhmc_propose(v0, spec, params, grad, rng)
+            vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec)
+            out = dr_mhmc_propose(v0, spec, params, grad, vt0, steps)
             tr = out.trajectory
             mine = dr_mhmc_delta_E(tr, phi(v0), phi(out.v_prime))
             ref = (hmc_total_energy(out.v_prime, tr.vts[-1], phi(out.v_prime), V, lam)
@@ -333,11 +328,11 @@ class TestHmcEnergy:
             V = np.linalg.qr(W + 0.3 * np.outer(np.tanh(v), np.ones(r)))[0]
             return LowRankSpectrum(base * (1.0 + 0.5 * np.tanh(v @ v / n)), V)
 
-        params = StepParams(h=0.09, gamma_r=gamma_r, gamma_perp=gamma_perp,
-                            n_leapfrog=5)
+        params = StepParams(h=0.09, gamma_r=gamma_r, gamma_perp=gamma_perp)
         for _ in range(10):
             v0 = rng.standard_normal(n)
-            out = dr_mhmc_propose(v0, spec_fn(v0), params, grad, rng, spec_fn=spec_fn)
+            vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec_fn(v0))
+            out = dr_mhmc_propose(v0, spec_fn(v0), params, grad, vt0, 5, spec_fn=spec_fn)
             phi_0, phi_I = phi(v0), phi(out.v_prime)
             ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, gamma_r, gamma_perp)
             assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
@@ -347,11 +342,11 @@ class TestHmcEnergy:
         # empty spectrum: the whole drift is the complement term
         n = 7
         phi, grad = quadratic_target(n, seed=37)
-        params = StepParams(h=0.09, n_leapfrog=5)
+        params = StepParams(h=0.09, gamma_r=1, gamma_perp=0)
         rng = np.random.default_rng(38)
         for _ in range(10):
             v0 = rng.standard_normal(n)
-            out = inf_hmc_propose(v0, params, grad, rng)
+            out = inf_hmc_propose(v0, params, grad, rng.standard_normal(n), 5)
             phi_0, phi_I = phi(v0), phi(out.v_prime)
             ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, 0, 1)
             assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
@@ -361,11 +356,11 @@ class TestHmcEnergy:
         n = 5
         spec = LowRankSpectrum.empty(n)
         for h, gamma_perp in ((0.16, 1), (0.09, 0)):
-            params = StepParams(h=h, gamma_r=0, gamma_perp=gamma_perp,
-                                n_leapfrog=25)
+            params = StepParams(h=h, gamma_r=0, gamma_perp=gamma_perp)
             rng = np.random.default_rng(31)
-            out = dr_mhmc_propose(rng.standard_normal(n), spec, params,
-                                  lambda v: np.zeros(n), rng)
+            v0 = rng.standard_normal(n)
+            out = dr_mhmc_propose(v0, spec, params, lambda v: np.zeros(n),
+                                  apply_sqrtK_hat(rng.standard_normal(n), spec), 25)
             assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
 
     def test_reverse_path_negates_energy_difference(self):
@@ -380,13 +375,14 @@ class TestHmcEnergy:
         def spec_fn(v):
             return LowRankSpectrum(base * (1.0 + 0.5 * np.tanh(v @ v / n)), V)
 
-        params = StepParams(h=0.06, gamma_r=1, gamma_perp=1, n_leapfrog=4)
+        params = StepParams(h=0.06, gamma_r=1, gamma_perp=1)
         v0 = rng.standard_normal(n)
-        fwd = dr_mhmc_propose(v0, spec_fn(v0), params, grad, rng, spec_fn=spec_fn)
+        vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec_fn(v0))
+        fwd = dr_mhmc_propose(v0, spec_fn(v0), params, grad, vt0, 4, spec_fn=spec_fn)
         dE_f = dr_mhmc_delta_E(fwd.trajectory, phi(v0), phi(fwd.v_prime))
         vI = fwd.v_prime
-        rev = dr_mhmc_propose(vI, spec_fn(vI), params, grad, rng,
-                              spec_fn=spec_fn, vt0=-fwd.trajectory.vts[-1])
+        rev = dr_mhmc_propose(vI, spec_fn(vI), params, grad,
+                              -fwd.trajectory.vts[-1], 4, spec_fn=spec_fn)
         assert np.allclose(rev.v_prime, v0, atol=1e-8)
         dE_r = dr_mhmc_delta_E(rev.trajectory, phi(vI), phi(rev.v_prime))
         assert dE_f == pytest.approx(-dE_r, abs=1e-9)
@@ -394,8 +390,8 @@ class TestHmcEnergy:
     def test_diverged_is_infinite(self):
         n = 3
         spec = LowRankSpectrum.empty(n)
-        params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, n_leapfrog=6, eps=1.0)
+        params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, eps=1.0)
         out = dr_mhmc_propose(np.ones(n), spec, params,
                               lambda v: -1e4 * v * np.abs(v),
-                              np.random.default_rng(34))
+                              np.random.default_rng(34).standard_normal(n), 6)
         assert dr_mhmc_delta_E(out.trajectory, 0.0, 0.0) == float("inf")

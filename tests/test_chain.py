@@ -1,6 +1,5 @@
 """Chain driver: kernel dispatch, determinism, solve accounting, adaptation."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +9,8 @@ from drgmc import chain, elliptic, linear_model, runio
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
-from drgmc.operators import CovarianceOperator
+from drgmc.lis import LISState
+from drgmc.operators import CovarianceOperator, LowRankSpectrum
 from drgmc.proposals import StepParams
 
 
@@ -260,6 +260,47 @@ def failing_whitened(error, n=4):
                          lambda u: _FailingState(u, error))
 
 
+class _NoDerivativeState:
+    """Potential 0 at u = 0 and failing elsewhere; the gradient and the
+    Jacobian fail everywhere."""
+
+    def __init__(self, u):
+        self.u = u
+
+    @property
+    def phi(self):
+        if np.any(self.u):
+            raise FloatingPointError("synthetic potential failure")
+        return 0.0
+
+    @property
+    def grad(self):
+        raise FloatingPointError("synthetic gradient failure")
+
+    @property
+    def jac(self):
+        raise FloatingPointError("synthetic Jacobian failure")
+
+
+# What the first iteration on _NoDerivativeState draws before it fails, in
+# order. A Hamiltonian kernel draws its leapfrog count first; every kernel
+# reads the spectrum and gradient its proposal needs before drawing noise.
+ERROR_DRAWS = {
+    "pcn": ("noise",),  # reads nothing first; the candidate's potential fails
+    "inf-mala": (),  # the gradient fails
+    "inf-hmc": ("count", "noise"),  # the gradient is first read by the integrator
+    "dr-inf-mmala": (),  # the spectrum fails
+    "dr-inf-mhmc": ("count",),  # the spectrum fails
+    "dili": (),  # the gradient fails (its operators weight it)
+    "adr-inf-mmala": (),  # the gradient fails
+    "adr-inf-mhmc": ("count", "noise"),  # the global spectrum holds; the integrator fails
+}
+
+
+class _Stop(Exception):
+    pass
+
+
 class _NanState:
     """Quadratic target whose potential is NaN off the origin."""
 
@@ -288,6 +329,36 @@ class TestRejectionPath:
         rec = run_small(model, "dr-inf-mmala", iterations=30)
         assert not rec.accepts.any()
         assert rec.meta["error_rejects"] == 30
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_failing_iteration_draws(self, algorithm, monkeypatch):
+        # an ERROR iteration leaves the stream exactly where its draws so
+        # far put it, so the iterations after it see the numbers they did
+        n = 4
+        model = WhitenedModel(CovarianceOperator(np.eye(n)), _NoDerivativeState)
+        real, seen = chain._mh_step, []
+
+        def once(kernel, ctx, state):
+            if algorithm == "dili":  # a subspace on which G weights the gradient
+                ctx.lis = LISState(LowRankSpectrum(np.array([1.0]), np.eye(n)[:, :1]))
+            before = ctx.rng.bit_generator.state
+            outcome = real(kernel, ctx, state)[1]
+            seen.append((before, outcome, ctx.rng.bit_generator.state))
+            raise _Stop
+
+        monkeypatch.setattr(chain, "_mh_step", once)
+        with pytest.raises(_Stop):
+            run_small(model, algorithm, n_leapfrog=3)
+        (before, outcome, after), = seen
+        assert outcome == chain.ERROR
+        ref = np.random.default_rng()
+        ref.bit_generator.state = before
+        for draw in ERROR_DRAWS[algorithm]:
+            if draw == "count":
+                ref.integers(1, 4)
+            else:
+                ref.standard_normal(n)
+        assert after == ref.bit_generator.state
 
     def test_nan_log_ratio_rejects_are_counted(self, tmp_path):
         # decide rejects a NaN log ratio; the chain counts each one
@@ -330,26 +401,21 @@ class TestRejectionPath:
 
 
 class TestLeapfrogParams:
-    def test_one_params_object_per_drawn_count(self):
+    def test_leapfrog_count_follows_the_rng_stream(self):
         model, _ = linear_whitened()
-        params = StepParams(h=0.5, gamma_r=1, gamma_perp=1, n_leapfrog=4, eps=0.3)
-        ctx = chain.KernelContext(model=model, config=None, steps={}, params=params,
-                                  rng=np.random.default_rng(0))
+        params = StepParams(h=0.5, gamma_r=1, gamma_perp=1, eps=0.3)
+        ctx = chain.KernelContext(model=model, config=None, steps={"n_leapfrog": 4},
+                                  params=params, rng=np.random.default_rng(0))
         ref = np.random.default_rng(0)
-        seen = {}
-        for _ in range(60):
-            p = chain._randomize_steps(ctx)
-            assert p.n_leapfrog == int(ref.integers(1, 5))
-            assert seen.setdefault(p.n_leapfrog, p) is p
-            assert dataclasses.replace(p, n_leapfrog=4) == params
-        assert sorted(seen) == [1, 2, 3, 4]
+        counts = [chain._leapfrog_count(ctx) for _ in range(60)]
+        assert counts == [int(ref.integers(1, 5)) for _ in range(60)]
+        assert sorted(set(counts)) == [1, 2, 3, 4]
+        assert all(type(c) is int for c in counts)
         assert ctx.rng.bit_generator.state == ref.bit_generator.state
         # a single step draws nothing
-        ctx = chain.KernelContext(model=model, config=None, steps={},
-                                  params=dataclasses.replace(params, n_leapfrog=1),
-                                  rng=np.random.default_rng(0))
-        assert chain._randomize_steps(ctx) is chain._randomize_steps(ctx)
-        assert ctx.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        ctx.steps = {"n_leapfrog": 1}
+        assert chain._leapfrog_count(ctx) == 1
+        assert ctx.rng.bit_generator.state == ref.bit_generator.state
 
     def test_inf_hmc_ignores_the_configured_flags(self):
         # inf-hmc is always identity mass with the full gradient

@@ -1,9 +1,11 @@
 """One copy of every chain parameter: RunConfig holds the defaults.
 
 The modules that run a configured chain (chain.py, lis.py, harness.py,
-cli.py) read every setting from the RunConfig they are given. A parameter
-or dataclass field there that defaults a RunConfig key to a constant would
-be a second copy of that setting, free to drift from RunConfig's. ``None``
+cli.py) and the proposals and ratios it calls (proposals.py,
+acceptance.py) read every setting from the RunConfig they are given or
+from their callers. A parameter or dataclass field there that defaults a
+RunConfig key to a constant would be a second copy of that setting, free
+to drift from RunConfig's. ``None``
 stays allowed: it means "not given", not a value.
 """
 
@@ -14,7 +16,8 @@ from pathlib import Path
 from drgmc.config import RunConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "drgmc"
-MODULES = ("chain.py", "lis.py", "harness.py", "cli.py")
+MODULES = ("chain.py", "lis.py", "harness.py", "cli.py", "proposals.py",
+           "acceptance.py")
 KEYS = {f.name for f in fields(RunConfig)}
 
 

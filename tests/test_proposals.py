@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drgmc import chain, linear_model
 from drgmc.operators import LowRankSpectrum, apply_sqrtK_hat
 from drgmc.acceptance import dili_exact_log_ratio
+from drgmc.lis import LISState
 from drgmc.proposals import (
     DIVERGENCE_THRESHOLD,
     DiliOperators,
@@ -53,7 +55,7 @@ class TestStepParams:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-6, 3.999))
     def test_identities(self, h):
-        p = StepParams(h=h)
+        p = StepParams(h=h, gamma_r=1, gamma_perp=0)
         assert p.rho0 == pytest.approx((1 - h / 4) / (1 + h / 4), abs=1e-14)
         assert p.rho0 ** 2 + p.rho2 ** 2 == pytest.approx(1.0, abs=1e-12)
         assert p.rho2 * math.sqrt(h) / 2 == pytest.approx(p.rho1, abs=1e-12)
@@ -61,51 +63,57 @@ class TestStepParams:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StepParams(h=0.0)
+            StepParams(h=0.0, gamma_r=1, gamma_perp=0)
         with pytest.raises(ValueError):
-            StepParams(h=1.0, gamma_r=2)
+            StepParams(h=1.0, gamma_r=2, gamma_perp=0)
         with pytest.raises(ValueError):
-            StepParams(h=1.0, n_leapfrog=0)
-        with pytest.raises(ValueError):
-            StepParams(h=1.0, eps=-0.1)
+            StepParams(h=1.0, gamma_r=1, gamma_perp=0, eps=-0.1)
+
+    @pytest.mark.parametrize("h,eps", [(math.nan, None), (math.inf, None),
+                                       (1.0, math.nan), (1.0, math.inf)])
+    def test_refuses_non_finite_steps(self, h, eps):
+        with pytest.raises(ValueError, match="finite"):
+            StepParams(h=h, gamma_r=1, gamma_perp=0, eps=eps)
 
     def test_explicit_eps_kept(self):
-        assert StepParams(h=1.0, eps=0.3).eps == 0.3
+        assert StepParams(h=1.0, gamma_r=1, gamma_perp=0, eps=0.3).eps == 0.3
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(1e-6, 3.999), st.integers(1, 9))
-    def test_rho_stored_exactly_as_the_formulas(self, h, count):
+    @given(st.floats(1e-6, 3.999))
+    def test_rho_stored_exactly_as_the_formulas(self, h):
         # computed once at construction, bit for bit the documented formulas,
         # and recomputed by dataclasses.replace
-        p = StepParams(h=h, n_leapfrog=count)
+        p = StepParams(h=h, gamma_r=1, gamma_perp=0)
         rho0 = (1.0 - h / 4.0) / (1.0 + h / 4.0)
         assert {k: vars(p)[k] for k in ("rho0", "rho1", "rho2")} == {
             "rho0": rho0, "rho1": 1.0 - rho0, "rho2": math.sqrt(1.0 - rho0 ** 2)}
         q = dataclasses.replace(p, h=h / 2.0)
         assert q.rho0 == (1.0 - h / 8.0) / (1.0 + h / 8.0)
-        assert dataclasses.replace(p, n_leapfrog=1).rho2 == p.rho2
+        assert dataclasses.replace(p, gamma_r=0, gamma_perp=1).rho2 == p.rho2
 
     def test_rho_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):
-            StepParams(h=1.0, rho0=0.5)
+            StepParams(h=1.0, gamma_r=1, gamma_perp=0, rho0=0.5)
 
 
 class TestSimpleProposals:
     def test_pcn_is_autoregressive(self):
-        params = StepParams(h=0.7)
+        params = StepParams(h=0.7, gamma_r=1, gamma_perp=0)
         v = np.arange(5.0)
-        out = pcn_propose(v, params, np.random.default_rng(0))
-        assert np.allclose(out.v_prime, params.rho0 * v + params.rho2 * out.noise)
+        xi = np.random.default_rng(0).standard_normal(5)
+        v_prime = pcn_propose(v, params, xi)
+        assert np.allclose(v_prime, params.rho0 * v + params.rho2 * xi)
 
     def test_inf_mala_moments(self):
-        params = StepParams(h=0.4)
+        params = StepParams(h=0.4, gamma_r=1, gamma_perp=0)
         n = 6
         phi, grad = quadratic_target(n, seed=2)
         v = np.random.default_rng(1).standard_normal(n)
-        out = inf_mala_propose(v, grad(v), params, np.random.default_rng(3))
+        xi = np.random.default_rng(3).standard_normal(n)
+        v_prime = inf_mala_propose(v, grad(v), params, xi)
         expect = (params.rho0 * v
-                  + params.rho2 * (out.noise - math.sqrt(params.h) / 2 * grad(v)))
-        assert np.allclose(out.v_prime, expect, atol=1e-14)
+                  + params.rho2 * (xi - math.sqrt(params.h) / 2 * grad(v)))
+        assert np.allclose(v_prime, expect, atol=1e-14)
 
 
 class TestNaturalGradient:
@@ -166,12 +174,12 @@ class TestDrMmala:
         rng = np.random.default_rng(12)
         v, grad = rng.standard_normal(n), rng.standard_normal(n)
         xi = rng.standard_normal(n)
-        out = dr_mmala_propose(v, grad, spec, params, rng, xi=xi)
+        v_prime = dr_mmala_propose(v, grad, spec, params, xi)
         rho0, rho1, rho2 = rho_params(params.h)
         ref = (rho0 * v
                + rho1 * dense_ghat(v, grad, spec.basis, spec.eigenvalues, 1, gamma_perp)
                + rho2 * dense_sqrtK(spec.basis, spec.eigenvalues, n) @ xi)
-        assert np.allclose(out.v_prime, ref, atol=1e-11)
+        assert np.allclose(v_prime, ref, atol=1e-11)
 
     def test_empty_spectrum_no_flags_is_pcn(self):
         n = 8
@@ -180,8 +188,8 @@ class TestDrMmala:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(n)
         xi = rng.standard_normal(n)
-        out = dr_mmala_propose(v, None, spec, params, rng, xi=xi)
-        assert np.allclose(out.v_prime, params.rho0 * v + params.rho2 * xi)
+        v_prime = dr_mmala_propose(v, None, spec, params, xi)
+        assert np.allclose(v_prime, params.rho0 * v + params.rho2 * xi)
 
 
 class TestDiliOperators:
@@ -209,7 +217,7 @@ class TestDiliOperators:
 
     def test_connection_substitution(self):
         spec = random_spectrum(7, 3, seed=3)
-        params = StepParams(h=1.1, gamma_r=1)
+        params = StepParams(h=1.1, gamma_r=1, gamma_perp=0)
         ops = dili_connection_operators(spec, params)
         D = spec.D
         assert np.allclose(ops.D_Ar, 1.0 - params.rho1 * D)
@@ -222,9 +230,20 @@ class TestDiliOperators:
         with pytest.raises(ValueError):
             dili_operators(spec, h_r=0.0, h_perp=1.0, gamma_r=0)
 
+    @pytest.mark.parametrize("h_r,h_perp", [(math.nan, 0.5), (math.inf, 0.5),
+                                            (0.5, math.nan), (0.5, math.inf)])
+    def test_rejects_non_finite_steps(self, h_r, h_perp):
+        with pytest.raises(ValueError, match="finite"):
+            dili_operators(random_spectrum(4, 2), h_r, h_perp, 1)
+
     def test_rejects_non_reversible_complement(self):
         with pytest.raises(ValueError, match="reversible"):
             DiliOperators(np.ones(2), np.ones(2), np.zeros(2), 0.9, 0.9)
+
+    @pytest.mark.parametrize("a_perp,b_perp", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite_complement(self, a_perp, b_perp):
+        with pytest.raises(ValueError, match="reversible"):
+            DiliOperators(np.ones(2), np.ones(2), np.zeros(2), a_perp, b_perp)
 
     @pytest.mark.parametrize("gamma_r", [0, 1])
     def test_uses_grad_follows_gamma_r_on_a_nonempty_subspace(self, gamma_r):
@@ -242,9 +261,9 @@ class TestDiliPropose:
             v, grad = rng.standard_normal(n), rng.standard_normal(n)
             xi = rng.standard_normal(n)
             ops = dili_connection_operators(spec, params)
-            out_d = dili_propose(v, grad, spec, ops, rng, xi=xi)
-            out_m = dr_mmala_propose(v, grad, spec, params, rng, xi=xi)
-            assert np.allclose(out_d.v_prime, out_m.v_prime, atol=1e-10)
+            vp_d = dili_propose(v, grad, spec, ops, xi)
+            vp_m = dr_mmala_propose(v, grad, spec, params, xi)
+            assert np.allclose(vp_d, vp_m, atol=1e-10)
 
     def test_empty_spectrum_with_gradient_flag(self):
         # regression: an unadapted (empty) subspace must not touch the gradient
@@ -254,8 +273,9 @@ class TestDiliPropose:
         v = rng.standard_normal(n)
         ops = dili_operators(spec, 0.5, 0.5, 1)
         assert not ops.uses_grad
-        out = dili_propose(v, None, spec, ops, rng)
-        assert np.allclose(out.v_prime, ops.a_perp * v + ops.b_perp * out.noise)
+        xi = rng.standard_normal(n)
+        v_prime = dili_propose(v, None, spec, ops, xi)
+        assert np.allclose(v_prime, ops.a_perp * v + ops.b_perp * xi)
 
     def test_missing_gradient_raises_in_proposal_and_ratio(self):
         n = 6
@@ -265,7 +285,7 @@ class TestDiliPropose:
         v, g = rng.standard_normal(n), rng.standard_normal(n)
         message = "gradient-weighted operators need the gradient"
         with pytest.raises(ValueError, match=message):
-            dili_propose(v, None, spec, ops, rng)
+            dili_propose(v, None, spec, ops, rng.standard_normal(n))
         with pytest.raises(ValueError, match=message):
             dili_exact_log_ratio(v, v, spec, g, None, 0.0, 0.0, ops)
         with pytest.raises(ValueError, match=message):
@@ -281,12 +301,12 @@ class TestLeapfrog:
         n = 4
         spec = random_spectrum(n, 2, seed=seed % 100)
         _, grad = quadratic_target(n, seed=seed % 100)
-        params = StepParams(h=1.0, eps=eps, n_leapfrog=steps, gamma_r=1, gamma_perp=1)
+        params = StepParams(h=1.0, eps=eps, gamma_r=1, gamma_perp=1)
         rng = np.random.default_rng(seed)
         v0, vt0 = rng.standard_normal(n), rng.standard_normal(n)
-        fwd = dr_mhmc_propose(v0, spec, params, grad, rng, vt0=vt0)
-        back = dr_mhmc_propose(fwd.v_prime, spec, params, grad, rng,
-                               vt0=-fwd.trajectory.vts[-1])
+        fwd = dr_mhmc_propose(v0, spec, params, grad, vt0, steps)
+        back = dr_mhmc_propose(fwd.v_prime, spec, params, grad,
+                               -fwd.trajectory.vts[-1], steps)
         assert np.allclose(back.v_prime, v0, atol=1e-9)
         assert np.allclose(-back.trajectory.vts[-1], vt0, atol=1e-9)
 
@@ -308,11 +328,11 @@ class TestDrMhmc:
         n, r = 8, 3
         spec = random_spectrum(n, r, seed=31)
         phi, grad = quadratic_target(n, seed=32)
-        params = StepParams(h=0.3, gamma_r=1, gamma_perp=1, n_leapfrog=4)
+        params = StepParams(h=0.3, gamma_r=1, gamma_perp=1)
         rng = np.random.default_rng(33)
         v0 = rng.standard_normal(n)
-        out = dr_mhmc_propose(v0, spec, params, grad, rng)
-        vt0 = out.trajectory.vts[0]
+        vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec)
+        out = dr_mhmc_propose(v0, spec, params, grad, vt0, 4)
         drift = lambda v: dense_ghat(v, grad(v), spec.basis, spec.eigenvalues, 1, 1)
         vs, vts = dense_leapfrog_path(v0, vt0, drift, params.eps, 4)
         assert len(out.trajectory.vs) == 5
@@ -322,36 +342,48 @@ class TestDrMhmc:
             assert np.allclose(a, b, atol=1e-10)
         assert np.allclose(out.v_prime, vs[-1], atol=1e-10)
 
-    def test_momentum_drawn_through_sqrt_mass(self):
+    def test_momentum_drawn_through_sqrt_mass(self, monkeypatch):
+        # the chain's Hamiltonian kernel draws xi from its stream and hands
+        # the proposal the momentum Khat^{1/2} xi
         n, r = 7, 3
         spec = random_spectrum(n, r, seed=41)
-        params = StepParams(h=0.2, n_leapfrog=1)
-        rng = np.random.default_rng(42)
-        v0 = rng.standard_normal(n)
-        xi = rng.standard_normal(n)
-        out = dr_mhmc_propose(v0, spec, params, lambda v: np.zeros(n),
-                              np.random.default_rng(0), xi=xi)
-        assert np.allclose(out.trajectory.vts[0], apply_sqrtK_hat(xi, spec))
+        lm = linear_model.random_model(n=n, m=3, seed=42, noise_scale=0.5)
+        model = chain.WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
+        ctx = chain.KernelContext(
+            model=model, config=None, steps={"n_leapfrog": 1},
+            params=StepParams(h=0.2, gamma_r=1, gamma_perp=0),
+            rng=np.random.default_rng(0), lis=LISState(spec))
+        seen = []
+
+        def spy(v, spec_v, params, grad_fn, vt, n_steps, spec_fn=None):
+            seen.append((spec_v, vt, n_steps))
+            return dr_mhmc_propose(v, spec_v, params, grad_fn, vt, n_steps, spec_fn)
+
+        monkeypatch.setattr(chain, "dr_mhmc_propose", spy)
+        chain._dr_mhmc(ctx, model.state(np.zeros(n)))
+        xi = np.random.default_rng(0).standard_normal(n)
+        (spec_v, vt, n_steps), = seen
+        assert spec_v is spec and n_steps == 1
+        assert np.array_equal(vt, apply_sqrtK_hat(xi, spec))
 
     def test_divergence_flag(self):
         n = 3
         spec = LowRankSpectrum.empty(n)
-        params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, n_leapfrog=6, eps=1.0)
+        params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, eps=1.0)
         # explosive anti-restoring force
         grad_fn = lambda v: -1e4 * v * np.abs(v)
         out = dr_mhmc_propose(np.ones(n), spec, params, grad_fn,
-                              np.random.default_rng(5))
+                              np.random.default_rng(5).standard_normal(n), 6)
         assert out.diverged
-        assert len(out.trajectory.vs) <= params.n_leapfrog + 1
+        assert len(out.trajectory.vs) <= 6 + 1
 
     @staticmethod
     def first_step(momentum):
         """One leapfrog step from v_0 = 0 with no drift and vt_0 = [momentum,
         0, 0]: v_1 = sin(eps) vt_0."""
-        params = StepParams(h=0.5, gamma_r=0, gamma_perp=0, n_leapfrog=1, eps=EPS_ONE)
+        params = StepParams(h=0.5, gamma_r=0, gamma_perp=0, eps=EPS_ONE)
         return dr_mhmc_propose(np.zeros(3), LowRankSpectrum.empty(3), params,
-                               lambda v: np.zeros(3), np.random.default_rng(0),
-                               vt0=np.array([momentum, 0.0, 0.0]))
+                               lambda v: np.zeros(3), np.array([momentum, 0.0, 0.0]), 1)
 
     @pytest.mark.parametrize("momentum", [
         np.nan, np.inf, -np.inf,
@@ -377,11 +409,12 @@ class TestDrMhmc:
         n = 5
         _, grad = quadratic_target(n, seed=61)
         v0 = np.random.default_rng(62).standard_normal(n)
-        params = StepParams(h=0.2, n_leapfrog=3)
+        params = StepParams(h=0.2, gamma_r=1, gamma_perp=0)
         flat = dataclasses.replace(params, gamma_r=0, gamma_perp=1)
         spec = LowRankSpectrum.empty(n)
-        a = inf_hmc_propose(v0, params, grad, np.random.default_rng(63))
-        b = inf_hmc_propose(v0, flat, grad, np.random.default_rng(63), flat=spec)
+        a = inf_hmc_propose(v0, params, grad, np.random.default_rng(63).standard_normal(n), 3)
+        b = inf_hmc_propose(v0, flat, grad, np.random.default_rng(63).standard_normal(n), 3,
+                            flat=spec)
         assert all(s is spec for s in b.trajectory.specs)
         for x, y in zip(a.trajectory.vs + a.trajectory.vts, b.trajectory.vs + b.trajectory.vts):
             assert np.array_equal(x, y)
@@ -389,10 +422,10 @@ class TestDrMhmc:
     def test_inf_hmc_is_identity_mass_full_gradient(self):
         n = 6
         phi, grad = quadratic_target(n, seed=51)
-        params = StepParams(h=0.25, n_leapfrog=3)
+        params = StepParams(h=0.25, gamma_r=1, gamma_perp=0)
         rng = np.random.default_rng(52)
         v0 = rng.standard_normal(n)
         xi = np.random.default_rng(53).standard_normal(n)
-        out = inf_hmc_propose(v0, params, grad, rng, xi=xi)
+        out = inf_hmc_propose(v0, params, grad, xi, 3)
         vs, vts = dense_leapfrog_path(v0, xi, lambda v: -grad(v), params.eps, 3)
         assert np.allclose(out.v_prime, vs[-1], atol=1e-11)
