@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
         --workload linear --seeds 2411-2420 --seconds 55 --out BENCH_24.json \\
-        [--traced-seed 2421]
+        [--traced-seed 2421] [--parent-commit SHA --change-commit SHA]
 
 Each tree is a full checkout (a parent commit and the change on top of it).
 Pair i runs ``python3 bench/run.py --workload W --seed S_i --seconds T
@@ -18,7 +18,10 @@ bench's last stdout line, unchanged), the seeds, which side ran first in
 each pair, and per metric the medians and quartiles (linear interpolation)
 of each side and the number of pairs in which the change read lower (ties
 count for neither). Running again with the same --out adds or replaces that
-workload's entry, so one file holds several workloads.
+workload's entry, so one file holds several workloads. The file names each
+side's commit by the bench's git_describe; where a tree is not a git
+checkout (a ``git archive`` copy), --parent-commit and --change-commit name
+it instead.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+NOT_A_CHECKOUT = "not a git checkout"  # bench/run.py's git_describe outside git
 COMMAND = "python3 bench/run.py --workload <w> --seed <seed> --seconds {seconds:g} --trace {trace}"
 WHAT = ("Alternating untraced bench pairs per workload, the parent commit against "
         "this change, written by scripts/bench_pairs.py. The side named in "
@@ -149,9 +153,11 @@ def workload_entry(seeds, runs):
     }
 
 
-def merge(doc, workload, seeds, seconds, entry):
+def merge(doc, workload, seeds, seconds, entry, commits=None):
     """doc with the workload's seeds and entry set, and the header filled
-    from the runs' env lines."""
+    from the runs' env lines; commits[side], when given, names a side whose
+    runs were not made in a git checkout."""
+    commits = commits or {}
     doc.setdefault("what", WHAT)
     doc.setdefault("command", COMMAND.format(seconds=seconds, trace=0))
     if "traced" in entry:
@@ -162,8 +168,11 @@ def merge(doc, workload, seeds, seconds, entry):
     for side in SIDES:
         described = [run["env"].get("git_describe") for run in entry["runs"]
                      if run["side"] == side and run.get("env")]
-        if described:
-            doc[f"{side}_commit"] = described[0]
+        name = described[0] if described else None
+        if name in (None, NOT_A_CHECKOUT) and commits.get(side):
+            name = commits[side]
+        if name is not None:
+            doc[f"{side}_commit"] = name
     doc.setdefault("seeds", {})[workload] = seeds
     doc.setdefault("workloads", {})[workload] = entry
     return doc
@@ -179,6 +188,10 @@ def parse_args(argv=None):
     parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--traced-seed", type=int, default=None)
     parser.add_argument("--out", required=True, type=Path)
+    for side in SIDES:
+        parser.add_argument(f"--{side}-commit", default=None,
+                            help=f"the {side} tree's commit, recorded when the tree "
+                                 "is not a git checkout")
     return parser.parse_args(argv)
 
 
@@ -203,7 +216,8 @@ def main(argv=None, run=run_bench):
                                     for side in SIDES}
         traced["differing_counts"] = differing_counts(traced["parent"], traced["change"])
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    merge(doc, args.workload, args.seeds, args.seconds, entry)
+    merge(doc, args.workload, args.seeds, args.seconds, entry,
+          {"parent": args.parent_commit, "change": args.change_commit})
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     traced_ok = all(correct(entry["traced"][side]) for side in SIDES) if "traced" in entry else True
     return 0 if entry["all_correct"] and traced_ok else 1

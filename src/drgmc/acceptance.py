@@ -15,13 +15,17 @@ plus, when gamma_perp = 1 adds the complement drift -(I - VV^T) grad Phi,
 
 The acceptance ratio is then [Phi(v) - Phi(v')] + log lambda(w*_rev; v')
 - log lambda(w*_fwd; v).
+
+No ratio here projects a state or its gradient: g_r and g_perp (and, for
+DILI, V^T v and V^T grad Phi) come from the caller, which in a chain reads
+them from each state's memo of its values on the spectrum
+(chain.WhitenedState.projection), formed once per state and spectrum and
+shared with the proposal.
 """
 
 from __future__ import annotations
 
 import math
-
-from .proposals import reduced_ngrad
 
 
 def decide(log_ratio, rng):
@@ -35,21 +39,16 @@ def pcn_log_ratio(phi_old, phi_new):
     return float(phi_old - phi_new)
 
 
-def _perp_log_lambda(grad, w_star, spec, h):
-    gp = grad - spec.lift(spec.project(grad))
-    wp = w_star - spec.lift(spec.project(w_star))
-    return -(h / 8.0) * float(gp @ gp) - (math.sqrt(h) / 2.0) * float(gp @ wp)
-
-
-def log_lambda(v, grad, spec, w_star, params):
-    """log lambda(w*; v) of the position-v proposal density."""
+def log_lambda(gr, g_perp, spec, w_star, params):
+    """log lambda(w*; v) of the position-v proposal density, from v's g_r
+    and complement gradient g_perp (None when gamma_perp = 0)."""
     cw = spec.project(w_star)
-    gr = reduced_ngrad(v, grad, spec, params.gamma_r)
-    sqrt_d = spec.sqrt_D
-    resid = (math.sqrt(params.h) / 2.0) * sqrt_d * gr - cw / sqrt_d
+    sqrt_d, h = spec.sqrt_D, params.h
+    resid = (math.sqrt(h) / 2.0) * sqrt_d * gr - cw / sqrt_d
     val = -0.5 * float(resid @ resid) + 0.5 * float(cw @ cw) - 0.5 * spec.logdet_D
     if params.gamma_perp:
-        val += _perp_log_lambda(grad, w_star, spec, params.h)
+        wp = w_star - spec.lift(cw)
+        val += -(h / 8.0) * float(g_perp @ g_perp) - (math.sqrt(h) / 2.0) * float(g_perp @ wp)
     return val
 
 
@@ -68,24 +67,27 @@ def inf_mala_log_ratio(v, v_prime, grad_v, grad_vp, phi_v, phi_vp, params):
     return float(rev - fwd)
 
 
-def dr_mmala_log_ratio(v, v_prime, spec_v, spec_vp, grad_v, grad_vp,
+def dr_mmala_log_ratio(v, v_prime, spec_v, spec_vp, reduced_v, reduced_vp,
                        phi_v, phi_vp, params):
+    """reduced_v, reduced_vp: (g_r, g_perp) of v on spec_v and of v' on
+    spec_vp, g_perp None when gamma_perp = 0."""
     rho0, rho2 = params.rho0, params.rho2
     w_fwd = (v_prime - rho0 * v) / rho2
     w_rev = (v - rho0 * v_prime) / rho2
-    fwd = -phi_v + log_lambda(v, grad_v, spec_v, w_fwd, params)
-    rev = -phi_vp + log_lambda(v_prime, grad_vp, spec_vp, w_rev, params)
+    fwd = -phi_v + log_lambda(*reduced_v, spec_v, w_fwd, params)
+    rev = -phi_vp + log_lambda(*reduced_vp, spec_vp, w_rev, params)
     return float(rev - fwd)
 
 
-def dili_exact_log_ratio(v, v_prime, spec, grad_v, grad_vp, phi_v, phi_vp, ops):
+def dili_exact_log_ratio(z, zp, cg_v, cg_vp, phi_v, phi_vp, ops):
     """Density ratio of the operator-form proposal with arbitrary diagonal
     operators (A, B, G) on the subspace and a prior-reversible complement
-    (a_perp^2 + b_perp^2 = 1). Agrees with the DR ratio minus its
-    determinant correction (dili_log_ratio in tests/_dense_reference.py)
-    whenever the operators come from the autoregressive substitution."""
-    z, zp = spec.project(v), spec.project(v_prime)
-    cg, cgp = ops.grad_step(spec, grad_v), ops.grad_step(spec, grad_vp)
+    (a_perp^2 + b_perp^2 = 1), from z = V^T v, zp = V^T v' and the projected
+    gradients cg_v, cg_vp (None when G is zero). Agrees with the DR ratio
+    minus its determinant correction (dili_log_ratio in
+    tests/_dense_reference.py) whenever the operators come from the
+    autoregressive substitution."""
+    cg, cgp = ops.grad_step(cg_v), ops.grad_step(cg_vp)
     fwd = (zp - (ops.D_Ar * z - cg)) / ops.D_Br
     rev = (z - (ops.D_Ar * zp - cgp)) / ops.D_Br
     return (float(phi_v - phi_vp) + 0.5 * float(z @ z) - 0.5 * float(zp @ zp)

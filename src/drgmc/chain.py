@@ -8,6 +8,13 @@ spectrum is exact, from the Gram eigenproblem of the state's whitened
 Jacobian and a QR basis, so it is a deterministic function of position and
 draws nothing from the stream.
 
+Each state keeps one memo (Projection) of its values on the last spectrum
+a kernel asked about, matched on the identity of the spectrum and of the
+StepParams: V^T v, V^T grad Phi, g_r, the complement gradient and the drift
+ghat, each formed on first use. The proposal and both ratio terms read it,
+so an accepted candidate's values serve the next iteration and a rejected
+state keeps its own; a new spectrum (an LIS update) starts a new memo.
+
 Curvature is decomposed once per distinct Jacobian array: a chain
 decomposes a state's whitened Jacobian only when the model Jacobian it came
 from is not the array the chain decomposed last. A model whose states share
@@ -34,20 +41,36 @@ from .lis import LISState, adaptation_step, local_spectrum
 from .operators import NUMERICAL_ERRORS, LowRankSpectrum, apply_sqrtK_hat
 from .proposals import (StepParams, dili_operators, dili_propose,
                         dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
-                        inf_mala_propose, pcn_propose)
+                        inf_mala_propose, pcn_propose, reduced_ngrad,
+                        whitened_ngrad)
 
 ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
 # what one Metropolis-Hastings step did with its candidate
 ACCEPTED, REJECTED, ERROR, NONFINITE = range(4)
 
 
+class Projection:
+    """A state's values on one spectrum under one StepParams, each None
+    until first formed: cv = V^T v, cg = V^T grad Phi, gr = g_r, gp = the
+    complement gradient grad Phi - V cg and ghat = the drift. It holds no
+    reference to its state, so a state and its memo form no cycle."""
+
+    __slots__ = ("spec", "params", "cv", "cg", "gr", "gp", "ghat")
+
+    def __init__(self, spec, params):
+        self.spec, self.params = spec, params
+        self.cv = self.cg = self.gr = self.gp = self.ghat = None
+
+
 class WhitenedState:
     """Lazy caches in v coordinates on top of a u-space model state: the
     whitened gradient S grad and Jacobian Jv = J S. The Gauss-Newton Hessian
     S J^T J S is Jv^T Jv, whose eigenpairs come from the m x m Gram matrix
-    Jv Jv^T (lis.local_spectrum)."""
+    Jv Jv^T (lis.local_spectrum). Its values on a spectrum are kept in one
+    Projection, for the last (spectrum, StepParams) pair asked about; each
+    value reads the gradient only if its formula uses it."""
 
-    __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec")
+    __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec", "_proj")
 
     def __init__(self, model, ustate, v):
         self._model = model
@@ -56,6 +79,7 @@ class WhitenedState:
         self._grad = None
         self._jv = None
         self.spec = None
+        self._proj = None
 
     @property
     def u(self):
@@ -79,6 +103,57 @@ class WhitenedState:
 
     def gnh_action(self, w):
         return self.jv.T @ (self.jv @ w)
+
+    def projection(self, spec, params):
+        """The memo for spec under params: the kept one when both are the
+        same objects as its own, a new empty one otherwise."""
+        memo = self._proj
+        if memo is None or memo.spec is not spec or memo.params is not params:
+            memo = self._proj = Projection(spec, params)
+        return memo
+
+    def cv(self, spec, params):
+        memo = self.projection(spec, params)
+        if memo.cv is None:
+            memo.cv = spec.project(self.v)
+        return memo.cv
+
+    def cg(self, spec, params):
+        memo = self.projection(spec, params)
+        if memo.cg is None:
+            memo.cg = spec.project(self.grad)
+        return memo.cg
+
+    def reduced(self, spec, params):
+        """(g_r, g_perp) on spec; g_perp is None when gamma_perp = 0, and the
+        gradient is read when a gamma flag is set."""
+        memo = self.projection(spec, params)
+        if memo.gr is None:
+            self._reduce(memo)
+        return memo.gr, memo.gp
+
+    def drift(self, spec, params):
+        """ghat on spec. On an empty spectrum it is the general formula's
+        0 - (grad - 0) in one operation, and the gradient is still read
+        when a gamma flag is set, as at r > 0."""
+        memo = self.projection(spec, params)
+        if memo.ghat is None:
+            if spec.r:
+                if memo.gr is None:
+                    self._reduce(memo)
+                memo.ghat = whitened_ngrad(memo.gr, memo.gp, spec, params.gamma_perp)
+            else:
+                grad = self.grad if params.gamma_r or params.gamma_perp else None
+                memo.ghat = 0.0 - grad if params.gamma_perp else np.zeros(spec.n)
+        return memo.ghat
+
+    def _reduce(self, memo):
+        spec, params = memo.spec, memo.params
+        gamma_r, gamma_perp = params.gamma_r, params.gamma_perp
+        cg = self.cg(spec, params) if gamma_r or gamma_perp else None
+        memo.gr = reduced_ngrad(self.cv(spec, params), cg, spec, gamma_r)
+        if gamma_perp:
+            memo.gp = self.grad - spec.lift(cg)
 
 
 class WhitenedModel:
@@ -150,21 +225,29 @@ def _leapfrog_count(ctx):
 
 def _hmc_callbacks(ctx, state):
     """Boundary-state factory sharing one model state per trajectory point.
-    A trajectory visits its points in order, so only the latest is kept."""
+    A trajectory visits its points in order, so only the latest is kept.
+    The drift is kept in each point's memo, so the drift at v_0 is the one
+    formed at the end of the trajectory that reached it, or at the last
+    iteration when that was rejected. A drift without gradient terms builds
+    no model state (and makes no solve) at a point that has none."""
     last = [state]
+    params = ctx.params
+    reads_grad = params.gamma_r or params.gamma_perp
 
     def ensure(v):
         if last[0].v is not v:
             last[0] = ctx.model.state(v)
         return last[0]
 
-    def grad_fn(v):
-        return ensure(v).grad
+    def drift_fn(v, spec):
+        if reads_grad or last[0].v is v:
+            return ensure(v).drift(spec, params)
+        return WhitenedState(ctx.model, None, v).drift(spec, params)
 
     def spec_fn(v):
         return _ensure_spec(ctx, ensure(v))
 
-    return ensure, grad_fn, spec_fn
+    return ensure, drift_fn, spec_fn
 
 
 # Kernels: (ctx, state) -> (candidate, log acceptance ratio). DR kernels hold
@@ -190,30 +273,32 @@ def _inf_mala(ctx, state):
 
 def _inf_hmc(ctx, state):
     count = _leapfrog_count(ctx)
-    ensure, grad_fn, _ = _hmc_callbacks(ctx, state)
+    ensure, drift_fn, _ = _hmc_callbacks(ctx, state)
     xi = ctx.rng.standard_normal(len(state.v))
-    out = inf_hmc_propose(state.v, ctx.params, grad_fn, xi, count, flat=ctx.flat)
+    out = inf_hmc_propose(state.v, ctx.params, drift_fn, xi, count, flat=ctx.flat)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
 
 def _dr_mmala(ctx, state):
+    params = ctx.params
     spec_v = _spectrum(ctx, state)
-    grad = state.grad
+    ghat = state.drift(spec_v, params)
     xi = ctx.rng.standard_normal(len(state.v))
-    cand = ctx.model.state(dr_mmala_propose(state.v, grad, spec_v, ctx.params, xi))
+    cand = ctx.model.state(dr_mmala_propose(state.v, ghat, spec_v, params, xi))
     spec_vp = _spectrum(ctx, cand)
     return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
-                                    grad, cand.grad, state.phi, cand.phi,
-                                    ctx.params)
+                                    state.reduced(spec_v, params),
+                                    cand.reduced(spec_vp, params),
+                                    state.phi, cand.phi, params)
 
 
 def _dr_mhmc(ctx, state):
     count = _leapfrog_count(ctx)
-    ensure, grad_fn, spec_fn = _hmc_callbacks(ctx, state)
+    ensure, drift_fn, spec_fn = _hmc_callbacks(ctx, state)
     spec = _spectrum(ctx, state)
     vt = apply_sqrtK_hat(ctx.rng.standard_normal(len(state.v)), spec)
-    out = dr_mhmc_propose(state.v, spec, ctx.params, grad_fn, vt, count,
+    out = dr_mhmc_propose(state.v, spec, ctx.params, drift_fn, vt, count,
                           spec_fn=spec_fn if ctx.lis is None else None)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
@@ -226,12 +311,14 @@ def _dili(ctx, state):
         ops = dili_operators(spec, ctx.steps["h_r"], ctx.steps["h_perp"],
                              ctx.params.gamma_r)
         ctx.dili_ops = (spec, ops)
-    grad = state.grad if ops.uses_grad else None
+    params = ctx.params
+    cg = state.cg(spec, params) if ops.uses_grad else None
     xi = ctx.rng.standard_normal(len(state.v))
-    cand = ctx.model.state(dili_propose(state.v, grad, spec, ops, xi))
-    grad_p = cand.grad if ops.uses_grad else None
-    return cand, dili_exact_log_ratio(state.v, cand.v, spec, grad, grad_p,
-                                      state.phi, cand.phi, ops)
+    cand = ctx.model.state(dili_propose(state.v, state.cv(spec, params), cg,
+                                        spec, ops, xi))
+    cg_p = cand.cg(spec, params) if ops.uses_grad else None
+    return cand, dili_exact_log_ratio(state.cv(spec, params), cand.cv(spec, params),
+                                      cg, cg_p, state.phi, cand.phi, ops)
 
 
 _KERNELS = {

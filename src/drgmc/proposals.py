@@ -13,14 +13,17 @@ reduced natural gradient is
     g_r(v) = Lambda_r V_r^T v - gamma_r V_r^T grad Phi(v)
     ghat(v) = V_r D_r g_r(v)  [- (I - V_r V_r^T) grad Phi(v) when gamma_perp = 1]
 
-with D_r = (I + Lambda_r)^{-1}. Hamiltonian kernels use the splitting whose
-drift-free flow is an exact rotation of (v, vtilde) by the angle eps.
+with D_r = (I + Lambda_r)^{-1}. The DR and DILI proposals take ghat, or the
+projections V_r^T v and V_r^T grad Phi, from the caller, which forms them
+once per state and spectrum; reduced_ngrad and whitened_ngrad are the
+formulas it uses. Hamiltonian kernels use the splitting whose drift-free
+flow is an exact rotation of (v, vtilde) by the angle eps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,27 +90,26 @@ def inf_mala_propose(v, grad, params, xi):
     return params.rho0 * v + params.rho2 * vt
 
 
-def reduced_ngrad(v, grad, spec, gamma_r):
-    """g_r(v) = Lambda_r V_r^T v - gamma_r V_r^T grad."""
-    gr = spec.eigenvalues * spec.project(v)
-    if gamma_r and grad is not None:
-        gr = gr - spec.project(grad)
+def reduced_ngrad(cv, cg, spec, gamma_r):
+    """g_r = Lambda_r cv - gamma_r cg from cv = V_r^T v and cg = V_r^T grad
+    (None when gamma_r = 0)."""
+    gr = spec.eigenvalues * cv
+    if gamma_r:
+        gr = gr - cg
     return gr
 
 
-def whitened_ngrad(v, grad, spec, gamma_r, gamma_perp):
-    if not spec.r:  # the general formula's 0 - (grad - 0), in one operation
-        return 0.0 - grad if gamma_perp else np.zeros(len(v))
-    gr = reduced_ngrad(v, grad, spec, gamma_r)
+def whitened_ngrad(gr, g_perp, spec, gamma_perp):
+    """ghat = V_r D_r g_r - gamma_perp g_perp, with the complement gradient
+    g_perp = grad - V_r V_r^T grad (None when gamma_perp = 0)."""
     ghat = spec.lift(spec.D * gr)
     if gamma_perp:
-        ghat = ghat - (grad - spec.lift(spec.project(grad)))
+        ghat = ghat - g_perp
     return ghat
 
 
-def dr_mmala_propose(v, grad, spec, params, xi):
+def dr_mmala_propose(v, ghat, spec, params, xi):
     """v' = rho0 v + rho1 ghat(v) + rho2 Khat^{1/2} xi."""
-    ghat = whitened_ngrad(v, grad, spec, params.gamma_r, params.gamma_perp)
     return params.rho0 * v + params.rho1 * ghat + params.rho2 * apply_sqrtK_hat(xi, spec)
 
 
@@ -129,13 +131,14 @@ class DiliOperators:
             raise ValueError("complement parameters are not prior-reversible")
         object.__setattr__(self, "uses_grad", bool(np.any(np.asarray(self.D_Gr) != 0.0)))
 
-    def grad_step(self, spec, grad):
-        """G V^T grad in subspace coordinates, 0.0 when G is zero."""
+    def grad_step(self, cg):
+        """G V^T grad in subspace coordinates from cg = V^T grad, 0.0 when
+        G is zero."""
         if not self.uses_grad:
             return 0.0
-        if grad is None:
+        if cg is None:
             raise ValueError("gradient-weighted operators need the gradient")
-        return self.D_Gr * spec.project(grad)
+        return self.D_Gr * cg
 
 
 def dili_operators(spec, h_r, h_perp, gamma_r):
@@ -158,35 +161,31 @@ def dili_operators(spec, h_r, h_perp, gamma_r):
     return DiliOperators(D_Ar, D_Br, np.asarray(D_Gr), a_perp, b_perp)
 
 
-def dili_propose(v, grad, spec, ops, xi):
-    """v' = A v - G grad + B xi, split between the LIS and its complement."""
-    cv = spec.project(v)
+def dili_propose(v, cv, cg, spec, ops, xi):
+    """v' = A v - G grad + B xi, split between the LIS and its complement;
+    cv = V^T v and cg = V^T grad (None when G is zero)."""
     cxi = spec.project(xi)
     v_prime = (ops.a_perp * (v - spec.lift(cv)) + spec.lift(ops.D_Ar * cv)
                + ops.b_perp * (xi - spec.lift(cxi)) + spec.lift(ops.D_Br * cxi))
     if ops.uses_grad:
-        v_prime = v_prime - spec.lift(ops.grad_step(spec, grad))
+        v_prime = v_prime - spec.lift(ops.grad_step(cg))
     return v_prime
 
 
-def dr_mhmc_propose(v, spec, params, grad_fn, vt, n_steps, spec_fn=None):
-    """n_steps leapfrog steps with low-rank curvature from (v, vt).
+def dr_mhmc_propose(v, spec, params, drift_fn, vt, n_steps, spec_fn=None):
+    """n_steps leapfrog steps of size params.eps with low-rank curvature
+    from (v, vt).
 
     The caller draws the initial momentum vt from Khat(v_0), as
-    Khat(v_0)^{1/2} xi. The drift at each state uses the spectrum in force
-    there: fixed global spectrum when spec_fn is None, refreshed at every
-    leapfrog state otherwise. Records the whole path so the energy
-    difference can be assembled afterwards.
+    Khat(v_0)^{1/2} xi, and gives the drift: drift_fn(v, spec) is ghat(v)
+    on spec. The drift at each state uses the spectrum in force there:
+    fixed global spectrum when spec_fn is None, refreshed at every leapfrog
+    state otherwise. Records the whole path so the energy difference can be
+    assembled afterwards.
     """
     eps = params.eps
-    need_grad = bool(params.gamma_r or params.gamma_perp)
-
-    def drift(state_v, state_spec):
-        grad = grad_fn(state_v) if need_grad else None
-        return whitened_ngrad(state_v, grad, state_spec, params.gamma_r, params.gamma_perp)
-
     traj = Trajectory(eps)
-    cur_spec, ghat = spec, drift(v, spec)
+    cur_spec, ghat = spec, drift_fn(v, spec)
 
     c, s = math.cos(eps), math.sin(eps)
     for step in range(n_steps + 1):
@@ -203,16 +202,15 @@ def dr_mhmc_propose(v, spec, params, grad_fn, vt, n_steps, spec_fn=None):
             break
         if spec_fn is not None:
             cur_spec = spec_fn(v)
-        ghat = drift(v, cur_spec)
+        ghat = drift_fn(v, cur_spec)
         vt = vt_rot + (eps / 2.0) * ghat
 
     return ProposalOutput(traj.vs[-1], traj, traj.diverged)
 
 
-def inf_hmc_propose(v, params, grad_fn, vt, n_steps, flat=None):
+def inf_hmc_propose(v, params, drift_fn, vt, n_steps, flat=None):
     """Hamiltonian proposal with identity mass: the empty spectrum (flat,
-    built here when not given) and the full gradient (gamma_r = 0, gamma_perp = 1)."""
-    if (params.gamma_r, params.gamma_perp) != (0, 1):
-        params = replace(params, gamma_r=0, gamma_perp=1)
+    built here when not given), on which drift_fn gives the full drift
+    -grad Phi (gamma_r = 0, gamma_perp = 1)."""
     flat = LowRankSpectrum.empty(len(v)) if flat is None else flat
-    return dr_mhmc_propose(v, flat, params, grad_fn, vt, n_steps)
+    return dr_mhmc_propose(v, flat, params, drift_fn, vt, n_steps)

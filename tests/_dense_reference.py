@@ -15,7 +15,8 @@ from drgmc.acceptance import dr_mmala_log_ratio
 from drgmc.linear_model import make_state
 from drgmc.operators import CovarianceOperator, LowRankSpectrum, apply_sqrtK_hat
 from drgmc.proposals import (DiliOperators, StepParams, dili_propose,
-                             dr_mhmc_propose, dr_mmala_propose)
+                             dr_mhmc_propose, dr_mmala_propose, reduced_ngrad,
+                             whitened_ngrad)
 
 
 def rho_params(h):
@@ -228,13 +229,43 @@ def ess_reference(series):
 # not oracles: no chain runs them, and criteria 03, 07, 08 and 10 check the
 # package against them.
 
+def reduced(v, grad, spec, params):
+    """(g_r, g_perp) of v on spec as a chain state forms them: reduced_ngrad
+    of the projections, and the complement gradient grad - V V^T grad when
+    gamma_perp = 1 (None otherwise). grad may be None when no flag is set."""
+    cg = spec.project(grad) if params.gamma_r or params.gamma_perp else None
+    g_perp = grad - spec.lift(cg) if params.gamma_perp else None
+    return reduced_ngrad(spec.project(v), cg, spec, params.gamma_r), g_perp
+
+
+def drift(v, grad, spec, params):
+    """ghat(v) on spec: whitened_ngrad of reduced(v, grad, spec, params)."""
+    return whitened_ngrad(*reduced(v, grad, spec, params), spec, params.gamma_perp)
+
+
+def drift_fn(grad_fn, params):
+    """The Hamiltonian proposals' drift_fn(v, spec) for a whitened gradient
+    function, which it calls only when a gamma flag is set."""
+    reads_grad = params.gamma_r or params.gamma_perp
+    return lambda v, spec: drift(v, grad_fn(v) if reads_grad else None, spec, params)
+
+
+def dili_coords(v, grad, spec, ops):
+    """(V^T v, V^T grad) as the DILI proposal and ratio take them, V^T grad
+    None when the operators do not weight the gradient or grad is None."""
+    uses = ops.uses_grad and grad is not None
+    return spec.project(v), spec.project(grad) if uses else None
+
+
 def dili_log_ratio(v, v_prime, spec_v, grad_v, grad_vp, phi_v, phi_vp,
                    params, spec_vp=None):
     """Ratio for the operator-form proposal: the DR ratio minus its
     determinant correction, which cancels entirely when the spectrum is a
     fixed global one (spec_vp omitted)."""
     svp = spec_v if spec_vp is None else spec_vp
-    base = dr_mmala_log_ratio(v, v_prime, spec_v, svp, grad_v, grad_vp,
+    base = dr_mmala_log_ratio(v, v_prime, spec_v, svp,
+                              reduced(v, grad_v, spec_v, params),
+                              reduced(v_prime, grad_vp, svp, params),
                               phi_v, phi_vp, params)
     corr = 0.5 * float(np.sum(np.log(spec_v.D))) - 0.5 * float(np.sum(np.log(svp.D)))
     return float(base - corr)
@@ -328,10 +359,11 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
         state = {"v": v.tolist(), "xi": xi.tolist(), "r": r}
 
         full_params = StepParams(h=h, gamma_r=1, gamma_perp=0)
-        vp_full = dr_mmala_propose(v, g, full_spec, full_params, xi)
+        vp_full = dr_mmala_propose(v, drift(v, g, full_spec, full_params),
+                                   full_spec, full_params, xi)
         for gp in (0, 1):
             params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, xi)
+            vp_dr = dr_mmala_propose(v, drift(v, g, spec_r, params), spec_r, params, xi)
             lhs = np.linalg.norm(vp_dr - vp_full)
             if gp:
                 rhs = params.rho1 * c_v * (nv + ng) + params.rho2 * c_xi * nxi
@@ -342,12 +374,12 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
         k_diag = spec_r.D * np.exp(rng.uniform(-0.5, 0.5, size=spec_r.r))
         for gp in (0, 1):
             params = StepParams(h=h, gamma_r=1, gamma_perp=gp)
-            vp_dr = dr_mmala_propose(v, g, spec_r, params, xi)
+            vp_dr = dr_mmala_propose(v, drift(v, g, spec_r, params), spec_r, params, xi)
             ops = DiliOperators(1.0 - params.rho1 * k_diag,
                                 params.rho2 * np.sqrt(k_diag),
                                 params.rho1 * k_diag,
                                 params.rho0, params.rho2)
-            vp_dili = dili_propose(v, g, spec_r, ops, xi)
+            vp_dili = dili_propose(v, *dili_coords(v, g, spec_r, ops), spec_r, ops, xi)
             if gp:
                 g_perp = g - spec_r.lift(spec_r.project(g))
                 vp_dili = vp_dili - params.rho1 * g_perp
@@ -367,9 +399,9 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
 def _hmc_bound_trial(v, xi, grad_v, h_w, spec_r, full_spec, c_v, c_xi, h, n_steps):
     params_dr = StepParams(h=h, gamma_r=1, gamma_perp=1)
     params_full = StepParams(h=h, gamma_r=1, gamma_perp=0)
-    out_dr = dr_mhmc_propose(v, spec_r, params_dr, grad_v,
+    out_dr = dr_mhmc_propose(v, spec_r, params_dr, drift_fn(grad_v, params_dr),
                              apply_sqrtK_hat(xi, spec_r), n_steps)
-    out_full = dr_mhmc_propose(v, full_spec, params_full, grad_v,
+    out_full = dr_mhmc_propose(v, full_spec, params_full, drift_fn(grad_v, params_full),
                                apply_sqrtK_hat(xi, full_spec), n_steps)
     if out_dr.diverged or out_full.diverged:
         return None

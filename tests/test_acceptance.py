@@ -23,8 +23,8 @@ from drgmc.operators import (CovarianceOperator, LowRankSpectrum,
 from drgmc.proposals import (StepParams, dili_propose, dr_mhmc_propose,
                              dr_mmala_propose)
 
-from _dense_reference import (apply_K_hat, bound_report,
-                              dili_connection_operators, dili_log_ratio)
+from _dense_reference import (apply_K_hat, bound_report, dili_connection_operators,
+                              dili_coords, dili_log_ratio, drift, drift_fn, reduced)
 
 
 def random_spectrum(n, r, rng, scale=3.0):
@@ -192,7 +192,8 @@ def test_criterion_08_determinant_correction_and_frozen_lis_equality():
         v, vp = rng.standard_normal(n), rng.standard_normal(n)
         g, gp = rng.standard_normal(n), rng.standard_normal(n)
         phi, phip = rng.standard_normal(2)
-        dr = dr_mmala_log_ratio(v, vp, spec_v, spec_vp, g, gp, phi, phip, params)
+        dr = dr_mmala_log_ratio(v, vp, spec_v, spec_vp, reduced(v, g, spec_v, params),
+                                reduced(vp, gp, spec_vp, params), phi, phip, params)
         op = dili_log_ratio(v, vp, spec_v, g, gp, phi, phip, params,
                             spec_vp=spec_vp)
         expected = 0.5 * (np.sum(np.log(spec_v.D)) - np.sum(np.log(spec_vp.D)))
@@ -203,7 +204,8 @@ def test_criterion_08_determinant_correction_and_frozen_lis_equality():
         v, vp = rng.standard_normal(n), rng.standard_normal(n)
         g, gp = rng.standard_normal(n), rng.standard_normal(n)
         phi, phip = rng.standard_normal(2)
-        dr = dr_mmala_log_ratio(v, vp, spec, spec, g, gp, phi, phip, params)
+        dr = dr_mmala_log_ratio(v, vp, spec, spec, reduced(v, g, spec, params),
+                                reduced(vp, gp, spec, params), phi, phip, params)
         op = dili_log_ratio(v, vp, spec, g, gp, phi, phip, params)
         assert abs(dr - op) < 1e-12
 
@@ -223,8 +225,8 @@ def test_criterion_09_leapfrog_reversible_exact_and_second_order():
     # the final momentum, retrace, land on the start
     params = StepParams(h=1.0, eps=0.1, gamma_r=1, gamma_perp=1)
     v, vt = rng.standard_normal(n), rng.standard_normal(n)
-    fwd = dr_mhmc_propose(v, spec, params, grad, vt, 25)
-    back = dr_mhmc_propose(fwd.v_prime, spec, params, grad,
+    fwd = dr_mhmc_propose(v, spec, params, drift_fn(grad, params), vt, 25)
+    back = dr_mhmc_propose(fwd.v_prime, spec, params, drift_fn(grad, params),
                            -fwd.trajectory.vts[-1], 25)
     assert np.max(np.abs(back.v_prime - v)) < 1e-9
     assert np.max(np.abs(back.trajectory.vts[-1] + vt)) < 1e-9
@@ -233,7 +235,7 @@ def test_criterion_09_leapfrog_reversible_exact_and_second_order():
     # rotation and energy is conserved
     flat = StepParams(h=1.0, eps=0.3, gamma_r=1, gamma_perp=1)
     out = dr_mhmc_propose(v, LowRankSpectrum.empty(n), flat,
-                          lambda w: np.zeros(n), vt.copy(), 25)
+                          drift_fn(lambda w: np.zeros(n), flat), vt.copy(), 25)
     assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
 
     # quadratic target, fixed integration time: |Delta E| = O(eps^2)
@@ -246,7 +248,8 @@ def test_criterion_09_leapfrog_reversible_exact_and_second_order():
             trng = np.random.default_rng(100 + trial)
             v0, vt0 = trng.standard_normal(n), trng.standard_normal(n)
             params = StepParams(h=1.0, eps=float(eps), gamma_r=1, gamma_perp=1)
-            out = dr_mhmc_propose(v0, spec, params, grad, vt0, int(round(T / eps)))
+            out = dr_mhmc_propose(v0, spec, params, drift_fn(grad, params), vt0,
+                                  int(round(T / eps)))
             deltas.append(abs(dr_mhmc_delta_E(out.trajectory, phi(v0),
                                               phi(out.v_prime))))
         mean_abs.append(np.mean(deltas))
@@ -265,8 +268,8 @@ def test_criterion_10_operator_form_reproduces_reduced_proposal():
         ops = dili_connection_operators(spec, params)
         v, g = rng.standard_normal(n), rng.standard_normal(n)
         xi = rng.standard_normal(n)
-        vp_dr = dr_mmala_propose(v, g, spec, params, xi)
-        vp_op = dili_propose(v, g, spec, ops, xi)
+        vp_dr = dr_mmala_propose(v, drift(v, g, spec, params), spec, params, xi)
+        vp_op = dili_propose(v, *dili_coords(v, g, spec, ops), spec, ops, xi)
         assert np.max(np.abs(vp_dr - vp_op)) < 1e-10
 
 

@@ -34,13 +34,17 @@ from drgmc.proposals import (
 
 from _dense_reference import (
     dili_connection_operators,
+    dili_coords,
     dili_log_ratio,
     dili_mean_cov,
     dili_unnormalized_log_ratio,
     dr_mmala_mean_cov,
+    drift,
+    drift_fn,
     hmc_total_energy,
     inf_mala_mean_cov,
     mh_log_ratio,
+    reduced,
     rho_params,
     spectrum_arrays,
     split_delta_E,
@@ -176,13 +180,16 @@ class TestDrMmalaRatio:
             spec_v = random_spectrum(n, r, seed=200 + trial)
             spec_vp = random_spectrum(n, r + 1, seed=400 + trial)
             v = rng.standard_normal(n)
-            vp = dr_mmala_propose(v, grad(v), spec_v, params, rng.standard_normal(n))
+            vp = dr_mmala_propose(v, drift(v, grad(v), spec_v, params), spec_v, params,
+                                  rng.standard_normal(n))
             Vv, lv = spectrum_arrays(spec_v)
             Vp, lp = spectrum_arrays(spec_vp)
             m_f, c_f = dr_mmala_mean_cov(v, grad(v), Vv, lv, params.h, 1, gamma_perp)
             m_r, c_r = dr_mmala_mean_cov(vp, grad(vp), Vp, lp, params.h, 1, gamma_perp)
             ref = mh_log_ratio(v, vp, phi(v), phi(vp), m_f, c_f, m_r, c_r)
-            mine = dr_mmala_log_ratio(v, vp, spec_v, spec_vp, grad(v), grad(vp),
+            mine = dr_mmala_log_ratio(v, vp, spec_v, spec_vp,
+                                      reduced(v, grad(v), spec_v, params),
+                                      reduced(vp, grad(vp), spec_vp, params),
                                       phi(v), phi(vp), params)
             assert abs(ref - mine) < 1e-10
 
@@ -193,7 +200,8 @@ class TestDrMmalaRatio:
         spec = LowRankSpectrum.empty(n)
         rng = np.random.default_rng(12)
         v, vp = rng.standard_normal(n), rng.standard_normal(n)
-        mine = dr_mmala_log_ratio(v, vp, spec, spec, None, None,
+        mine = dr_mmala_log_ratio(v, vp, spec, spec, reduced(v, None, spec, params),
+                                  reduced(vp, None, spec, params),
                                   phi(v), phi(vp), params)
         assert mine == pytest.approx(pcn_log_ratio(phi(v), phi(vp)), abs=1e-12)
 
@@ -204,9 +212,11 @@ class TestDrMmalaRatio:
         sa, sb = random_spectrum(n, r, seed=14), random_spectrum(n, r, seed=15)
         rng = np.random.default_rng(16)
         v, vp = rng.standard_normal(n), rng.standard_normal(n)
-        a = dr_mmala_log_ratio(v, vp, sa, sb, grad(v), grad(vp),
+        a = dr_mmala_log_ratio(v, vp, sa, sb, reduced(v, grad(v), sa, params),
+                               reduced(vp, grad(vp), sb, params),
                                phi(v), phi(vp), params)
-        b = dr_mmala_log_ratio(vp, v, sb, sa, grad(vp), grad(v),
+        b = dr_mmala_log_ratio(vp, v, sb, sa, reduced(vp, grad(vp), sb, params),
+                               reduced(v, grad(v), sa, params),
                                phi(vp), phi(v), params)
         assert a == pytest.approx(-b, abs=1e-11)
 
@@ -222,12 +232,14 @@ class TestDiliRatios:
             V, lam = spectrum_arrays(spec)
             for _ in range(40):
                 v = rng.standard_normal(n)
-                vp = dili_propose(v, grad(v), spec, ops, rng.standard_normal(n))
+                vp = dili_propose(v, *dili_coords(v, grad(v), spec, ops), spec, ops,
+                                  rng.standard_normal(n))
                 m_f, c_f = dili_mean_cov(v, grad(v), V, ops)
                 m_r, c_r = dili_mean_cov(vp, grad(vp), V, ops)
                 ref = mh_log_ratio(v, vp, phi(v), phi(vp), m_f, c_f, m_r, c_r)
-                mine = dili_exact_log_ratio(v, vp, spec, grad(v), grad(vp),
-                                            phi(v), phi(vp), ops)
+                (z, cg), (zp, cgp) = (dili_coords(v, grad(v), spec, ops),
+                                      dili_coords(vp, grad(vp), spec, ops))
+                mine = dili_exact_log_ratio(z, zp, cg, cgp, phi(v), phi(vp), ops)
                 assert abs(ref - mine) < 1e-10
 
     def test_determinant_form_matches_unnormalized_dense_ratio(self):
@@ -241,7 +253,8 @@ class TestDiliRatios:
             spec_v = random_spectrum(n, r, seed=600 + trial)
             spec_vp = random_spectrum(n, r, seed=800 + trial)
             v = rng.standard_normal(n)
-            vp = dr_mmala_propose(v, grad(v), spec_v, params, rng.standard_normal(n))
+            vp = dr_mmala_propose(v, drift(v, grad(v), spec_v, params), spec_v, params,
+                                  rng.standard_normal(n))
             Vv, lv = spectrum_arrays(spec_v)
             Vp, lp = spectrum_arrays(spec_vp)
             m_f, c_f = dr_mmala_mean_cov(v, grad(v), Vv, lv, params.h, 1, 0)
@@ -261,7 +274,9 @@ class TestDiliRatios:
             spec_v = random_spectrum(n, r, seed=1000 + trial)
             spec_vp = random_spectrum(n, r, seed=2000 + trial)
             v, vp = rng.standard_normal(n), rng.standard_normal(n)
-            dr = dr_mmala_log_ratio(v, vp, spec_v, spec_vp, grad(v), grad(vp),
+            dr = dr_mmala_log_ratio(v, vp, spec_v, spec_vp,
+                                    reduced(v, grad(v), spec_v, params),
+                                    reduced(vp, grad(vp), spec_vp, params),
                                     phi(v), phi(vp), params)
             dl = dili_log_ratio(v, vp, spec_v, grad(v), grad(vp),
                                 phi(v), phi(vp), params, spec_vp=spec_vp)
@@ -280,13 +295,16 @@ class TestDiliRatios:
         elsewhere = np.random.default_rng(34)
         for _ in range(30):
             v = rng.standard_normal(n)
-            v_prime = dr_mmala_propose(v, grad(v), spec, params, rng.standard_normal(n))
+            v_prime = dr_mmala_propose(v, drift(v, grad(v), spec, params), spec, params,
+                                       rng.standard_normal(n))
             # the proposed candidate, and one the proposal did not draw
             for vp in (v_prime, elsewhere.standard_normal(n)):
-                dr = dr_mmala_log_ratio(v, vp, spec, spec, grad(v), grad(vp),
+                dr = dr_mmala_log_ratio(v, vp, spec, spec, reduced(v, grad(v), spec, params),
+                                        reduced(vp, grad(vp), spec, params),
                                         phi(v), phi(vp), params)
-                exact = dili_exact_log_ratio(v, vp, spec, grad(v), grad(vp),
-                                             phi(v), phi(vp), ops)
+                (z, cg), (zp, cgp) = (dili_coords(v, grad(v), spec, ops),
+                                      dili_coords(vp, grad(vp), spec, ops))
+                exact = dili_exact_log_ratio(z, zp, cg, cgp, phi(v), phi(vp), ops)
                 corrected = dili_log_ratio(v, vp, spec, grad(v), grad(vp),
                                            phi(v), phi(vp), params)
                 assert abs(dr - exact) < 1e-10
@@ -307,7 +325,7 @@ class TestHmcEnergy:
         for _ in range(10):
             v0 = rng.standard_normal(n)
             vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec)
-            out = dr_mhmc_propose(v0, spec, params, grad, vt0, steps)
+            out = dr_mhmc_propose(v0, spec, params, drift_fn(grad, params), vt0, steps)
             tr = out.trajectory
             mine = dr_mhmc_delta_E(tr, phi(v0), phi(out.v_prime))
             ref = (hmc_total_energy(out.v_prime, tr.vts[-1], phi(out.v_prime), V, lam)
@@ -332,7 +350,8 @@ class TestHmcEnergy:
         for _ in range(10):
             v0 = rng.standard_normal(n)
             vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec_fn(v0))
-            out = dr_mhmc_propose(v0, spec_fn(v0), params, grad, vt0, 5, spec_fn=spec_fn)
+            out = dr_mhmc_propose(v0, spec_fn(v0), params, drift_fn(grad, params), vt0, 5,
+                                  spec_fn=spec_fn)
             phi_0, phi_I = phi(v0), phi(out.v_prime)
             ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, gamma_r, gamma_perp)
             assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
@@ -342,11 +361,12 @@ class TestHmcEnergy:
         # empty spectrum: the whole drift is the complement term
         n = 7
         phi, grad = quadratic_target(n, seed=37)
-        params = StepParams(h=0.09, gamma_r=1, gamma_perp=0)
+        params = StepParams(h=0.09, gamma_r=0, gamma_perp=1)
         rng = np.random.default_rng(38)
         for _ in range(10):
             v0 = rng.standard_normal(n)
-            out = inf_hmc_propose(v0, params, grad, rng.standard_normal(n), 5)
+            out = inf_hmc_propose(v0, params, drift_fn(grad, params),
+                                  rng.standard_normal(n), 5)
             phi_0, phi_I = phi(v0), phi(out.v_prime)
             ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, 0, 1)
             assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(
@@ -359,7 +379,7 @@ class TestHmcEnergy:
             params = StepParams(h=h, gamma_r=0, gamma_perp=gamma_perp)
             rng = np.random.default_rng(31)
             v0 = rng.standard_normal(n)
-            out = dr_mhmc_propose(v0, spec, params, lambda v: np.zeros(n),
+            out = dr_mhmc_propose(v0, spec, params, drift_fn(lambda v: np.zeros(n), params),
                                   apply_sqrtK_hat(rng.standard_normal(n), spec), 25)
             assert abs(dr_mhmc_delta_E(out.trajectory, 0.0, 0.0)) < 1e-10
 
@@ -378,10 +398,11 @@ class TestHmcEnergy:
         params = StepParams(h=0.06, gamma_r=1, gamma_perp=1)
         v0 = rng.standard_normal(n)
         vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec_fn(v0))
-        fwd = dr_mhmc_propose(v0, spec_fn(v0), params, grad, vt0, 4, spec_fn=spec_fn)
+        fwd = dr_mhmc_propose(v0, spec_fn(v0), params, drift_fn(grad, params), vt0, 4,
+                              spec_fn=spec_fn)
         dE_f = dr_mhmc_delta_E(fwd.trajectory, phi(v0), phi(fwd.v_prime))
         vI = fwd.v_prime
-        rev = dr_mhmc_propose(vI, spec_fn(vI), params, grad,
+        rev = dr_mhmc_propose(vI, spec_fn(vI), params, drift_fn(grad, params),
                               -fwd.trajectory.vts[-1], 4, spec_fn=spec_fn)
         assert np.allclose(rev.v_prime, v0, atol=1e-8)
         dE_r = dr_mhmc_delta_E(rev.trajectory, phi(vI), phi(rev.v_prime))
@@ -392,6 +413,6 @@ class TestHmcEnergy:
         spec = LowRankSpectrum.empty(n)
         params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, eps=1.0)
         out = dr_mhmc_propose(np.ones(n), spec, params,
-                              lambda v: -1e4 * v * np.abs(v),
+                              drift_fn(lambda v: -1e4 * v * np.abs(v), params),
                               np.random.default_rng(34).standard_normal(n), 6)
         assert dr_mhmc_delta_E(out.trajectory, 0.0, 0.0) == float("inf")

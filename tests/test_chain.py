@@ -9,9 +9,9 @@ from drgmc import chain, elliptic, linear_model, runio
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.harness import build_elliptic
 from drgmc.config import RunConfig
-from drgmc.lis import LISState
+from drgmc.lis import LISState, local_spectrum
 from drgmc.operators import CovarianceOperator, LowRankSpectrum
-from drgmc.proposals import StepParams
+from drgmc.proposals import StepParams, reduced_ngrad
 
 
 def linear_whitened(n=4, m=3, seed=1):
@@ -440,3 +440,90 @@ class TestRobustness:
         rec = run_small(model, "inf-hmc")
         assert np.all(rec.wall_times >= 0)
         assert np.all(np.diff(rec.pde_solves) >= 0)
+
+
+def criterion_02_context(algorithm, steps):
+    """A kernel context on criterion 02's linear model (n = 8, rank 4 unless
+    steps sets it) and its start state; the adaptive kernels hold one fixed
+    LIS spectrum."""
+    lm = linear_model.random_model(n=8, m=4, seed=20260815, noise_scale=0.5)
+    model = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
+    config = RunConfig(algorithm=algorithm, iterations=10, burn_in=0, **{"rank": 4, **steps})
+    resolved = config.resolved_steps()
+    params = StepParams(h=resolved["h"], gamma_r=config.gamma_r,
+                        gamma_perp=config.gamma_perp, eps=resolved["eps"])
+    ctx = chain.KernelContext(model=model, config=config, steps=resolved,
+                              params=params, rng=np.random.default_rng(26))
+    state = model.state(np.zeros(model.n))
+    if algorithm in chain.ADAPTIVE:
+        ctx.lis = LISState(local_spectrum(state.jv, config.rank))
+    return ctx, state
+
+
+class TestProjectionMemo:
+    @staticmethod
+    def spy(monkeypatch):
+        """Every array LowRankSpectrum.project is given, kept alive so that
+        no two of them share an id."""
+        seen, project = [], LowRankSpectrum.project
+
+        def counted(spec, x):
+            seen.append(x)
+            return project(spec, x)
+
+        monkeypatch.setattr(LowRankSpectrum, "project", counted)
+        return seen
+
+    @pytest.mark.parametrize("algorithm,steps,most", [
+        ("dr-inf-mmala", dict(h=2.0), 5),
+        ("adr-inf-mmala", dict(h=2.0), 5),
+        ("dili", dict(h_r=0.5, h_perp=0.5), 3),
+        # rank 3 < m leaves the proposal inexact, so some candidates are
+        # rejected and the state that stays keeps its memo
+        ("dr-inf-mmala", dict(h=2.0, rank=3), 5),
+    ])
+    def test_each_array_is_projected_once(self, algorithm, steps, most, monkeypatch):
+        # with the spectrum fixed, a step projects its noise, its two
+        # innovations (DR) and the candidate's v and gradient; the current
+        # state's v and gradient were projected when it was a candidate.
+        # At rank 4 every DR candidate on this model is accepted.
+        ctx, state = criterion_02_context(algorithm, steps)
+        kernel = chain._KERNELS[algorithm]
+        state, _ = chain._mh_step(kernel, ctx, state)  # decomposes the spectrum
+        seen = self.spy(monkeypatch)
+        outcomes, iterations = [], 300
+        for _ in range(iterations):
+            before = len(seen)
+            state, outcome = chain._mh_step(kernel, ctx, state)
+            outcomes.append(outcome)
+            assert len(seen) - before <= most
+        assert chain.ACCEPTED in outcomes
+        assert (chain.REJECTED in outcomes) is (ctx.config.rank < 4 or algorithm == "dili")
+        assert len({id(x) for x in seen}) == len(seen)
+
+    @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_memo_follows_the_spectrum(self, gamma_r, gamma_perp, monkeypatch):
+        # an LIS update between two iterations hands a state a new spectrum;
+        # each answer is formed for the spectrum asked about, and only the
+        # very same spectrum object is answered from the memo
+        model, _ = linear_whitened(n=6, m=3, seed=4)
+        rng = np.random.default_rng(5)
+        state = model.state(rng.standard_normal(6))
+        a, b = (LowRankSpectrum(np.array([4.0, 1.5, 0.2]),
+                                np.linalg.qr(rng.standard_normal((6, 3)))[0])
+                for _ in range(2))
+        a_copy = LowRankSpectrum(a.eigenvalues.copy(), a.basis.copy())
+        params = StepParams(h=0.5, gamma_r=gamma_r, gamma_perp=gamma_perp)
+        seen = self.spy(monkeypatch)
+        for spec in (a, b, a, a_copy):
+            before = len(seen)
+            gr, g_perp = state.reduced(spec, params)
+            assert len(seen) > before  # formed anew: no earlier answer is reused
+            projected = 2 if gamma_r or gamma_perp else 1  # v, and the gradient when read
+            assert state.reduced(spec, params)[0] is gr and len(seen) == before + projected
+            cv, cg = spec.project(state.v), spec.project(state.grad)
+            assert np.array_equal(gr, reduced_ngrad(cv, cg, spec, gamma_r))
+            if gamma_perp:
+                assert np.array_equal(g_perp, state.grad - spec.lift(cg))
+            else:
+                assert g_perp is None

@@ -32,6 +32,10 @@ from _dense_reference import (
     dense_leapfrog_path,
     dense_sqrtK,
     dili_connection_operators,
+    dili_coords,
+    drift,
+    drift_fn,
+    reduced,
     rho_params,
 )
 
@@ -123,7 +127,8 @@ class TestNaturalGradient:
         spec = random_spectrum(n, r, seed=5)
         rng = np.random.default_rng(6)
         v, grad = rng.standard_normal(n), rng.standard_normal(n)
-        ghat = whitened_ngrad(v, grad, spec, gamma_r, gamma_perp)
+        params = StepParams(h=1.0, gamma_r=gamma_r, gamma_perp=gamma_perp)
+        ghat = whitened_ngrad(*reduced(v, grad, spec, params), spec, gamma_perp)
         ref = dense_ghat(v, grad, spec.basis, spec.eigenvalues, gamma_r, gamma_perp)
         assert np.allclose(ghat, ref, atol=1e-12)
 
@@ -135,21 +140,25 @@ class TestNaturalGradient:
         v, grad = rng.standard_normal(n), rng.standard_normal(n)
         K = dense_K(spec.basis, spec.eigenvalues, n)
         ref = (np.eye(n) - K) @ v - K @ grad
-        assert np.allclose(whitened_ngrad(v, grad, spec, 1, 1), ref, atol=1e-11)
+        params = StepParams(h=1.0, gamma_r=1, gamma_perp=1)
+        assert np.allclose(drift(v, grad, spec, params), ref, atol=1e-11)
 
     @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_empty_spectrum_matches_general_formula_bit_for_bit(self, gamma_r, gamma_perp):
-        # r = 0 takes one operation; it must equal the general formula's
-        # lift(D g_r) - gamma_perp (grad - lift(project(grad))) in every bit,
-        # the sign of a zero included
+        # a state's drift on r = 0 takes one operation; it must equal the
+        # general formula's lift(D g_r) - gamma_perp (grad - lift(project(grad)))
+        # in every bit, the sign of a zero included
         n = 6
         spec = LowRankSpectrum.empty(n)
         v = np.array([0.3, -1.2, 0.0, -0.0, 2.5, 1e-300])
         grad = np.array([1.5, -0.0, 0.0, -2.0, 1e300, -1e-300])
-        general = spec.lift(spec.D * reduced_ngrad(v, grad, spec, gamma_r))
+        cg = spec.project(grad)
+        general = spec.lift(spec.D * reduced_ngrad(spec.project(v), cg, spec, gamma_r))
         if gamma_perp:
-            general = general - (grad - spec.lift(spec.project(grad)))
-        ghat = whitened_ngrad(v, grad, spec, gamma_r, gamma_perp)
+            general = general - (grad - spec.lift(cg))
+        state = chain.WhitenedState(None, None, v)
+        state._grad = grad  # the whitened gradient, given as it is
+        ghat = state.drift(spec, StepParams(h=1.0, gamma_r=gamma_r, gamma_perp=gamma_perp))
         assert ghat.dtype == general.dtype and ghat.shape == general.shape
         assert np.array_equal(ghat, general)
         assert np.array_equal(np.signbit(ghat), np.signbit(general))
@@ -161,7 +170,7 @@ class TestNaturalGradient:
         spec = random_spectrum(n, r, seed=9)
         rng = np.random.default_rng(10)
         v, grad = rng.standard_normal(n), rng.standard_normal(n)
-        gr = reduced_ngrad(v, grad, spec, 1)
+        gr = reduced_ngrad(spec.project(v), spec.project(grad), spec, 1)
         assert np.allclose(gr, spec.eigenvalues * (spec.basis.T @ v) - spec.basis.T @ grad)
 
 
@@ -174,7 +183,7 @@ class TestDrMmala:
         rng = np.random.default_rng(12)
         v, grad = rng.standard_normal(n), rng.standard_normal(n)
         xi = rng.standard_normal(n)
-        v_prime = dr_mmala_propose(v, grad, spec, params, xi)
+        v_prime = dr_mmala_propose(v, drift(v, grad, spec, params), spec, params, xi)
         rho0, rho1, rho2 = rho_params(params.h)
         ref = (rho0 * v
                + rho1 * dense_ghat(v, grad, spec.basis, spec.eigenvalues, 1, gamma_perp)
@@ -188,7 +197,7 @@ class TestDrMmala:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(n)
         xi = rng.standard_normal(n)
-        v_prime = dr_mmala_propose(v, None, spec, params, xi)
+        v_prime = dr_mmala_propose(v, drift(v, None, spec, params), spec, params, xi)
         assert np.allclose(v_prime, params.rho0 * v + params.rho2 * xi)
 
 
@@ -261,8 +270,8 @@ class TestDiliPropose:
             v, grad = rng.standard_normal(n), rng.standard_normal(n)
             xi = rng.standard_normal(n)
             ops = dili_connection_operators(spec, params)
-            vp_d = dili_propose(v, grad, spec, ops, xi)
-            vp_m = dr_mmala_propose(v, grad, spec, params, xi)
+            vp_d = dili_propose(v, *dili_coords(v, grad, spec, ops), spec, ops, xi)
+            vp_m = dr_mmala_propose(v, drift(v, grad, spec, params), spec, params, xi)
             assert np.allclose(vp_d, vp_m, atol=1e-10)
 
     def test_empty_spectrum_with_gradient_flag(self):
@@ -274,7 +283,7 @@ class TestDiliPropose:
         ops = dili_operators(spec, 0.5, 0.5, 1)
         assert not ops.uses_grad
         xi = rng.standard_normal(n)
-        v_prime = dili_propose(v, None, spec, ops, xi)
+        v_prime = dili_propose(v, spec.project(v), None, spec, ops, xi)
         assert np.allclose(v_prime, ops.a_perp * v + ops.b_perp * xi)
 
     def test_missing_gradient_raises_in_proposal_and_ratio(self):
@@ -284,12 +293,13 @@ class TestDiliPropose:
         rng = np.random.default_rng(2)
         v, g = rng.standard_normal(n), rng.standard_normal(n)
         message = "gradient-weighted operators need the gradient"
+        z, cg = spec.project(v), spec.project(g)
         with pytest.raises(ValueError, match=message):
-            dili_propose(v, None, spec, ops, rng.standard_normal(n))
+            dili_propose(v, z, None, spec, ops, rng.standard_normal(n))
         with pytest.raises(ValueError, match=message):
-            dili_exact_log_ratio(v, v, spec, g, None, 0.0, 0.0, ops)
+            dili_exact_log_ratio(z, z, cg, None, 0.0, 0.0, ops)
         with pytest.raises(ValueError, match=message):
-            dili_exact_log_ratio(v, v, spec, None, g, 0.0, 0.0, ops)
+            dili_exact_log_ratio(z, z, None, cg, 0.0, 0.0, ops)
 
 
 class TestLeapfrog:
@@ -304,8 +314,8 @@ class TestLeapfrog:
         params = StepParams(h=1.0, eps=eps, gamma_r=1, gamma_perp=1)
         rng = np.random.default_rng(seed)
         v0, vt0 = rng.standard_normal(n), rng.standard_normal(n)
-        fwd = dr_mhmc_propose(v0, spec, params, grad, vt0, steps)
-        back = dr_mhmc_propose(fwd.v_prime, spec, params, grad,
+        fwd = dr_mhmc_propose(v0, spec, params, drift_fn(grad, params), vt0, steps)
+        back = dr_mhmc_propose(fwd.v_prime, spec, params, drift_fn(grad, params),
                                -fwd.trajectory.vts[-1], steps)
         assert np.allclose(back.v_prime, v0, atol=1e-9)
         assert np.allclose(-back.trajectory.vts[-1], vt0, atol=1e-9)
@@ -332,7 +342,7 @@ class TestDrMhmc:
         rng = np.random.default_rng(33)
         v0 = rng.standard_normal(n)
         vt0 = apply_sqrtK_hat(rng.standard_normal(n), spec)
-        out = dr_mhmc_propose(v0, spec, params, grad, vt0, 4)
+        out = dr_mhmc_propose(v0, spec, params, drift_fn(grad, params), vt0, 4)
         drift = lambda v: dense_ghat(v, grad(v), spec.basis, spec.eigenvalues, 1, 1)
         vs, vts = dense_leapfrog_path(v0, vt0, drift, params.eps, 4)
         assert len(out.trajectory.vs) == 5
@@ -355,9 +365,9 @@ class TestDrMhmc:
             rng=np.random.default_rng(0), lis=LISState(spec))
         seen = []
 
-        def spy(v, spec_v, params, grad_fn, vt, n_steps, spec_fn=None):
+        def spy(v, spec_v, params, drift_fn, vt, n_steps, spec_fn=None):
             seen.append((spec_v, vt, n_steps))
-            return dr_mhmc_propose(v, spec_v, params, grad_fn, vt, n_steps, spec_fn)
+            return dr_mhmc_propose(v, spec_v, params, drift_fn, vt, n_steps, spec_fn)
 
         monkeypatch.setattr(chain, "dr_mhmc_propose", spy)
         chain._dr_mhmc(ctx, model.state(np.zeros(n)))
@@ -372,7 +382,7 @@ class TestDrMhmc:
         params = StepParams(h=0.5, gamma_r=0, gamma_perp=1, eps=1.0)
         # explosive anti-restoring force
         grad_fn = lambda v: -1e4 * v * np.abs(v)
-        out = dr_mhmc_propose(np.ones(n), spec, params, grad_fn,
+        out = dr_mhmc_propose(np.ones(n), spec, params, drift_fn(grad_fn, params),
                               np.random.default_rng(5).standard_normal(n), 6)
         assert out.diverged
         assert len(out.trajectory.vs) <= 6 + 1
@@ -383,7 +393,8 @@ class TestDrMhmc:
         0, 0]: v_1 = sin(eps) vt_0."""
         params = StepParams(h=0.5, gamma_r=0, gamma_perp=0, eps=EPS_ONE)
         return dr_mhmc_propose(np.zeros(3), LowRankSpectrum.empty(3), params,
-                               lambda v: np.zeros(3), np.array([momentum, 0.0, 0.0]), 1)
+                               drift_fn(lambda v: np.zeros(3), params),
+                               np.array([momentum, 0.0, 0.0]), 1)
 
     @pytest.mark.parametrize("momentum", [
         np.nan, np.inf, -np.inf,
@@ -404,17 +415,19 @@ class TestDrMhmc:
         assert len(out.trajectory.vs) == 2
 
     def test_inf_hmc_reuses_given_flat_spectrum_and_params(self):
-        # the chain passes its own flat params and empty spectrum; the
-        # proposal must equal the one that builds both itself
+        # the chain passes its own empty spectrum and a drift formed with its
+        # flat params; the proposal must equal the one that builds the
+        # spectrum itself
         n = 5
         _, grad = quadratic_target(n, seed=61)
         v0 = np.random.default_rng(62).standard_normal(n)
         params = StepParams(h=0.2, gamma_r=1, gamma_perp=0)
         flat = dataclasses.replace(params, gamma_r=0, gamma_perp=1)
         spec = LowRankSpectrum.empty(n)
-        a = inf_hmc_propose(v0, params, grad, np.random.default_rng(63).standard_normal(n), 3)
-        b = inf_hmc_propose(v0, flat, grad, np.random.default_rng(63).standard_normal(n), 3,
-                            flat=spec)
+        a = inf_hmc_propose(v0, flat, drift_fn(grad, flat),
+                            np.random.default_rng(63).standard_normal(n), 3)
+        b = inf_hmc_propose(v0, flat, drift_fn(grad, flat),
+                            np.random.default_rng(63).standard_normal(n), 3, flat=spec)
         assert all(s is spec for s in b.trajectory.specs)
         for x, y in zip(a.trajectory.vs + a.trajectory.vts, b.trajectory.vs + b.trajectory.vts):
             assert np.array_equal(x, y)
@@ -422,10 +435,10 @@ class TestDrMhmc:
     def test_inf_hmc_is_identity_mass_full_gradient(self):
         n = 6
         phi, grad = quadratic_target(n, seed=51)
-        params = StepParams(h=0.25, gamma_r=1, gamma_perp=0)
+        params = StepParams(h=0.25, gamma_r=0, gamma_perp=1)
         rng = np.random.default_rng(52)
         v0 = rng.standard_normal(n)
         xi = np.random.default_rng(53).standard_normal(n)
-        out = inf_hmc_propose(v0, params, grad, xi, 3)
+        out = inf_hmc_propose(v0, params, drift_fn(grad, params), xi, 3)
         vs, vts = dense_leapfrog_path(v0, xi, lambda v: -grad(v), params.eps, 3)
         assert np.allclose(out.v_prime, vs[-1], atol=1e-11)

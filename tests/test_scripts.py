@@ -38,9 +38,9 @@ def test_tune_steps():
 
 # scripts/bench_pairs.py, on canned bench output: no bench process is started.
 
-def canned_stdout(side, seed, ms, correct=True, trace=0, steps=2.0):
+def canned_stdout(side, seed, ms, correct=True, trace=0, steps=2.0, describe=None):
     env = {"workload": "linear", "seed": seed, "seconds": 55.0, "trace": trace,
-           "blas_threads": "1", "git_describe": f"{side}-sha"}
+           "blas_threads": "1", "git_describe": describe or f"{side}-sha"}
     metrics = {"ms_per_iter.inf-hmc": {"value": ms, "unit": "ms"},
                "setup_s": {"value": 0.001, "unit": "s"}}
     if trace:
@@ -53,8 +53,9 @@ def canned_stdout(side, seed, ms, correct=True, trace=0, steps=2.0):
                       "metric ms_per_iter.inf-hmc  0.1 ms", json.dumps(result)]) + "\n"
 
 
-def canned_runner(ms_of, wrong=(), steps_of=None):
-    """A stand-in for run_bench: ms_of[(side, seed)] is the run's ms/iter."""
+def canned_runner(ms_of, wrong=(), steps_of=None, describe=None):
+    """A stand-in for run_bench: ms_of[(side, seed)] is the run's ms/iter;
+    describe, when given, is every run's git_describe."""
     bench_pairs = load("bench_pairs")
     calls = []
 
@@ -63,7 +64,8 @@ def canned_runner(ms_of, wrong=(), steps_of=None):
         calls.append((side, seed, trace))
         steps = (steps_of or {}).get(side, 2.0)
         stdout = canned_stdout(side, seed, ms_of.get((side, seed), 0.1),
-                               correct=(side, seed) not in wrong, trace=trace, steps=steps)
+                               correct=(side, seed) not in wrong, trace=trace, steps=steps,
+                               describe=describe)
         env, result = bench_pairs.parse_output(stdout)
         return {"env": env, "result": result}
     return run, calls
@@ -156,3 +158,31 @@ def test_bench_pairs_flags_count_metrics_that_moved(tmp_path):
     assert bench_pairs.main(argv, run=run) == 0
     traced = json.loads(out.read_text())["workloads"]["linear"]["traced"]
     assert traced["differing_counts"] == ["proposals.leapfrog_steps_per_iter.inf-hmc"]
+
+
+@pytest.mark.parametrize("flags", [False, True])
+def test_bench_pairs_names_commits_of_trees_outside_git(tmp_path, flags):
+    # a git archive copy reports "not a git checkout"; the flags name its commit
+    bench_pairs = load("bench_pairs")
+    run, _ = canned_runner({}, describe="not a git checkout")
+    out = tmp_path / "BENCH.json"
+    argv = trees(tmp_path) + ["--workload", "linear", "--seeds", "1", "--out", str(out)]
+    if flags:
+        argv += ["--parent-commit", "4a34845", "--change-commit", "c0ffee1"]
+    assert bench_pairs.main(argv, run=run) == 0
+    doc = json.loads(out.read_text())
+    if flags:
+        assert (doc["parent_commit"], doc["change_commit"]) == ("4a34845", "c0ffee1")
+    else:
+        assert doc["parent_commit"] == doc["change_commit"] == "not a git checkout"
+
+
+def test_bench_pairs_keeps_git_describe_over_commit_flags(tmp_path):
+    bench_pairs = load("bench_pairs")
+    run, _ = canned_runner({})
+    out = tmp_path / "BENCH.json"
+    argv = trees(tmp_path) + ["--workload", "linear", "--seeds", "1", "--out", str(out),
+                              "--parent-commit", "4a34845", "--change-commit", "c0ffee1"]
+    assert bench_pairs.main(argv, run=run) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["parent_commit"], doc["change_commit"]) == ("parent-sha", "change-sha")
