@@ -10,8 +10,10 @@ Each tree is a full checkout (a parent commit and the change on top of it).
 Pair i runs ``python3 bench/run.py --workload W --seed S_i --seconds T
 --trace 0`` once in each tree, each run its own process: the parent runs
 first in odd pairs and the change in even ones. The bench pins BLAS to one
-thread itself. With --traced-seed, one ``--trace 1`` run per side follows
-the pairs, parent first, for the per-layer metrics.
+thread itself. With --traced-seed, four ``--trace 1`` runs follow the
+pairs, in the order parent, change, change, parent, for the per-layer
+metrics: two per side, so a run slowed by the machine shows against its
+own side's other run, and a drift over time weighs on both sides alike.
 
 The file keeps, per workload, every run's env line and result line (the
 bench's last stdout line, unchanged), the seeds, which side ran first in
@@ -44,8 +46,10 @@ WHAT = ("Alternating untraced bench pairs per workload, the parent commit agains
         "per-metric medians over the runs of each side, with quartiles (linear "
         "interpolation), the count of pairs in which the change read lower, and "
         "whether the gap between the medians exceeds the parent's interquartile "
-        "range. 'traced' holds one --trace 1 run per side, when made, and the "
-        "count metrics on which the two differ.")
+        "range. 'traced' holds, when made, four --trace 1 runs on one seed in the "
+        "order they ran (parent, change, change, parent) and the count metrics "
+        "on which any two of them differ.")
+TRACED_ORDER = ("parent", "change", "change", "parent")
 
 
 def parse_seeds(text):
@@ -133,14 +137,15 @@ def summarize(runs):
     return medians
 
 
-def differing_counts(parent, change):
-    """Names of the count metrics (unit count or count/iter) that two runs on
-    one seed report differently; a change that keeps every chain keeps them."""
-    metrics = [(run.get("result") or {}).get("metrics", {}) for run in (parent, change)]
-    names = set(metrics[0]) | set(metrics[1])
+def differing_counts(runs):
+    """Names of the count metrics (unit count or count/iter) that runs on one
+    seed do not all report alike; a change that keeps every chain keeps them,
+    and so does a rerun of one tree."""
+    metrics = [(run.get("result") or {}).get("metrics", {}) for run in runs]
+    names = set().union(*metrics)
     return sorted(name for name in names
                   if any(m.get(name, {}).get("unit", "").startswith("count") for m in metrics)
-                  and metrics[0].get(name) != metrics[1].get(name))
+                  and any(m.get(name) != metrics[0].get(name) for m in metrics[1:]))
 
 
 def workload_entry(seeds, runs):
@@ -210,16 +215,15 @@ def main(argv=None, run=run_bench):
                   f"{'correct' if correct(made) else 'NOT CORRECT'}", flush=True)
     entry = workload_entry(args.seeds, runs)
     if args.traced_seed is not None:
-        entry["traced"] = traced = {side: {"seed": args.traced_seed,
-                                           **run(trees[side], args.workload,
-                                                 args.traced_seed, args.seconds, 1)}
-                                    for side in SIDES}
-        traced["differing_counts"] = differing_counts(traced["parent"], traced["change"])
+        traced = [{"side": side, "seed": args.traced_seed,
+                   **run(trees[side], args.workload, args.traced_seed, args.seconds, 1)}
+                  for side in TRACED_ORDER]
+        entry["traced"] = {"runs": traced, "differing_counts": differing_counts(traced)}
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     merge(doc, args.workload, args.seeds, args.seconds, entry,
           {"parent": args.parent_commit, "change": args.change_commit})
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    traced_ok = all(correct(entry["traced"][side]) for side in SIDES) if "traced" in entry else True
+    traced_ok = all(correct(made) for made in entry.get("traced", {}).get("runs", ()))
     return 0 if entry["all_correct"] and traced_ok else 1
 
 

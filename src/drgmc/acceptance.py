@@ -45,10 +45,10 @@ def log_lambda(gr, g_perp, spec, w_star, params):
     cw = spec.project(w_star)
     sqrt_d, h = spec.sqrt_D, params.h
     resid = (math.sqrt(h) / 2.0) * sqrt_d * gr - cw / sqrt_d
-    val = -0.5 * float(resid @ resid) + 0.5 * float(cw @ cw) - 0.5 * spec.logdet_D
+    val = -0.5 * float(resid.dot(resid)) + 0.5 * float(cw.dot(cw)) - 0.5 * spec.logdet_D
     if params.gamma_perp:
         wp = w_star - spec.lift(cw)
-        val += -(h / 8.0) * float(g_perp @ g_perp) - (math.sqrt(h) / 2.0) * float(g_perp @ wp)
+        val += -(h / 8.0) * float(g_perp.dot(g_perp)) - (math.sqrt(h) / 2.0) * float(g_perp.dot(wp))
     return val
 
 
@@ -62,8 +62,8 @@ def inf_mala_log_ratio(v, v_prime, grad_v, grad_vp, phi_v, phi_vp, params):
     w_fwd = (v_prime - rho0 * v) / rho2
     w_rev = (v - rho0 * v_prime) / rho2
     sh = math.sqrt(h) / 2.0
-    fwd = -phi_v - (h / 8.0) * float(grad_v @ grad_v) - sh * float(grad_v @ w_fwd)
-    rev = -phi_vp - (h / 8.0) * float(grad_vp @ grad_vp) - sh * float(grad_vp @ w_rev)
+    fwd = -phi_v - (h / 8.0) * float(grad_v.dot(grad_v)) - sh * float(grad_v.dot(w_fwd))
+    rev = -phi_vp - (h / 8.0) * float(grad_vp.dot(grad_vp)) - sh * float(grad_vp.dot(w_rev))
     return float(rev - fwd)
 
 
@@ -90,8 +90,8 @@ def dili_exact_log_ratio(z, zp, cg_v, cg_vp, phi_v, phi_vp, ops):
     cg, cgp = ops.grad_step(cg_v), ops.grad_step(cg_vp)
     fwd = (zp - (ops.D_Ar * z - cg)) / ops.D_Br
     rev = (z - (ops.D_Ar * zp - cgp)) / ops.D_Br
-    return (float(phi_v - phi_vp) + 0.5 * float(z @ z) - 0.5 * float(zp @ zp)
-            - 0.5 * float(rev @ rev) + 0.5 * float(fwd @ fwd))
+    return (float(phi_v - phi_vp) + 0.5 * float(z.dot(z)) - 0.5 * float(zp.dot(zp))
+            - 0.5 * float(rev.dot(rev)) + 0.5 * float(fwd.dot(fwd)))
 
 
 def dr_mhmc_delta_E(trajectory, phi_0, phi_I):
@@ -114,9 +114,9 @@ def dr_mhmc_delta_E(trajectory, phi_0, phi_I):
     eps = trajectory.eps
     s0, sI = specs[0], specs[-1]
     c0, cI = s0.project(vts[0]), sI.project(vts[-1])
-    quad = 0.5 * float(cI @ (sI.eigenvalues * cI)) - 0.5 * float(c0 @ (s0.eigenvalues * c0))
+    quad = 0.5 * float(cI.dot(sI.eigenvalues * cI)) - 0.5 * float(c0.dot(s0.eigenvalues * c0))
     logdet = 0.5 * sI.logdet_D - 0.5 * s0.logdet_D
-    kin = -(eps ** 2 / 8.0) * (float(ghats[-1] @ ghats[-1]) - float(ghats[0] @ ghats[0]))
-    dots = [float(g @ vt) for g, vt in zip(ghats, vts)]
+    kin = -(eps ** 2 / 8.0) * (float(ghats[-1].dot(ghats[-1])) - float(ghats[0].dot(ghats[0])))
+    dots = [float(g.dot(vt)) for g, vt in zip(ghats, vts)]
     cross = (eps / 2.0) * (sum(dots[:-1]) + sum(dots[1:]))
     return float(phi_I - phi_0) + quad + logdet + kin + cross

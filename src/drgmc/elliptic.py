@@ -209,8 +209,8 @@ class ForwardSolveResult:
     @property
     def phi(self):
         if self._phi is None:
-            res = self.problem.O @ self.p - self.problem.y
-            self._phi = 0.5 * float(res @ res) / self.problem.sigma_eta ** 2
+            res = self.problem.O.dot(self.p) - self.problem.y
+            self._phi = 0.5 * float(res.dot(res)) / self.problem.sigma_eta ** 2
         return self._phi
 
     @property
@@ -305,8 +305,8 @@ def _chain_rule_assemble(problem, state, q):
 def gradient(state):
     """grad Phi(u) via one adjoint solve against the state's factorization."""
     problem = state.problem
-    res = problem.O @ state.p - problem.y
-    q = state.solve(problem.O.T @ (res / problem.sigma_eta ** 2))
+    res = problem.O.dot(state.p) - problem.y
+    q = state.solve(problem.O.T.dot(res / problem.sigma_eta ** 2))
     return _chain_rule_assemble(problem, state, q)
 
 

@@ -61,20 +61,20 @@ class _LinearState:
     def __init__(self, model, u):
         self._model = model
         self.u = u
-        self._res = model._jac @ u - model._y_white
+        self._res = model._jac.dot(u) - model._y_white
         self._phi = None
         self._grad = None
 
     @property
     def phi(self):
         if self._phi is None:
-            self._phi = 0.5 * float(self._res @ self._res)
+            self._phi = 0.5 * float(self._res.dot(self._res))
         return self._phi
 
     @property
     def grad(self):
         if self._grad is None:
-            self._grad = self._model._jac.T @ self._res
+            self._grad = self._model._jac.T.dot(self._res)
         return self._grad
 
     @property

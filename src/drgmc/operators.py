@@ -7,6 +7,10 @@ I + V diag(lam) V^T.
 
 Conventions: fields are flat float64 arrays, the inner product is plain
 Euclidean on nodal coefficients, low-rank bases are column-orthonormal.
+Dense products a chain forms per state or iteration are ndarray.dot, the
+same BLAS call as @ without its gufunc dispatch; @ stays in set-up and
+test-only code and in lis.local_spectrum, where .dot rounds the Gram
+products differently and moves the LIS.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class CovarianceOperator:
         self.S = (Q * np.sqrt(w)) @ Q.T
 
     def sqrt_apply(self, x):
-        return self.S @ x
+        return self.S.dot(x)
 
 
 def build_prior_covariance(nodes, sigma_u, s_0):
@@ -116,10 +120,10 @@ class LowRankSpectrum:
         return self.basis.shape[0]
 
     def project(self, x):
-        return self.basis.T @ x
+        return self.basis.T.dot(x)
 
     def lift(self, c):
-        return self.basis @ c
+        return self.basis.dot(c)
 
     def truncate(self, r=None, threshold=None):
         keep = self.r

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import LowRankSpectrum, apply_sqrtK_hat
+from .operators import apply_sqrtK_hat
 
 DIVERGENCE_THRESHOLD = 1e6  # |v| beyond this flags a diverged trajectory
 
@@ -197,7 +197,7 @@ def dr_mhmc_propose(v, spec, params, drift_fn, vt, n_steps, spec_fn=None):
             break
         vt_half = vt + (eps / 2.0) * ghat
         v, vt_rot = c * v + s * vt_half, -s * v + c * vt_half
-        if not math.sqrt(v @ v) <= DIVERGENCE_THRESHOLD:  # NaN and inf fail it too
+        if not math.sqrt(v.dot(v)) <= DIVERGENCE_THRESHOLD:  # NaN and inf fail it too
             traj.diverged = True
             break
         if spec_fn is not None:
@@ -208,9 +208,8 @@ def dr_mhmc_propose(v, spec, params, drift_fn, vt, n_steps, spec_fn=None):
     return ProposalOutput(traj.vs[-1], traj, traj.diverged)
 
 
-def inf_hmc_propose(v, params, drift_fn, vt, n_steps, flat=None):
-    """Hamiltonian proposal with identity mass: the empty spectrum (flat,
-    built here when not given), on which drift_fn gives the full drift
-    -grad Phi (gamma_r = 0, gamma_perp = 1)."""
-    flat = LowRankSpectrum.empty(len(v)) if flat is None else flat
+def inf_hmc_propose(v, params, drift_fn, vt, n_steps, flat):
+    """Hamiltonian proposal with identity mass: the empty spectrum flat, on
+    which drift_fn gives the full drift -grad Phi (gamma_r = 0,
+    gamma_perp = 1)."""
     return dr_mhmc_propose(v, flat, params, drift_fn, vt, n_steps)

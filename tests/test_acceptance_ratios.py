@@ -366,7 +366,7 @@ class TestHmcEnergy:
         for _ in range(10):
             v0 = rng.standard_normal(n)
             out = inf_hmc_propose(v0, params, drift_fn(grad, params),
-                                  rng.standard_normal(n), 5)
+                                  rng.standard_normal(n), 5, LowRankSpectrum.empty(n))
             phi_0, phi_I = phi(v0), phi(out.v_prime)
             ref = split_delta_E(out.trajectory, phi_0, phi_I, grad, 0, 1)
             assert dr_mhmc_delta_E(out.trajectory, phi_0, phi_I) == pytest.approx(

@@ -13,6 +13,7 @@ from drgmc.operators import (
     forstner_distance,
     randomized_eig,
 )
+from drgmc.lis import local_spectrum
 
 from _dense_reference import (apply_K_hat, broadcast_prior_covariance, dense_K,
                               dense_sqrtK, forstner_dense)
@@ -164,6 +165,34 @@ class TestLowRankSpectrum:
         assert spec.r == 0 and spec.n == 5
         x = np.arange(5.0)
         assert np.allclose(apply_K_hat(x, spec), x)
+
+
+class TestDotMatchesMatmul:
+    """The per-iteration products are ndarray.dot, and the golden chains
+    hold them to the bit: each must equal its @ form exactly, on the
+    layouts a chain hands them (contiguous vectors, a C-order block, the
+    transposed Jacobian, a column-sliced basis, an empty one)."""
+
+    @pytest.mark.parametrize("k", [3, 21])  # n = 9 and the desk's n = 441
+    def test_sqrt_apply(self, k):
+        cov = build_prior_covariance(grid_nodes(k), 1.25, 0.0625)
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal(cov.n)
+        block = rng.standard_normal((cov.n, 25))
+        jac = rng.standard_normal((25, cov.n))
+        for arg in (x, block, jac.T):
+            assert np.array_equal(cov.sqrt_apply(arg), cov.S @ arg)
+
+    @pytest.mark.parametrize("n,m,rank", [(8, 4, 4), (441, 25, 30)])
+    def test_project_and_lift(self, n, m, rank):
+        rng = np.random.default_rng(n)
+        full = local_spectrum(rng.standard_normal((m, n)), rank)
+        x = rng.standard_normal(n)
+        for spec in (full, full.truncate(r=full.r - 1), LowRankSpectrum.empty(n)):
+            c = rng.standard_normal(spec.r)
+            assert np.array_equal(spec.project(x), spec.basis.T @ x)
+            assert np.array_equal(spec.lift(c), spec.basis @ c)
+        assert not full.truncate(r=full.r - 1).basis.flags.c_contiguous
 
 
 class TestWoodburyActions:

@@ -416,20 +416,22 @@ class TestDrMhmc:
 
     def test_inf_hmc_reuses_given_flat_spectrum_and_params(self):
         # the chain passes its own empty spectrum and a drift formed with its
-        # flat params; the proposal must equal the one that builds the
-        # spectrum itself
+        # flat params; the proposal must be dr_mhmc_propose on that spectrum,
+        # bit for bit
         n = 5
         _, grad = quadratic_target(n, seed=61)
         v0 = np.random.default_rng(62).standard_normal(n)
         params = StepParams(h=0.2, gamma_r=1, gamma_perp=0)
         flat = dataclasses.replace(params, gamma_r=0, gamma_perp=1)
         spec = LowRankSpectrum.empty(n)
-        a = inf_hmc_propose(v0, flat, drift_fn(grad, flat),
+        a = dr_mhmc_propose(v0, spec, flat, drift_fn(grad, flat),
                             np.random.default_rng(63).standard_normal(n), 3)
         b = inf_hmc_propose(v0, flat, drift_fn(grad, flat),
                             np.random.default_rng(63).standard_normal(n), 3, flat=spec)
         assert all(s is spec for s in b.trajectory.specs)
-        for x, y in zip(a.trajectory.vs + a.trajectory.vts, b.trajectory.vs + b.trajectory.vts):
+        paths = [(t.vs + t.vts + t.ghats) for t in (a.trajectory, b.trajectory)]
+        assert len(paths[0]) == len(paths[1])
+        for x, y in zip(*paths):
             assert np.array_equal(x, y)
 
     def test_inf_hmc_is_identity_mass_full_gradient(self):
@@ -439,6 +441,7 @@ class TestDrMhmc:
         rng = np.random.default_rng(52)
         v0 = rng.standard_normal(n)
         xi = np.random.default_rng(53).standard_normal(n)
-        out = inf_hmc_propose(v0, params, drift_fn(grad, params), xi, 3)
+        out = inf_hmc_propose(v0, params, drift_fn(grad, params), xi, 3,
+                              LowRankSpectrum.empty(n))
         vs, vts = dense_leapfrog_path(v0, xi, lambda v: -grad(v), params.eps, 3)
         assert np.allclose(out.v_prime, vs[-1], atol=1e-11)

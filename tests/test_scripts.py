@@ -127,7 +127,8 @@ def test_bench_pairs_writes_and_merges_workloads(tmp_path, capsys):
                               "--out", str(out), "--traced-seed", "23"]
     assert bench_pairs.main(argv, run=run) == 0
     assert calls == [("parent", 21, 0), ("change", 21, 0), ("change", 22, 0),
-                     ("parent", 22, 0), ("parent", 23, 1), ("change", 23, 1)]
+                     ("parent", 22, 0), ("parent", 23, 1), ("change", 23, 1),
+                     ("change", 23, 1), ("parent", 23, 1)]
     doc = json.loads(out.read_text())
     assert doc["parent_commit"] == "parent-sha" and doc["change_commit"] == "change-sha"
     assert doc["blas_threads"] == "1" and doc["seeds"] == {"linear": [21, 22]}
@@ -135,7 +136,13 @@ def test_bench_pairs_writes_and_merges_workloads(tmp_path, capsys):
     assert entry["first_in_pair"] == {"21": "parent", "22": "change"}
     assert entry["all_correct"] and len(entry["runs"]) == 4
     assert entry["medians"]["ms_per_iter.inf-hmc"]["change_lower_in_pairs"] == "1/2"
-    assert entry["traced"]["differing_counts"] == []
+    traced = entry["traced"]
+    assert [(r["side"], r["seed"]) for r in traced["runs"]] == [
+        ("parent", 23), ("change", 23), ("change", 23), ("parent", 23)]
+    assert [r["env"]["git_describe"] for r in traced["runs"]] == [
+        "parent-sha", "change-sha", "change-sha", "parent-sha"]
+    assert all(r["env"]["trace"] == 1 for r in traced["runs"])
+    assert traced["differing_counts"] == []
 
     # a second workload joins the same file; an incorrect run fails the exit code
     run, _ = canned_runner({}, wrong={("parent", 31)})
@@ -158,6 +165,18 @@ def test_bench_pairs_flags_count_metrics_that_moved(tmp_path):
     assert bench_pairs.main(argv, run=run) == 0
     traced = json.loads(out.read_text())["workloads"]["linear"]["traced"]
     assert traced["differing_counts"] == ["proposals.leapfrog_steps_per_iter.inf-hmc"]
+
+
+def test_bench_pairs_flags_a_count_that_moves_within_one_side():
+    # the two parent runs disagree while each change run matches the first:
+    # a count that differs anywhere among the four traced runs is flagged
+    bench_pairs = load("bench_pairs")
+    runs = [dict(zip(("env", "result"), bench_pairs.parse_output(
+                canned_stdout(side, 2, 0.1, trace=1, steps=steps))))
+            for side, steps in (("parent", 2.0), ("change", 2.0), ("change", 2.0),
+                                ("parent", 3.0))]
+    assert bench_pairs.differing_counts(runs) == ["proposals.leapfrog_steps_per_iter.inf-hmc"]
+    assert bench_pairs.differing_counts(runs[:3]) == []
 
 
 @pytest.mark.parametrize("flags", [False, True])
