@@ -18,9 +18,9 @@ The acceptance ratio is then [Phi(v) - Phi(v')] + log lambda(w*_rev; v')
 
 No ratio here projects a state or its gradient: g_r and g_perp (and, for
 DILI, V^T v and V^T grad Phi) come from the caller, which in a chain reads
-them from each state's memo of its values on the spectrum
-(chain.WhitenedState.projection), formed once per state and spectrum and
-shared with the proposal.
+them from each state's memo of its values on the spectrum (chain._values
+and chain._projected), formed once per state and spectrum and shared with
+the proposal.
 """
 
 from __future__ import annotations

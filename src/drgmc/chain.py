@@ -8,12 +8,12 @@ spectrum is exact, from the Gram eigenproblem of the state's whitened
 Jacobian and a QR basis, so it is a deterministic function of position and
 draws nothing from the stream.
 
-Each state keeps one memo (Projection) of its values on the last spectrum
-a kernel asked about, matched on the identity of the spectrum and of the
-StepParams: V^T v, V^T grad Phi, g_r, the complement gradient and the drift
-ghat, each formed on first use. The proposal and both ratio terms read it,
-so an accepted candidate's values serve the next iteration and a rejected
-state keeps its own; a new spectrum (an LIS update) starts a new memo.
+Each state memoizes its values on the last spectrum asked about, matched
+on the spectrum's identity: g_r, the complement gradient and the drift ghat
+for the DR and Hamiltonian kernels (_values), V^T v and V^T grad Phi for
+dili (_projected). The proposal and both ratio terms read them, so an
+accepted candidate's values serve the next iteration and a rejected state
+keeps its own; a new spectrum (an LIS update) replaces them.
 
 Curvature is decomposed once per distinct Jacobian array: a chain
 decomposes a state's whitened Jacobian only when the model Jacobian it came
@@ -49,28 +49,13 @@ ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
 ACCEPTED, REJECTED, ERROR, NONFINITE = range(4)
 
 
-class Projection:
-    """A state's values on one spectrum under one StepParams, each None
-    until first formed: cv = V^T v, cg = V^T grad Phi, gr = g_r, gp = the
-    complement gradient grad Phi - V cg and ghat = the drift. It holds no
-    reference to its state, so a state and its memo form no cycle."""
-
-    __slots__ = ("spec", "params", "cv", "cg", "gr", "gp", "ghat")
-
-    def __init__(self, spec, params):
-        self.spec, self.params = spec, params
-        self.cv = self.cg = self.gr = self.gp = self.ghat = None
-
-
 class WhitenedState:
     """Lazy caches in v coordinates on top of a u-space model state: the
     whitened gradient S grad and Jacobian Jv = J S. The Gauss-Newton Hessian
     S J^T J S is Jv^T Jv, whose eigenpairs come from the m x m Gram matrix
-    Jv Jv^T (lis.local_spectrum). Its values on a spectrum are kept in one
-    Projection, for the last (spectrum, StepParams) pair asked about; each
-    value reads the gradient only if its formula uses it."""
+    Jv Jv^T (lis.local_spectrum)."""
 
-    __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec", "_proj")
+    __slots__ = ("v", "ustate", "_model", "_grad", "_jv", "spec", "memo")
 
     def __init__(self, model, ustate, v):
         self._model = model
@@ -79,7 +64,10 @@ class WhitenedState:
         self._grad = None
         self._jv = None
         self.spec = None
-        self._proj = None
+        # (spectrum, values) from _values or _projected, keyed on the spectrum
+        # alone: a chain has one StepParams and a state belongs to one chain,
+        # which runs one kernel, so one slot serves both functions.
+        self.memo = None
 
     @property
     def u(self):
@@ -104,56 +92,40 @@ class WhitenedState:
     def gnh_action(self, w):
         return self.jv.T @ (self.jv @ w)
 
-    def projection(self, spec, params):
-        """The memo for spec under params: the kept one when both are the
-        same objects as its own, a new empty one otherwise."""
-        memo = self._proj
-        if memo is None or memo.spec is not spec or memo.params is not params:
-            memo = self._proj = Projection(spec, params)
-        return memo
 
-    def cv(self, spec, params):
-        memo = self.projection(spec, params)
-        if memo.cv is None:
-            memo.cv = spec.project(self.v)
-        return memo.cv
+def _values(state, spec, params):
+    """(g_r, g_perp, ghat) of state on spec, formed together and kept in its
+    memo; g_perp is None when gamma_perp = 0. The gradient is read iff a
+    gamma flag is set, at r = 0 too, where each value is the general
+    formula's, bit for bit, in at most one operation."""
+    memo = state.memo
+    if memo is not None and memo[0] is spec:
+        return memo[1]
+    gamma_r, gamma_perp = params.gamma_r, params.gamma_perp
+    grad = state.grad if gamma_r or gamma_perp else None
+    if spec.r:
+        cg = spec.project(grad) if grad is not None else None
+        gr = reduced_ngrad(spec.project(state.v), cg, spec, gamma_r)
+        g_perp = grad - spec.lift(cg) if gamma_perp else None
+        values = gr, g_perp, whitened_ngrad(gr, g_perp, spec, gamma_perp)
+    elif gamma_perp:
+        values = np.zeros(0), grad, 0.0 - grad
+    else:
+        values = np.zeros(0), None, np.zeros(spec.n)
+    state.memo = (spec, values)
+    return values
 
-    def cg(self, spec, params):
-        memo = self.projection(spec, params)
-        if memo.cg is None:
-            memo.cg = spec.project(self.grad)
-        return memo.cg
 
-    def reduced(self, spec, params):
-        """(g_r, g_perp) on spec; g_perp is None when gamma_perp = 0, and the
-        gradient is read when a gamma flag is set."""
-        memo = self.projection(spec, params)
-        if memo.gr is None:
-            self._reduce(memo)
-        return memo.gr, memo.gp
-
-    def drift(self, spec, params):
-        """ghat on spec. On an empty spectrum it is the general formula's
-        0 - (grad - 0) in one operation, and the gradient is still read
-        when a gamma flag is set, as at r > 0."""
-        memo = self.projection(spec, params)
-        if memo.ghat is None:
-            if spec.r:
-                if memo.gr is None:
-                    self._reduce(memo)
-                memo.ghat = whitened_ngrad(memo.gr, memo.gp, spec, params.gamma_perp)
-            else:
-                grad = self.grad if params.gamma_r or params.gamma_perp else None
-                memo.ghat = 0.0 - grad if params.gamma_perp else np.zeros(spec.n)
-        return memo.ghat
-
-    def _reduce(self, memo):
-        spec, params = memo.spec, memo.params
-        gamma_r, gamma_perp = params.gamma_r, params.gamma_perp
-        cg = self.cg(spec, params) if gamma_r or gamma_perp else None
-        memo.gr = reduced_ngrad(self.cv(spec, params), cg, spec, gamma_r)
-        if gamma_perp:
-            memo.gp = self.grad - spec.lift(cg)
+def _projected(state, spec, ops):
+    """(V^T v, V^T grad Phi) of state on spec, kept in its memo; the
+    gradient is read, and projected, iff ops weights it (None otherwise)."""
+    memo = state.memo
+    if memo is not None and memo[0] is spec:
+        return memo[1]
+    cg = spec.project(state.grad) if ops.uses_grad else None
+    values = spec.project(state.v), cg
+    state.memo = (spec, values)
+    return values
 
 
 class WhitenedModel:
@@ -241,8 +213,8 @@ def _hmc_callbacks(ctx, state):
 
     def drift_fn(v, spec):
         if reads_grad or last[0].v is v:
-            return ensure(v).drift(spec, params)
-        return WhitenedState(ctx.model, None, v).drift(spec, params)
+            return _values(ensure(v), spec, params)[2]
+        return _values(WhitenedState(ctx.model, None, v), spec, params)[2]
 
     def spec_fn(v):
         return _ensure_spec(ctx, ensure(v))
@@ -283,13 +255,12 @@ def _inf_hmc(ctx, state):
 def _dr_mmala(ctx, state):
     params = ctx.params
     spec_v = _spectrum(ctx, state)
-    ghat = state.drift(spec_v, params)
+    gr, g_perp, ghat = _values(state, spec_v, params)
     xi = ctx.rng.standard_normal(len(state.v))
     cand = ctx.model.state(dr_mmala_propose(state.v, ghat, spec_v, params, xi))
     spec_vp = _spectrum(ctx, cand)
-    return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp,
-                                    state.reduced(spec_v, params),
-                                    cand.reduced(spec_vp, params),
+    return cand, dr_mmala_log_ratio(state.v, cand.v, spec_v, spec_vp, (gr, g_perp),
+                                    _values(cand, spec_vp, params)[:2],
                                     state.phi, cand.phi, params)
 
 
@@ -311,14 +282,11 @@ def _dili(ctx, state):
         ops = dili_operators(spec, ctx.steps["h_r"], ctx.steps["h_perp"],
                              ctx.params.gamma_r)
         ctx.dili_ops = (spec, ops)
-    params = ctx.params
-    cg = state.cg(spec, params) if ops.uses_grad else None
+    cv, cg = _projected(state, spec, ops)
     xi = ctx.rng.standard_normal(len(state.v))
-    cand = ctx.model.state(dili_propose(state.v, state.cv(spec, params), cg,
-                                        spec, ops, xi))
-    cg_p = cand.cg(spec, params) if ops.uses_grad else None
-    return cand, dili_exact_log_ratio(state.cv(spec, params), cand.cv(spec, params),
-                                      cg, cg_p, state.phi, cand.phi, ops)
+    cand = ctx.model.state(dili_propose(state.v, cv, cg, spec, ops, xi))
+    cv_p, cg_p = _projected(cand, spec, ops)
+    return cand, dili_exact_log_ratio(cv, cv_p, cg, cg_p, state.phi, cand.phi, ops)
 
 
 _KERNELS = {

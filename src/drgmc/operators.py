@@ -93,6 +93,8 @@ class LowRankSpectrum:
         V = np.asarray(basis, dtype=float)
         if V.ndim != 2 or V.shape[1] != lam.shape[0]:
             raise ValueError("basis must be n x r matching eigenvalue count")
+        if not (np.isfinite(lam).all() and np.isfinite(V).all()):
+            raise ValueError("spectrum has a non-finite entry")
         if lam.size and np.any(np.diff(lam) > 1e-12):
             raise ValueError("eigenvalues must be non-increasing")
         if lam.size and lam.min() < -1e-10:

@@ -14,10 +14,10 @@ reduced natural gradient is
     ghat(v) = V_r D_r g_r(v)  [- (I - V_r V_r^T) grad Phi(v) when gamma_perp = 1]
 
 with D_r = (I + Lambda_r)^{-1}. The DR and DILI proposals take ghat, or the
-projections V_r^T v and V_r^T grad Phi, from the caller, which forms them
-once per state and spectrum; reduced_ngrad and whitened_ngrad are the
-formulas it uses. Hamiltonian kernels use the splitting whose drift-free
-flow is an exact rotation of (v, vtilde) by the angle eps.
+projections V_r^T v and V_r^T grad Phi, from the caller; a chain forms
+them once per state and spectrum in chain._values (with reduced_ngrad and
+whitened_ngrad) and chain._projected. Hamiltonian kernels use the splitting
+whose drift-free flow is an exact rotation of (v, vtilde) by the angle eps.
 """
 
 from __future__ import annotations

@@ -481,24 +481,36 @@ class TestProjectionMemo:
         # rank 3 < m leaves the proposal inexact, so some candidates are
         # rejected and the state that stays keeps its memo
         ("dr-inf-mmala", dict(h=2.0, rank=3), 5),
+        # plus 2 per leapfrog step: the noise and the two end momenta, and
+        # v and the gradient at each new point; the drift at v_0 is kept
+        ("dr-inf-mhmc", dict(h=0.5, n_leapfrog=3), 3),
+        ("adr-inf-mhmc", dict(h=0.5, n_leapfrog=3), 3),
     ])
     def test_each_array_is_projected_once(self, algorithm, steps, most, monkeypatch):
         # with the spectrum fixed, a step projects its noise, its two
         # innovations (DR) and the candidate's v and gradient; the current
         # state's v and gradient were projected when it was a candidate.
-        # At rank 4 every DR candidate on this model is accepted.
+        # At rank 4 every DR-mMALA candidate on this model is accepted.
         ctx, state = criterion_02_context(algorithm, steps)
         kernel = chain._KERNELS[algorithm]
         state, _ = chain._mh_step(kernel, ctx, state)  # decomposes the spectrum
         seen = self.spy(monkeypatch)
+        n_steps, propose = [0], chain.dr_mhmc_propose
+
+        def counted(v, spec, params, drift_fn, vt, count, spec_fn=None):
+            n_steps[0] = count
+            return propose(v, spec, params, drift_fn, vt, count, spec_fn)
+
+        monkeypatch.setattr(chain, "dr_mhmc_propose", counted)
         outcomes, iterations = [], 300
         for _ in range(iterations):
             before = len(seen)
             state, outcome = chain._mh_step(kernel, ctx, state)
             outcomes.append(outcome)
-            assert len(seen) - before <= most
+            assert len(seen) - before <= most + 2 * n_steps[0]
         assert chain.ACCEPTED in outcomes
-        assert (chain.REJECTED in outcomes) is (ctx.config.rank < 4 or algorithm == "dili")
+        exact = ctx.config.rank == 4 and algorithm.endswith("mmala")
+        assert (chain.REJECTED in outcomes) is not exact
         assert len({id(x) for x in seen}) == len(seen)
 
     @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -517,10 +529,10 @@ class TestProjectionMemo:
         seen = self.spy(monkeypatch)
         for spec in (a, b, a, a_copy):
             before = len(seen)
-            gr, g_perp = state.reduced(spec, params)
+            gr, g_perp, _ = chain._values(state, spec, params)
             assert len(seen) > before  # formed anew: no earlier answer is reused
             projected = 2 if gamma_r or gamma_perp else 1  # v, and the gradient when read
-            assert state.reduced(spec, params)[0] is gr and len(seen) == before + projected
+            assert chain._values(state, spec, params)[0] is gr and len(seen) == before + projected
             cv, cg = spec.project(state.v), spec.project(state.grad)
             assert np.array_equal(gr, reduced_ngrad(cv, cg, spec, gamma_r))
             if gamma_perp:

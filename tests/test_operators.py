@@ -151,6 +151,21 @@ class TestLowRankSpectrum:
         with pytest.raises(ValueError):
             LowRankSpectrum([1.0], V)  # shape mismatch
 
+    @pytest.mark.parametrize("lam, basis_entry", [
+        ([np.nan, 1.0], None),     # passed the order and sign checks: D = [nan, 0.5]
+        ([1.0, np.nan], None),
+        ([np.inf, 1.0], None),     # gave logdet_D = -inf
+        ([2.0, 1.0], np.nan),
+        ([2.0, 1.0], np.inf),
+        ([2.0, 1.0], -np.inf),
+    ])
+    def test_non_finite_entry_is_refused(self, lam, basis_entry):
+        V = np.eye(3)[:, :2]
+        if basis_entry is not None:
+            V[2, 1] = basis_entry
+        with pytest.raises(ValueError, match="non-finite"):
+            LowRankSpectrum(lam, V)
+
     def test_truncate_by_rank_and_threshold(self):
         spec = random_spectrum(8, 5, seed=2)
         assert spec.truncate(r=3).r == 3

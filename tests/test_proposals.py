@@ -145,23 +145,30 @@ class TestNaturalGradient:
 
     @pytest.mark.parametrize("gamma_r,gamma_perp", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_empty_spectrum_matches_general_formula_bit_for_bit(self, gamma_r, gamma_perp):
-        # a state's drift on r = 0 takes one operation; it must equal the
-        # general formula's lift(D g_r) - gamma_perp (grad - lift(project(grad)))
-        # in every bit, the sign of a zero included
+        # a state's values on r = 0 take one operation each; they must equal
+        # the general formula's g_r = Lambda cv - gamma_r cg, g_perp = grad -
+        # lift(project(grad)) and ghat = lift(D g_r) - gamma_perp g_perp in
+        # every bit, the sign of a zero included
         n = 6
         spec = LowRankSpectrum.empty(n)
         v = np.array([0.3, -1.2, 0.0, -0.0, 2.5, 1e-300])
         grad = np.array([1.5, -0.0, 0.0, -2.0, 1e300, -1e-300])
         cg = spec.project(grad)
-        general = spec.lift(spec.D * reduced_ngrad(spec.project(v), cg, spec, gamma_r))
+        gr_general = reduced_ngrad(spec.project(v), cg, spec, gamma_r)
+        g_perp_general = grad - spec.lift(cg)
+        general = spec.lift(spec.D * gr_general)
         if gamma_perp:
-            general = general - (grad - spec.lift(cg))
+            general = general - g_perp_general
         state = chain.WhitenedState(None, None, v)
         state._grad = grad  # the whitened gradient, given as it is
-        ghat = state.drift(spec, StepParams(h=1.0, gamma_r=gamma_r, gamma_perp=gamma_perp))
-        assert ghat.dtype == general.dtype and ghat.shape == general.shape
-        assert np.array_equal(ghat, general)
-        assert np.array_equal(np.signbit(ghat), np.signbit(general))
+        params = StepParams(h=1.0, gamma_r=gamma_r, gamma_perp=gamma_perp)
+        gr, g_perp, ghat = chain._values(state, spec, params)
+        for mine, ref in [(gr, gr_general), (ghat, general)] + (
+                [(g_perp, g_perp_general)] if gamma_perp else []):
+            assert mine.dtype == ref.dtype and mine.shape == ref.shape
+            assert np.array_equal(mine, ref)
+            assert np.array_equal(np.signbit(mine), np.signbit(ref))
+        assert g_perp is None or gamma_perp
         assert not np.signbit(ghat).any() or gamma_perp
         assert ghat is not grad
 

@@ -143,6 +143,8 @@ def test_bench_pairs_writes_and_merges_workloads(tmp_path, capsys):
         "parent-sha", "change-sha", "change-sha", "parent-sha"]
     assert all(r["env"]["trace"] == 1 for r in traced["runs"])
     assert traced["differing_counts"] == []
+    assert traced["ranges"]["parent"] == {"proposals.ms_per_iter.inf-hmc": [0.1, 0.1]}
+    assert traced["ranges_apart"] == []
 
     # a second workload joins the same file; an incorrect run fails the exit code
     run, _ = canned_runner({}, wrong={("parent", 31)})
@@ -177,6 +179,29 @@ def test_bench_pairs_flags_a_count_that_moves_within_one_side():
                                 ("parent", 3.0))]
     assert bench_pairs.differing_counts(runs) == ["proposals.leapfrog_steps_per_iter.inf-hmc"]
     assert bench_pairs.differing_counts(runs[:3]) == []
+
+
+def test_bench_pairs_reports_each_sides_traced_range():
+    # proposals.ms_per_iter reads 0.30/0.34 for the parent and 0.20/0.26 for
+    # the change: disjoint ranges; ms_per_iter overlaps (0.1/0.2 against
+    # 0.15/0.15). Count metrics get no range.
+    bench_pairs = load("bench_pairs")
+    runs = []
+    for side, ms in (("parent", 0.30), ("change", 0.26), ("change", 0.20), ("parent", 0.34)):
+        env, result = bench_pairs.parse_output(canned_stdout(side, 2, ms, trace=1))
+        result["metrics"]["ms_per_iter.inf-hmc"] = {
+            "value": {0.30: 0.1, 0.34: 0.2}.get(ms, 0.15), "unit": "ms"}
+        runs.append({"side": side, "seed": 2, "env": env, "result": result})
+    runs.append({"side": "parent", "seed": 2, "env": None, "result": None})  # a failed run
+    ranges, apart = bench_pairs.traced_ranges(runs)
+    assert ranges == {
+        "parent": {"proposals.ms_per_iter.inf-hmc": [0.30, 0.34], "ms_per_iter.inf-hmc": [0.1, 0.2]},
+        "change": {"proposals.ms_per_iter.inf-hmc": [0.20, 0.26],
+                   "ms_per_iter.inf-hmc": [0.15, 0.15]}}
+    assert apart == ["proposals.ms_per_iter.inf-hmc"]
+    # a change range that touches the parent's overlaps it
+    runs[1]["result"]["metrics"]["proposals.ms_per_iter.inf-hmc"]["value"] = 0.30
+    assert bench_pairs.traced_ranges(runs)[1] == []
 
 
 @pytest.mark.parametrize("flags", [False, True])
