@@ -15,8 +15,8 @@ pairs, in the order parent, change, change, parent, for the per-layer
 metrics: two per side, so a run slowed by the machine shows against its
 own side's other run, and a drift over time weighs on both sides alike.
 Each side's range (min, max) of every non-count metric over its two traced
-runs is kept, with the metrics whose parent and change ranges do not
-overlap: a span difference smaller than a side's own spread is not one.
+runs is kept as plain per-side data; two runs per side are too few to tell
+a span difference from noise, so no metric is flagged from them.
 
 The file keeps, per workload, every run's env line and result line (the
 bench's last stdout line, unchanged), the seeds, which side ran first in
@@ -51,9 +51,8 @@ WHAT = ("Alternating untraced bench pairs per workload, the parent commit agains
         "whether the gap between the medians exceeds the parent's interquartile "
         "range. 'traced' holds, when made, four --trace 1 runs on one seed in the "
         "order they ran (parent, change, change, parent), the count metrics "
-        "on which any two of them differ, each side's [min, max] of every other "
-        "metric over its two traced runs ('ranges'), and the metrics whose parent "
-        "and change ranges do not overlap ('ranges_apart').")
+        "on which any two of them differ, and each side's [min, max] of every other "
+        "metric over its two traced runs ('ranges').")
 TRACED_ORDER = ("parent", "change", "change", "parent")
 
 
@@ -154,19 +153,15 @@ def differing_counts(runs):
 
 
 def traced_ranges(runs):
-    """({side: {metric: [min, max]}} of every non-count metric over each
-    side's runs, sorted names of the metrics whose parent and change ranges
-    do not overlap)."""
+    """{side: {metric: [min, max]}} of every non-count metric over each
+    side's runs."""
     ranges = {side: {} for side in SIDES}
     for run in runs:
         for name, metric in (run.get("result") or {}).get("metrics", {}).items():
             if not metric.get("unit", "").startswith("count"):
                 lo, hi = ranges[run["side"]].get(name, (metric["value"],) * 2)
                 ranges[run["side"]][name] = [min(lo, metric["value"]), max(hi, metric["value"])]
-    parent, change = (ranges[side] for side in SIDES)
-    apart = sorted(name for name in parent.keys() & change.keys()
-                   if parent[name][1] < change[name][0] or change[name][1] < parent[name][0])
-    return ranges, apart
+    return ranges
 
 
 def workload_entry(seeds, runs):
@@ -239,9 +234,8 @@ def main(argv=None, run=run_bench):
         traced = [{"side": side, "seed": args.traced_seed,
                    **run(trees[side], args.workload, args.traced_seed, args.seconds, 1)}
                   for side in TRACED_ORDER]
-        ranges, apart = traced_ranges(traced)
         entry["traced"] = {"runs": traced, "differing_counts": differing_counts(traced),
-                           "ranges": ranges, "ranges_apart": apart}
+                           "ranges": traced_ranges(traced)}
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     merge(doc, args.workload, args.seeds, args.seconds, entry,
           {"parent": args.parent_commit, "change": args.change_commit})

@@ -21,8 +21,9 @@ from is not the array the chain decomposed last. A model whose states share
 one Jacobian object (the linear model) pays once per chain; a model whose
 states form their own (the elliptic one) pays once per state.
 
-The eight samplers share one Metropolis-Hastings step; each kernel only
-maps the current state to a candidate and its log acceptance ratio.
+The eight samplers share one Metropolis-Hastings step; each kernel only maps
+the current state to a candidate and its log acceptance ratio. inf-hmc is the
+DR Hamiltonian kernel on a frozen empty spectrum (identity mass, full drift).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .diagnostics import COLUMNS, ChainRecord
 from .lis import LISState, adaptation_step, local_spectrum
 from .operators import NUMERICAL_ERRORS, LowRankSpectrum, apply_sqrtK_hat
 from .proposals import (StepParams, dili_operators, dili_propose,
-                        dr_mhmc_propose, dr_mmala_propose, inf_hmc_propose,
-                        inf_mala_propose, pcn_propose, reduced_ngrad,
-                        whitened_ngrad)
+                        dr_mhmc_propose, dr_mmala_propose, inf_mala_propose,
+                        pcn_propose, reduced_ngrad, whitened_ngrad)
+from .proposals import inf_hmc_propose  # noqa: F401  bench/layers.py wraps it here
 
 ADAPTIVE = ("dili", "adr-inf-mmala", "adr-inf-mhmc")
 # what one Metropolis-Hastings step did with its candidate
@@ -161,13 +162,12 @@ class KernelContext:
     steps: dict
     params: StepParams
     rng: np.random.Generator
+    # the spectrum DR kernels hold fixed: the adaptive LIS, or inf-hmc's frozen empty one
     lis: LISState | None = None
     # (spectrum, DILI operators built from it)
     dili_ops: tuple = (None, None)
     # (model Jacobian, spectrum) of the last position-specific decomposition
     last_spec: tuple = (None, None)
-    # inf-hmc's empty spectrum, built once per chain
-    flat: LowRankSpectrum | None = None
 
 
 def _ensure_spec(ctx, state):
@@ -195,35 +195,8 @@ def _leapfrog_count(ctx):
     return int(ctx.rng.integers(1, top + 1)) if top > 1 else 1
 
 
-def _hmc_callbacks(ctx, state):
-    """Boundary-state factory sharing one model state per trajectory point.
-    A trajectory visits its points in order, so only the latest is kept.
-    The drift is kept in each point's memo, so the drift at v_0 is the one
-    formed at the end of the trajectory that reached it, or at the last
-    iteration when that was rejected. A drift without gradient terms builds
-    no model state (and makes no solve) at a point that has none."""
-    last = [state]
-    params = ctx.params
-    reads_grad = params.gamma_r or params.gamma_perp
-
-    def ensure(v):
-        if last[0].v is not v:
-            last[0] = ctx.model.state(v)
-        return last[0]
-
-    def drift_fn(v, spec):
-        if reads_grad or last[0].v is v:
-            return _values(ensure(v), spec, params)[2]
-        return _values(WhitenedState(ctx.model, None, v), spec, params)[2]
-
-    def spec_fn(v):
-        return _ensure_spec(ctx, ensure(v))
-
-    return ensure, drift_fn, spec_fn
-
-
 # Kernels: (ctx, state) -> (candidate, log acceptance ratio). DR kernels hold
-# the global LIS spectrum fixed when the chain adapts one (ctx.lis set).
+# ctx.lis's spectrum fixed when it is set: the adaptive LIS or inf-hmc's empty one.
 # Proposals and ratios are looked up as module globals at call time, so
 # wrappers installed on this module (bench/layers.py) see every call.
 # The count is drawn first; then the spectrum and gradient the proposal needs
@@ -243,15 +216,6 @@ def _inf_mala(ctx, state):
                                     state.phi, cand.phi, ctx.params)
 
 
-def _inf_hmc(ctx, state):
-    count = _leapfrog_count(ctx)
-    ensure, drift_fn, _ = _hmc_callbacks(ctx, state)
-    xi = ctx.rng.standard_normal(len(state.v))
-    out = inf_hmc_propose(state.v, ctx.params, drift_fn, xi, count, flat=ctx.flat)
-    cand = ensure(out.v_prime)
-    return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
-
-
 def _dr_mmala(ctx, state):
     params = ctx.params
     spec_v = _spectrum(ctx, state)
@@ -265,12 +229,29 @@ def _dr_mmala(ctx, state):
 
 
 def _dr_mhmc(ctx, state):
+    """One model state per trajectory point, only the latest kept. Its memo
+    keeps its drift, so the drift at v_0 is the one formed at the end of the
+    trajectory that reached it, or at the last iteration when that was
+    rejected. A drift without gradient terms builds no model state (and
+    makes no solve) at a point that has none."""
     count = _leapfrog_count(ctx)
-    ensure, drift_fn, spec_fn = _hmc_callbacks(ctx, state)
+    last, params = [state], ctx.params
+    reads_grad = params.gamma_r or params.gamma_perp
+
+    def ensure(v):
+        if last[0].v is not v:
+            last[0] = ctx.model.state(v)
+        return last[0]
+
+    def drift_fn(v, spec):
+        if reads_grad or last[0].v is v:
+            return _values(ensure(v), spec, params)[2]
+        return _values(WhitenedState(ctx.model, None, v), spec, params)[2]
+
     spec = _spectrum(ctx, state)
     vt = apply_sqrtK_hat(ctx.rng.standard_normal(len(state.v)), spec)
-    out = dr_mhmc_propose(state.v, spec, ctx.params, drift_fn, vt, count,
-                          spec_fn=spec_fn if ctx.lis is None else None)
+    spec_fn = None if ctx.lis is not None else lambda v: _ensure_spec(ctx, ensure(v))
+    out = dr_mhmc_propose(state.v, spec, params, drift_fn, vt, count, spec_fn=spec_fn)
     cand = ensure(out.v_prime)
     return cand, -dr_mhmc_delta_E(out.trajectory, state.phi, cand.phi)
 
@@ -292,7 +273,7 @@ def _dili(ctx, state):
 _KERNELS = {
     "pcn": _pcn,
     "inf-mala": _inf_mala,
-    "inf-hmc": _inf_hmc,
+    "inf-hmc": _dr_mhmc,
     "dr-inf-mmala": _dr_mmala,
     "dr-inf-mhmc": _dr_mhmc,
     "dili": _dili,
@@ -340,7 +321,7 @@ def run_chain(model, config):
                         rng=rng)
     if config.algorithm == "inf-hmc":
         ctx.params = replace(params, gamma_r=0, gamma_perp=1)
-        ctx.flat = LowRankSpectrum.empty(n)
+        ctx.lis = LISState(LowRankSpectrum.empty(n), frozen=True)
     if config.algorithm in ADAPTIVE:
         ctx.lis = LISState(LowRankSpectrum.empty(n))
     kernel = _KERNELS[config.algorithm]
@@ -354,7 +335,7 @@ def run_chain(model, config):
         t0 = time.perf_counter()
         state, outcome = _mh_step(kernel, ctx, state)
         outcomes[outcome] += 1
-        if ctx.lis is not None:
+        if ctx.lis is not None and not ctx.lis.frozen:
             ctx.lis = adaptation_step(it, ctx.lis, config, lambda: local_spectrum(
                 state.jv, config.max_rank, config.threshold))
         record.wall_times[it] = time.perf_counter() - t0
@@ -366,7 +347,7 @@ def run_chain(model, config):
     record.meta = meta = {"algorithm": config.algorithm, "h": steps["h"],
                           "burn_in": config.burn_in, "seed": config.seed,
                           "error_rejects": outcomes[ERROR], "nonfinite_rejects": outcomes[NONFINITE]}
-    if ctx.lis is not None:
+    if config.algorithm in ADAPTIVE:
         meta["lis"] = {  # lis.json as written, in this key order
             "eigenvalues": ctx.lis.spectrum.eigenvalues.tolist(),
             "history": [list(row) for row in ctx.lis.history],

@@ -146,10 +146,20 @@ def from_dict(data):
     return RunConfig(**data)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):  # YAML keys are unique; safe_load keeps the last
+    def construct_mapping(self, node, deep=False):
+        keys = [self.construct_object(key, deep) for key, _ in node.value
+                if key.tag != "tag:yaml.org,2002:merge"]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"duplicate key {key!r}")
+        return super().construct_mapping(node, deep)
+
+
 def from_yaml(path):
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
         except ValueError as exc:  # e.g. PyYAML's int() of more than 4300 digits
             raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):

@@ -209,7 +209,6 @@ def dr_mhmc_propose(v, spec, params, drift_fn, vt, n_steps, spec_fn=None):
 
 
 def inf_hmc_propose(v, params, drift_fn, vt, n_steps, flat):
-    """Hamiltonian proposal with identity mass: the empty spectrum flat, on
-    which drift_fn gives the full drift -grad Phi (gamma_r = 0,
-    gamma_perp = 1)."""
+    """dr_mhmc_propose on the empty spectrum flat: identity mass. No chain
+    calls it; it stays because bench/layers.py wraps it on drgmc.chain."""
     return dr_mhmc_propose(v, flat, params, drift_fn, vt, n_steps)

@@ -209,9 +209,33 @@ class TestAdaptation:
         assert lis_meta.r == 2
         assert np.max(angles) < 1e-6
 
-    def test_non_adaptive_records_no_lis(self):
+    @pytest.mark.parametrize("algorithm", ["dr-inf-mmala", "inf-hmc"])
+    def test_non_adaptive_records_no_lis(self, algorithm):
         model, _ = linear_whitened()
-        rec = run_small(model, "dr-inf-mmala")
+        rec = run_small(model, algorithm)
+        assert "lis" not in rec.meta and "lis_state" not in rec.meta
+
+    def test_inf_hmc_runs_on_a_frozen_empty_spectrum(self, monkeypatch):
+        # burn-in and n_lag make updates due, yet nothing decomposes or
+        # adapts: every proposal gets the chain's one empty spectrum
+        model, _ = linear_whitened()
+        calls, specs, propose = [], [], chain.dr_mhmc_propose
+
+        def never(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        def spy(v, spec, *args, **kwargs):
+            specs.append(spec)
+            return propose(v, spec, *args, **kwargs)
+
+        monkeypatch.setattr(chain, "local_spectrum", never("local_spectrum"))
+        monkeypatch.setattr("drgmc.lis.update_lis", never("update_lis"))
+        monkeypatch.setattr(chain, "adaptation_step", never("adaptation_step"))
+        monkeypatch.setattr(chain, "dr_mhmc_propose", spy)
+        rec = run_small(model, "inf-hmc", iterations=60, burn_in=40, n_lag=10)
+        assert calls == []
+        assert len(specs) == 60 and all(spec is specs[0] for spec in specs)
+        assert isinstance(specs[0], LowRankSpectrum) and specs[0].r == 0
         assert "lis" not in rec.meta
 
 

@@ -157,6 +157,24 @@ class TestConfig:
         assert steps["h_r"] == DEFAULT_STEPS["dili"]["h_r"]
         assert steps["h_perp"] == DEFAULT_STEPS["dili"]["h_perp"]
 
+    @pytest.mark.parametrize("text", ["seed: 1\nh: 0.2\nseed: 2\n",
+                                      "lin_n: 6\nseed: 1\nseed: 1\n"],
+                             ids=["two-values", "one-value"])
+    def test_yaml_refuses_a_key_written_twice(self, tmp_path, text):
+        # YAML requires unique keys; safe_load keeps the last without a word
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refused:
+            config_mod.from_yaml(path)
+        assert str(refused.value) == f"config file {path}: duplicate key 'seed'"
+
+    def test_yaml_merge_key_may_be_overridden(self, tmp_path):
+        # an explicit key beside a merge (<<) is not a duplicate
+        path = tmp_path / "c.yaml"
+        path.write_text("<<: {seed: 4, lin_n: 6}\nseed: 5\n")
+        cfg = config_mod.from_yaml(path)
+        assert (cfg.seed, cfg.lin_n) == (5, 6)
+
     def test_yaml_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("- 1\n- 2\n")
@@ -502,6 +520,8 @@ class TestCli:
         (["--seed", "1.5"], "config key 'seed': expected int, got '1.5'"),
         (["--seed", "1" + "0" * 5000],
          "config key 'seed': expected int, got a text of 5001 characters"),
+        # safe_load would keep the last seed without a word
+        (["--config", "twice.yaml"], "config file twice.yaml: duplicate key 'seed'"),
     ])
     def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
                                                              capsys, argv, match):
@@ -511,12 +531,13 @@ class TestCli:
         (tmp_path / "huge.yaml").write_text("snr: 1" + "0" * 400 + "\n")  # no float holds it
         # PyYAML's int() refuses more than 4300 digits before any key is read
         (tmp_path / "huger.yaml").write_text("snr: 1" + "0" * 5000 + "\n")
+        (tmp_path / "twice.yaml").write_text("seed: 1\nh: 0.2\nseed: 2\n")
         assert cli.main(["run", "--model", "linear-gaussian", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(re.escape(match) + ".*\n", captured.err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "huge.yaml",
-                                                              "huger.yaml"]
+                                                              "huger.yaml", "twice.yaml"]
 
     def test_noiseless_elliptic_pcn_accepts_every_proposal(self, tmp_path, capsys):
         # a flat target: phi = 0 at every state, so pCN's ratio is exactly 1

@@ -22,9 +22,8 @@ HOT = {
     "elliptic.py": ("ForwardSolveResult.phi", "gradient"),
     "lis.py": ("local_spectrum",),
     # WhitenedState.gnh_action is left out: chains do not call it
-    "chain.py": ("_values", "_projected", "_pcn", "_inf_mala", "_inf_hmc", "_dr_mmala",
-                 "_dr_mhmc", "_dili", "_hmc_callbacks", "WhitenedModel.state",
-                 "WhitenedState.grad", "WhitenedState.jv"),
+    "chain.py": ("_values", "_projected", "_pcn", "_inf_mala", "_dr_mmala", "_dr_mhmc",
+                 "_dili", "WhitenedModel.state", "WhitenedState.grad", "WhitenedState.jv"),
 }
 EXCEPTIONS = {
     ("lis.py", "local_spectrum"): "with .dot its Gram products round differently, "
