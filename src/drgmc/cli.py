@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Subcommands:
-    run          execute one configured chain into a run directory
+    run          execute one configured chain into a new run directory
     compare      build the efficiency table from several run directories
     lis-inspect  print the adapted subspace eigenvalues and d_F history
 
@@ -78,6 +78,9 @@ def cmd_run(args):
         return 1
     run_dir = Path(args.out or cfg.out_dir or _output_root()
                    / f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}")
+    if (run_dir / "manifest.json").exists():  # two runs' outputs would mix
+        print(f"run directory {run_dir} already holds a run", file=sys.stderr)
+        return 1
     run_dir.mkdir(parents=True, exist_ok=True)
     started = runio.timestamp()
     try:

@@ -159,12 +159,12 @@ class _UniqueKeyLoader(yaml.SafeLoader):  # YAML keys are unique; safe_load keep
 def from_yaml(path):
     with open(path) as fh:
         try:
-            data = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
         except ValueError as exc:  # e.g. PyYAML's int() of more than 4300 digits
             raise ValueError(f"config file {path}: {exc}") from None
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):  # only an empty document means defaults
         raise ValueError(f"config file {path}: expected a mapping at top level")
-    return from_dict(data)
+    return from_dict(data or {})
 
 
 def to_yaml(config, path):

@@ -38,10 +38,8 @@ def build_linear(config):
     return model, {"linear_model": lm, "cov": lm.prior}
 
 
-def build_model(config, data=None):
-    if config.model == "elliptic":
-        return build_elliptic(config, data=data)
-    return build_linear(config)
+def build_model(config):
+    return build_elliptic(config) if config.model == "elliptic" else build_linear(config)
 
 
 def run_from_config(config, model=None):

@@ -4,10 +4,11 @@ A global basis is accumulated from local spectra of the whitened
 Gauss-Newton Hessian collected along the chain, each exact from the m x m
 Gram eigenproblem of the state's whitened Jacobian. Each update merges the
 running estimate (weight m) with the newest local spectrum (weight 1) in the
-coordinates of one Householder QR of both bases, re-diagonalizes, and
-truncates at the global threshold. The Forstner distance between consecutive
-operators I + V Lambda V^T comes from the same coordinates; adaptation stops
-once the distance stalls, the update budget is exhausted or burn-in ends.
+coordinates of one Householder QR of both bases, re-diagonalizes, and keeps
+the descending eigenvalues >= threshold, the cut local spectra also make.
+The Forstner distance between consecutive operators I + V Lambda V^T comes
+from the same coordinates; adaptation stops once the distance stalls, the
+update budget is exhausted or burn-in ends.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def _merge_spectra(running, m, local, threshold):
     lam, w = lam[::-1], w[:, ::-1]
     if lam.size and lam[-1] < -1e-10:
         raise np.linalg.LinAlgError("merged curvature operator lost positivity")
-    kept = LowRankSpectrum._unchecked(np.clip(lam, 0.0, None), w).truncate(threshold=threshold)
-    d_f = forstner_pencil(r_a, running.eigenvalues, kept.basis, kept.eigenvalues)
-    return LowRankSpectrum._unchecked(kept.eigenvalues, frame @ kept.basis), d_f
+    r = int(np.count_nonzero(lam >= threshold))  # all kept are >= threshold > 0
+    d_f = forstner_pencil(r_a, running.eigenvalues, w[:, :r], lam[:r])
+    return LowRankSpectrum._unchecked(lam[:r], frame @ w[:, :r]), d_f
 
 
 def update_lis(state, local_spec, threshold):

@@ -1,9 +1,10 @@
 """Structured linear operators for function-space sampling.
 
 Dense prior covariances held only by their self-adjoint square roots,
-randomized partial eigendecomposition, Woodbury-form low-rank covariance
-actions, and the Forstner distance between SPD operators of the form
-I + V diag(lam) V^T.
+the Householder frame that orthonormalises every stack of bases, a
+randomized partial eigendecomposition built on it, Woodbury-form low-rank
+covariance actions, and the Forstner distance between SPD operators of the
+form I + V diag(lam) V^T.
 
 Conventions: fields are flat float64 arrays, the inner product is plain
 Euclidean on nodal coefficients, low-rank bases are column-orthonormal.
@@ -127,14 +128,6 @@ class LowRankSpectrum:
     def lift(self, c):
         return self.basis.dot(c)
 
-    def truncate(self, r=None, threshold=None):
-        keep = self.r
-        if r is not None:
-            keep = min(keep, int(r))
-        if threshold is not None:
-            keep = min(keep, int(np.sum(self.eigenvalues >= threshold)))
-        return LowRankSpectrum._unchecked(self.eigenvalues[:keep], self.basis[:, :keep])
-
     @classmethod
     def empty(cls, n):
         return cls._unchecked(np.zeros(0), np.zeros((n, 0)))
@@ -148,43 +141,24 @@ def householder_frame(X):
     return dorgqr(qr[:, :t], tau[:t])[0], np.triu(qr[:t])
 
 
-def _orthonormalize(M, rel_tol=1e-12):
-    """Orthonormal basis of the column span, rank-revealing via SVD."""
-    if M.shape[1] == 0:
-        return M
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return U[:, :0]
-    return U[:, s > rel_tol * s[0]]
+def randomized_eig(apply_A, n, r, p=5, q=2, *, rng):
+    """Randomized partial eigendecomposition of a symmetric PSD action: the
+    QR-based range finder of Halko, Martinsson & Tropp (2011), q power
+    iterations of an (r+p)-column Gaussian probe drawn from rng, each iterate
+    and then the stacked Krylov blocks orthonormalised by householder_frame,
+    and Nystrom extraction (an order of magnitude more accurate than plain
+    Rayleigh-Ritz at equal q on i^{-2} spectra). Exact to roundoff for
+    actions of rank <= r; a null action gives 0 on the frame's first r columns.
 
-
-def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
-    """Randomized partial eigendecomposition of a symmetric PSD action.
-
-    Block Krylov subspace built from q power iterations of an (r+p)-column
-    Gaussian probe, followed by Nystrom extraction (the plain Rayleigh-Ritz
-    subspace iteration is an order of magnitude less accurate at equal q on
-    i^{-2}-type spectra). Exact to roundoff for actions of rank <= r.
-
-    apply_A must be a block action: given an n x k array it returns the
-    n x k array of its column images. It is called once per block, at most
-    q + 2 times in all. A result of any other shape raises ValueError, and
-    exceptions raised by apply_A propagate unchanged. Non-symmetric actions
-    are rejected by a Galerkin symmetry test.
+    apply_A maps an n x k block to the n x k block of its column images and
+    is called q + 2 times. A result of another shape raises ValueError, its
+    own exceptions propagate unchanged, and a Galerkin symmetry test
+    rejects non-symmetric actions.
     """
     if r < 0 or r > n:
         raise ValueError("rank r must lie in [0, n]")
     if r == 0:
         return LowRankSpectrum.empty(n)
-    k = min(r + p, n)
-    if probe is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        probe = rng.standard_normal((n, k))
-    else:
-        probe = np.asarray(probe, dtype=float)
-        if probe.shape != (n, k):
-            raise ValueError("probe block must be n x (r+p)")
 
     def apply_block(B):
         out = np.asarray(apply_A(B), dtype=float)
@@ -193,36 +167,25 @@ def randomized_eig(apply_A, n, r, p=5, q=2, rng=None, probe=None):
                              f"{out.shape}; apply_A must take n x k blocks")
         return out
 
-    Y = apply_block(probe)
-    blocks = [Y]
+    # every frame has min(n, columns) >= r columns, so none comes out empty
+    blocks = [apply_block(rng.standard_normal((n, min(r + p, n))))]
     for _ in range(q):
-        Yo = _orthonormalize(Y)
-        if Yo.shape[1] == 0:
-            break
-        Y = apply_block(Yo)
-        blocks.append(Y)
-    Q = _orthonormalize(np.hstack(blocks))
-    if Q.shape[1] == 0:
-        # null operator
-        V = _orthonormalize(probe)[:, :r]
-        return LowRankSpectrum(np.zeros(V.shape[1]), V)
+        blocks.append(apply_block(householder_frame(blocks[-1])[0]))
+    Q = householder_frame(np.hstack(blocks))[0]
     AQ = apply_block(Q)
     T = Q.T @ AQ
     scale = np.abs(T).max()
-    if scale > 0 and np.abs(T - T.T).max() > 1e-8 * scale:
+    if scale == 0.0:  # the null operator
+        return LowRankSpectrum(np.zeros(r), Q[:, :r])
+    if np.abs(T - T.T).max() > 1e-8 * scale:
         raise ValueError("operator action is not symmetric")
     T = 0.5 * (T + T.T)
-    if scale == 0.0:
-        V = Q[:, :r] if Q.shape[1] >= r else _orthonormalize(probe)[:, :r]
-        return LowRankSpectrum(np.zeros(V.shape[1]), V)
     # Nystrom extraction: A ~= (AQ) T^+ (AQ)^T, shifted for stable Cholesky
-    nu = np.finfo(float).eps * scale * max(T.shape[0], 1)
+    nu = np.finfo(float).eps * scale * T.shape[0]
     L = np.linalg.cholesky(T + nu * np.eye(T.shape[0]))
     F = sla.solve_triangular(L, AQ.T, lower=True).T
     U, s, _ = np.linalg.svd(F, full_matrices=False)
-    lam = np.maximum(s ** 2 - nu, 0.0)
-    take = min(r, lam.size)
-    return LowRankSpectrum(lam[:take], U[:, :take])
+    return LowRankSpectrum(np.maximum(s[:r] ** 2 - nu, 0.0), U[:, :r])
 
 
 def apply_sqrtK_hat(v, spec):

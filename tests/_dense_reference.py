@@ -349,7 +349,7 @@ def bound_report(model, ranks=None, trials=200, h=0.8, seed=0, n_leapfrog=3):
 
     for _ in range(trials):
         r = int(rng.choice(ranks))
-        spec_r = full_spec.truncate(r=r)
+        spec_r = LowRankSpectrum(full_spec.eigenvalues[:r], full_spec.basis[:, :r])
         lam_tail = full_spec.eigenvalues[r] if r < n else 0.0
         c_v, c_xi = _tail_coefficients(lam_tail)
         v = rng.standard_normal(n)

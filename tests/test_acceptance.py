@@ -26,6 +26,19 @@ from drgmc.proposals import (StepParams, dili_propose, dr_mhmc_propose,
 from _dense_reference import (apply_K_hat, bound_report, dili_connection_operators,
                               dili_coords, dili_log_ratio, drift, drift_fn, reduced)
 
+# criterion 02's step sizes on its n=8 linear-Gaussian model; the golden
+# linear chains run with them too
+LINEAR_STEPS = {
+    "pcn": dict(h=0.01),
+    "inf-mala": dict(h=0.02),
+    "inf-hmc": dict(h=0.02, n_leapfrog=3),
+    "dr-inf-mmala": dict(h=2.0),
+    "dr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
+    "dili": dict(h_r=0.5, h_perp=0.5),
+    "adr-inf-mmala": dict(h=2.0),
+    "adr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
+}
+
 
 def random_spectrum(n, r, rng, scale=3.0):
     lam = np.sort(scale * rng.random(r))[::-1]
@@ -60,17 +73,7 @@ def test_criterion_02_linear_gaussian_moments_all_samplers():
     model = WhitenedModel(lm.prior, lambda u: linear_model.make_state(lm, u))
     mu, K = linear_model.analytic_posterior(lm)
     var = np.diag(K)
-    steps = {
-        "pcn": dict(h=0.01),
-        "inf-mala": dict(h=0.02),
-        "inf-hmc": dict(h=0.02, n_leapfrog=3),
-        "dr-inf-mmala": dict(h=2.0),
-        "dr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
-        "dili": dict(h_r=0.5, h_perp=0.5),
-        "adr-inf-mmala": dict(h=2.0),
-        "adr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
-    }
-    for algorithm, kwargs in steps.items():
+    for algorithm, kwargs in LINEAR_STEPS.items():
         record = run_chain(model, RunConfig(algorithm=algorithm,
                                             iterations=100_000, burn_in=2000,
                                             rank=4, seed=7, **kwargs))

@@ -57,19 +57,10 @@ from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic
 
+from test_acceptance import LINEAR_STEPS  # criterion 02's step sizes
+
 DATA = Path(__file__).parent / "data" / "golden_runs.npz"
 
-# criterion 02's step sizes on its n=8 linear-Gaussian model
-LINEAR_STEPS = {
-    "pcn": dict(h=0.01),
-    "inf-mala": dict(h=0.02),
-    "inf-hmc": dict(h=0.02, n_leapfrog=3),
-    "dr-inf-mmala": dict(h=2.0),
-    "dr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
-    "dili": dict(h_r=0.5, h_perp=0.5),
-    "adr-inf-mmala": dict(h=2.0),
-    "adr-inf-mhmc": dict(h=0.5, n_leapfrog=3),
-}
 ELLIPTIC_ITERATIONS = {"dr-inf-mmala": 15, "dr-inf-mhmc": 10}
 
 

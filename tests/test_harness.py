@@ -1,17 +1,22 @@
 """Config round-trips, run-directory formats, and the CLI driver."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import re
+import string
 import struct
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drgmc import cli
@@ -176,10 +181,14 @@ class TestConfig:
         assert (cfg.seed, cfg.lin_n) == (5, 6)
 
     def test_yaml_rejects_non_mapping(self, tmp_path):
+        # only an empty document means every default; a falsy one is refused too
         path = tmp_path / "c.yaml"
-        path.write_text("- 1\n- 2\n")
-        with pytest.raises(ValueError, match="expected a mapping"):
-            config_mod.from_yaml(path)
+        for text in ("- 1\n- 2\n", "0", "false", "[]", "''"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="expected a mapping"):
+                config_mod.from_yaml(path)
+        path.write_text("# no document\n")
+        assert config_mod.from_yaml(path) == RunConfig()
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("cfg", [
@@ -522,6 +531,8 @@ class TestCli:
          "config key 'seed': expected int, got a text of 5001 characters"),
         # safe_load would keep the last seed without a word
         (["--config", "twice.yaml"], "config file twice.yaml: duplicate key 'seed'"),
+        # a falsy document is not an empty one
+        (["--config", "zero.yaml"], "config file zero.yaml: expected a mapping at top level"),
     ])
     def test_invalid_config_is_one_line_and_no_run_directory(self, tmp_path, monkeypatch,
                                                              capsys, argv, match):
@@ -532,12 +543,13 @@ class TestCli:
         # PyYAML's int() refuses more than 4300 digits before any key is read
         (tmp_path / "huger.yaml").write_text("snr: 1" + "0" * 5000 + "\n")
         (tmp_path / "twice.yaml").write_text("seed: 1\nh: 0.2\nseed: 2\n")
+        (tmp_path / "zero.yaml").write_text("0\n")
         assert cli.main(["run", "--model", "linear-gaussian", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(re.escape(match) + ".*\n", captured.err)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "huge.yaml",
-                                                              "huger.yaml", "twice.yaml"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.yaml", "huge.yaml", "huger.yaml", "twice.yaml", "zero.yaml"]
 
     def test_noiseless_elliptic_pcn_accepts_every_proposal(self, tmp_path, capsys):
         # a flat target: phi = 0 at every state, so pCN's ratio is exactly 1
@@ -558,6 +570,22 @@ class TestCli:
         assert cli.main(["run", "--config", name]) == 1
         assert name in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+
+    @pytest.mark.parametrize("second", [[], ["--algorithm", "inf-mala", "--seed", "4"],
+                                        ["--iterations", "12", "--burn-in", "5"]],
+                             ids=["same-run", "other-kernel", "refused-as-too-short"])
+    def test_run_into_a_run_directory_is_refused(self, tmp_path, capsys, second):
+        cfg_path, _ = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(argv + second) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run directory {out} already holds a run\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_run_failure_writes_incomplete_manifest(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -671,3 +699,73 @@ class TestCli:
         run_dir = runio.write_run(tmp_path / "d", record, cfg)
         assert cli.main(["lis-inspect", str(run_dir)]) == 1
         assert "no LIS data" in capsys.readouterr().err
+
+
+_WORDS = st.text(string.ascii_letters + string.digits + " _.-", max_size=8)
+_PLAIN = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=False),
+                   st.booleans(), st.none(), _WORDS)
+# plain YAML values as text: ints of up to 5001 digits (PyYAML refuses more
+# than 4300), nan and infinities, bools, null, other int forms, floats,
+# quoted strings, lists and maps
+YAML_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.builds(lambda sign, zeros: sign + "1" + "0" * zeros,
+              st.sampled_from(["", "-"]), st.integers(0, 5000)),
+    st.sampled_from([".nan", ".inf", "-.inf", "true", "false", "null", "~", "''",
+                     "0x1f", "1_000", "1:30", "1.0e-5", "1e-5"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.one_of(_WORDS, st.lists(_PLAIN, max_size=3),
+              st.dictionaries(_WORDS, _PLAIN, max_size=3)).map(json.dumps),
+)
+
+
+def _refused_by_cli(argv, out):
+    """cli.main(argv) exits 1 with one stderr line, prints nothing and
+    creates no run directory."""
+    def must_not_run(cfg):
+        raise AssertionError("a refused config was run")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "run_from_config", must_not_run), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["run", *argv, "--out", str(out)])
+    return (code == 1 and stdout.getvalue() == "" and stderr.getvalue().count("\n") == 1
+            and stderr.getvalue().endswith("\n") and not out.exists())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(key=st.sampled_from(list(config_mod.KEYS)), text=YAML_VALUES, top=st.booleans())
+# documents that are falsy but not empty, once taken for the defaults
+@example(key="seed", text="0", top=True)
+@example(key="seed", text="false", top=True)
+@example(key="seed", text="[]", top=True)
+@example(key="seed", text="''", top=True)
+def test_config_file_is_a_config_or_one_named_refusal(key, text, top):
+    # top: text is the whole document, else the value of key
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.yaml", Path(tmp) / "run"
+        path.write_text(text + "\n" if top else f"{key}: {text}\n")
+        try:
+            cfg = config_mod.from_yaml(path)
+        except ValueError as exc:
+            # burn_in's bound is checked on iterations, which names that key;
+            # a whole document that is a map may name any key of its own
+            msg, keys = str(exc), {key, "iterations"} if key == "burn_in" else {key}
+            shown = re.match(r"config key '([^']*)': ", msg)
+            assert "\n" not in msg
+            assert msg.startswith(f"config file {path}: ") or shown and (top or shown[1] in keys)
+            assert _refused_by_cli(["--config", str(path)], out)
+        else:
+            # only an empty document or a mapping is read as a config
+            assert not top or text in ("null", "~", "{}")
+            assert cfg.hash() == config_mod.from_dict(cfg.to_dict()).hash()
+            config_mod.to_yaml(cfg, path)
+            assert config_mod.from_yaml(path).to_dict() == cfg.to_dict()
+        # the same text as flag text; a bool key's flag takes none, out_dir's is --out
+        typ = config_mod.KEYS[key][0]
+        if key == "out_dir" or typ is bool:
+            return
+        try:
+            config_mod.from_dict({**RunConfig().to_dict(), key: cli._flag_value(key, text)})
+        except ValueError:
+            assert _refused_by_cli([f"--{key.replace('_', '-')}={text}"], out)

@@ -138,8 +138,7 @@ class TestLocalSpectrum:
     def test_D_is_filled_on_every_constructor(self):
         spec = local_spectrum(np.random.default_rng(4).standard_normal((5, 9)), rank=4)
         checked = LowRankSpectrum(spec.eigenvalues, spec.basis)
-        for s in (spec, checked, spec.truncate(r=2),
-                  spec.truncate(threshold=spec.eigenvalues[1])):
+        for s in (spec, checked):
             assert np.array_equal(s.D, 1.0 / (1.0 + s.eigenvalues))
             assert np.array_equal(s.sqrt_D, np.sqrt(s.D))
             assert s.logdet_D == float(np.sum(np.log(s.D)))
@@ -215,9 +214,8 @@ def inside_span(spec, r, seed):
 
 class TestMergeInQRCoordinates:
     """update_lis against the dense weighted average and the dense Forstner
-    distance, on the stacks the Householder QR must span."""
-
-    RHO_G = 1e-3
+    distance, on the stacks the Householder QR must span, with a threshold
+    below every merged eigenvalue and one that cuts at least one pair."""
 
     @pytest.mark.parametrize("n,m,running,local", [
         (10, 0, None, random_spectrum(10, 5, seed=21)),
@@ -227,20 +225,22 @@ class TestMergeInQRCoordinates:
     ], ids=["first-update", "local-inside-running", "stack-wider-than-tall"])
     def test_matches_dense_average_and_forstner(self, n, m, running, local):
         state = initial_state(n) if running is None else LISState(running, m=m)
-        new = update_lis(state, local, self.RHO_G)
         dense = (m * dense_of(state.spectrum, n) + dense_of(local, n)) / (m + 1)
         lam_ref, Q = np.linalg.eigh(dense)
-        keep = lam_ref >= self.RHO_G
-        ref = (Q[:, keep] * lam_ref[keep]) @ Q[:, keep].T
-        assert new.m == m + 1 and new.r == keep.sum()
-        assert np.allclose(new.spectrum.eigenvalues, lam_ref[keep][::-1],
-                           rtol=1e-10, atol=1e-12)
-        V = new.spectrum.basis
-        assert np.allclose(V.T @ V, np.eye(new.r), atol=1e-12)
-        assert np.allclose(dense_of(new.spectrum, n), ref, atol=1e-10)
-        d_ref = forstner_dense(np.eye(n) + dense_of(state.spectrum, n), np.eye(n) + ref)
-        assert abs(new.d_f - d_ref) <= 1e-10 * max(1.0, d_ref)
-        assert abs(new.d_f - forstner_distance(state.spectrum, new.spectrum)) <= 1e-10
+        for rho_g, cuts in ((1e-3, False), (1.0, True)):
+            new = update_lis(state, local, rho_g)
+            keep = lam_ref >= rho_g
+            ref = (Q[:, keep] * lam_ref[keep]) @ Q[:, keep].T
+            assert new.m == m + 1 and new.r == keep.sum()
+            assert (new.r < np.count_nonzero(lam_ref > 1e-8)) == cuts
+            assert np.allclose(new.spectrum.eigenvalues, lam_ref[keep][::-1],
+                               rtol=1e-10, atol=1e-12)
+            V = new.spectrum.basis
+            assert np.allclose(V.T @ V, np.eye(new.r), atol=1e-12)
+            assert np.allclose(dense_of(new.spectrum, n), ref, atol=1e-10)
+            d_ref = forstner_dense(np.eye(n) + dense_of(state.spectrum, n), np.eye(n) + ref)
+            assert abs(new.d_f - d_ref) <= 1e-10 * max(1.0, d_ref)
+            assert abs(new.d_f - forstner_distance(state.spectrum, new.spectrum)) <= 1e-10
 
     def test_merge_calls_no_svd(self, monkeypatch):
         # desk-sized bases: 441 rows, the rank range the adaptive chains reach
@@ -251,7 +251,7 @@ class TestMergeInQRCoordinates:
             raise AssertionError("the LIS merge called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        new = update_lis(state, local, self.RHO_G)
+        new = update_lis(state, local, 1e-3)
         assert new.r == 55 and np.isfinite(new.d_f)
         assert np.allclose(new.spectrum.basis.T @ new.spectrum.basis, np.eye(55), atol=1e-12)
 
