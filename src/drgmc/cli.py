@@ -24,6 +24,7 @@ from .diagnostics import MIN_ESS_SAMPLES, summary_table, table_to_csv, table_to_
 from .harness import run_from_config
 
 OUTPUT_ROOT_ENV = "DRGMC_OUTPUT_ROOT"
+NAME_MAX = 255  # longest file name on Linux file systems, in bytes
 
 # every RunConfig key is a `run` flag, out_dir as --out
 _OVERRIDABLE = {key: typ for key, (typ, _, _) in config_mod.KEYS.items() if key != "out_dir"}
@@ -76,12 +77,20 @@ def cmd_run(args):
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    run_dir = Path(args.out or cfg.out_dir or _output_root()
-                   / f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}")
-    if (run_dir / "manifest.json").exists():  # two runs' outputs would mix
-        print(f"run directory {run_dir} already holds a run", file=sys.stderr)
+    auto = f"{cfg.algorithm}_{cfg.model}_seed{cfg.seed}_{cfg.hash()}"
+    if not (args.out or cfg.out_dir) and len(auto) > NAME_MAX:  # a seed of hundreds of digits
+        print(f"automatic run directory name has {len(auto)} characters (at most "
+              f"{NAME_MAX}); name the directory with --out", file=sys.stderr)
         return 1
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(args.out or cfg.out_dir or _output_root() / auto)
+    try:
+        if (run_dir / "manifest.json").exists():  # two runs' outputs would mix
+            print(f"run directory {run_dir} already holds a run", file=sys.stderr)
+            return 1
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create run directory {run_dir}: {exc.strerror}", file=sys.stderr)
+        return 1
     started = runio.timestamp()
     try:
         if cfg.iterations - cfg.burn_in < MIN_ESS_SAMPLES:  # refused before sampling

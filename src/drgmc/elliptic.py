@@ -8,23 +8,27 @@ G p. The Neumann nullspace is pinned by grounding node 0: a solve projects
 its right-hand side onto zero sum and returns the zero-mean solution, i.e.
 applies the stiffness pseudo-inverse. On the lexicographic node order the
 grounded stiffness is SPD and banded with half-bandwidth kd = nx + 1 (edges
-join nodes 1 and nx + 1 apart), so it is filled straight into LAPACK lower
-band storage and factored by a banded Cholesky in its natural order. Point
+join nodes 1 and nx + 1 apart). Its LAPACK lower band storage is filled by
+slices, the x-faces at offset 1 and the y-faces at offset kd in the order
+_edge_arrays lists them, and factored by a banded Cholesky. Point
 observations are bilinear interpolants of p at 25 interior sensors, held
 as one dense m x n observation matrix O: the readings O p, the adjoint
 source O^T r and the Jacobian's sensor sources (the rows of O) all read it.
 
 The model state at u is one object, the ForwardSolveResult that
 assemble_and_solve(u, problem) returns with p solved. Its phi is the data
-misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2, its grad takes one adjoint
-solve, and its jac, the m x n Jacobian J = O (dp/du) / sigma of the m
-sensors, one solve per sensor (M = A^+ O^T); the Gauss-Newton Hessian is
-J^T J. Each is formed once and every solve reuses the state's
-factorization; problem.solves.count tallies the solves of every state.
+misfit Phi(u) = 0.5 |y - O p(u)|^2 / sigma^2 (+inf when O p - y
+overflows), its grad takes one adjoint solve, and its jac, the m x n
+Jacobian J = O (dp/du) / sigma of the m sensors, one solve per sensor
+(M = A^+ O^T); the Gauss-Newton Hessian is J^T J. Each, and the chain-rule
+inputs only grad and jac read, is formed on its first read, so a pcn state
+pays for assembly, one factorization, one solve and phi. Every solve reuses
+the state's factorization; problem.solves.count tallies them all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -35,6 +39,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 PLUME_CENTERS = np.array([(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)])
 PLUME_WEIGHTS = np.array([2.0, -3.0, 3.0, -2.0])
 PLUME_STD = 0.05
+_sum = np.add.reduce  # what ndarray.sum reduces with, without its Python wrapper
 
 
 @dataclass(frozen=True)
@@ -150,13 +155,7 @@ class EllipticProblem:
         ones, edges = np.ones(len(self._ea)), np.arange(len(self._ea))
         self._to_a = sp.csr_matrix((ones, (self._ea, edges)), shape=(self.n, edges.size))
         self._to_b = sp.csr_matrix((ones, (self._eb, edges)), shape=(self.n, edges.size))
-        # LAPACK lower band storage of the grounded stiffness, (kd + 1) x
-        # (n - 1), built as its C-ordered transpose: edge (a, b), a < b, not
-        # touching node 0 puts -t at band row b - a of column a - 1
-        self._kd = self.mesh.nx + 1
-        self._inner = self._ea > 0
-        self._band_at = ((self._ea[self._inner] - 1) * (self._kd + 1)
-                         + (self._eb - self._ea)[self._inner])
+        self._kd = self.mesh.nx + 1  # half-bandwidth of the lexicographic stiffness
         self.areas = _cell_areas(self.mesh)
         self.O = _observation_matrix(self.mesh, self.sensors)
         self.b = self.areas * self.forcing
@@ -177,23 +176,18 @@ def make_problem(mesh, sensors=None):
 class ForwardSolveResult:
     """The model state at u: the banded Cholesky factor chol of the grounded
     stiffness (LAPACK lower band storage, kd = nx + 1), the zero-mean forward
-    solution p, the per-edge transmissivities, their u-derivative
-    coefficients and potential drops that the adjoint and Jacobian reuse,
-    and phi, grad and jac, each formed on its first read."""
+    solution p and the per-edge transmissivities t. The residual O p - y
+    that phi and grad share, phi, the chain-rule inputs, grad and jac are
+    each formed on first read, so a state does only the passes its kernel reads."""
 
-    __slots__ = ("u", "p", "chol", "t", "ca", "cb", "dpe", "problem",
+    __slots__ = ("u", "p", "chol", "t", "problem", "_k", "_rule", "_res",
                  "_phi", "_grad", "_jac")
 
-    def __init__(self, u, chol, t, ca, cb, problem):
-        self.u = u
-        self.chol = chol
-        self.t = t
-        self.ca = ca
-        self.cb = cb
-        self.problem = problem
-        self._phi = self._grad = self._jac = None
+    def __init__(self, u, chol, t, k, problem):
+        # k: (ka, kb, ka + kb), the conductivities at each edge's two ends
+        self.u, self.chol, self.t, self._k, self.problem = u, chol, t, k, problem
+        self._rule = self._res = self._phi = self._grad = self._jac = None
         self.p = self.solve(problem.b)
-        self.dpe = self.p[problem._ea] - self.p[problem._eb]  # G p, drop along each edge
 
     def solve(self, rhs):
         """Zero-mean pseudo-inverse solution for a nodal right-hand side, whose
@@ -202,16 +196,35 @@ class ForwardSolveResult:
         n = len(rhs)
         x = np.empty(n)
         x[0] = 0.0
-        x[1:], _ = dpbtrs(self.chol, rhs[1:] - rhs.sum() / n, lower=1)
-        x -= x.sum() / n
+        x[1:], _ = dpbtrs(self.chol, rhs[1:] - _sum(rhs) / n, lower=1)
+        x -= _sum(x) / n
         return x
+
+    @property
+    def residual(self):
+        if self._res is None:
+            self._res = self.problem.O.dot(self.p) - self.problem.y
+        return self._res
 
     @property
     def phi(self):
         if self._phi is None:
-            res = self.problem.O.dot(self.p) - self.problem.y
-            self._phi = 0.5 * float(res.dot(res)) / self.problem.sigma_eta ** 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = self.residual
+                phi = 0.5 * float(res.dot(res)) / self.problem.sigma_eta ** 2
+            # an overflowing residual reads inf, or nan where inf - inf met
+            self._phi = phi if phi < math.inf else math.inf
         return self._phi
+
+    @property
+    def chain_rule(self):
+        """(ca, cb, dpe): dt/du at each edge's two ends, through the harmonic
+        mean and exp(u), and the drop G p along each edge."""
+        if self._rule is None:
+            ka, kb, ksum = self._k
+            self._rule = (self.t * kb / ksum, self.t * ka / ksum,
+                          self.p[self.problem._ea] - self.p[self.problem._eb])
+        return self._rule
 
     @property
     def grad(self):
@@ -228,31 +241,30 @@ class ForwardSolveResult:
 
 def assemble_and_solve(u, problem):
     u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore"):
-        k = np.exp(u)
-    if not np.all(np.isfinite(k)):
-        raise FloatingPointError(
-            "conductivity overflow: max u = %.3g" % float(np.max(u)))
-    ea, eb, geow = problem._ea, problem._eb, problem._geow
-    ka, kb = k[ea], k[eb]
+    ea, eb, n, kd = problem._ea, problem._eb, problem.n, problem._kd
     with np.errstate(over="ignore", invalid="ignore"):
-        harm = 2.0 * ka * kb / (ka + kb)
-    t = harm * geow
-    if not np.all(np.isfinite(t)):
+        k = np.exp(u)
+        ka, kb = k[ea], k[eb]
+        ksum = ka + kb
+        t = 2.0 * ka * kb / ksum * problem._geow  # harmonic mean x face length / distance
+    if not np.isfinite(t).all():  # a non-finite k makes every face of its node nan
+        if not np.isfinite(k).all():
+            raise FloatingPointError("conductivity overflow: max u = %.3g" % float(np.max(u)))
         raise FloatingPointError("transmissivity overflow in face averaging")
-    n = problem.n
-    band = np.zeros((n - 1, problem._kd + 1))
-    band[:, 0] = (np.bincount(ea, t, n) + np.bincount(eb, t, n))[1:]
-    band.flat[problem._band_at] = -t[problem._inner]
-    chol, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    # LAPACK lower band storage as its C-ordered transpose, one row per
+    # node: the diagonal, -t of the x-faces at offset 1 (a row's last node
+    # has none) and of the y-faces at offset kd; node 0's row is grounded away
+    band = np.zeros((n, kd + 1))
+    band[:, 0] = np.bincount(ea, t, n) + np.bincount(eb, t, n)
+    n_xfaces = (problem.mesh.ny + 1) * (kd - 1)
+    band.reshape(-1, kd, kd + 1)[:, :-1, 1] = -t[:n_xfaces].reshape(-1, kd - 1)
+    band[:-kd, kd] = -t[n_xfaces:]
+    chol, info = dpbtrf(band[1:].T, lower=1, overwrite_ab=1)
     if info:
         # degenerate conductivity contrast: reject the state, not the run
         raise FloatingPointError(
             f"singular stiffness factorization: leading minor {info} is not positive")
-    # dt/du at each endpoint, chain rule through the harmonic mean and exp(u)
-    ca = t * kb / (ka + kb)
-    cb = t * ka / (ka + kb)
-    return ForwardSolveResult(u, chol, t, ca, cb, problem)
+    return ForwardSolveResult(u, chol, t, (ka, kb, ksum), problem)
 
 
 def generate_data(u_true, problem, snr, seed):
@@ -293,20 +305,18 @@ def _chain_rule_assemble(problem, state, q):
     n x k block; shared by gradient and Jacobian. A vector's edge terms are
     scattered by bincount, a block's by the sparse incidences."""
     ea, eb = problem._ea, problem._eb
+    ca, cb, dpe = state.chain_rule
     if q.ndim == 1:
-        s = state.dpe * (q[ea] - q[eb])
-        return -(np.bincount(ea, state.ca * s, problem.n)
-                 + np.bincount(eb, state.cb * s, problem.n))
-    s = state.dpe[:, None] * (q.take(ea, axis=0) - q.take(eb, axis=0))
-    return -(problem._to_a @ (state.ca[:, None] * s)
-             + problem._to_b @ (state.cb[:, None] * s))
+        s = dpe * (q[ea] - q[eb])
+        return -(np.bincount(ea, ca * s, problem.n) + np.bincount(eb, cb * s, problem.n))
+    s = dpe[:, None] * (q.take(ea, axis=0) - q.take(eb, axis=0))
+    return -(problem._to_a @ (ca[:, None] * s) + problem._to_b @ (cb[:, None] * s))
 
 
 def gradient(state):
     """grad Phi(u) via one adjoint solve against the state's factorization."""
     problem = state.problem
-    res = problem.O.dot(state.p) - problem.y
-    q = state.solve(problem.O.T.dot(res / problem.sigma_eta ** 2))
+    q = state.solve(problem.O.T.dot(state.residual / problem.sigma_eta ** 2))
     return _chain_rule_assemble(problem, state, q)
 
 

@@ -196,15 +196,6 @@ def apply_sqrtK_hat(v, spec):
     return v + spec.lift((spec.sqrt_D - 1.0) * c)
 
 
-def forstner_distance(spec_a, spec_b):
-    """d_F(A, B) = sqrt(sum_i ln^2 gamma_i) for A = I + V_a L_a V_a^T, B likewise,
-    from the coordinates R of one Householder QR [V_a, V_b] = Q R; the
-    complement of Q's span contributes ln^2(1) = 0."""
-    _, R = householder_frame(np.hstack([spec_a.basis, spec_b.basis]))
-    return forstner_pencil(R[:, :spec_a.r], spec_a.eigenvalues,
-                           R[:, spec_a.r:], spec_b.eigenvalues)
-
-
 def forstner_pencil(coords_a, lam_a, coords_b, lam_b):
     """d_F between I + C_a diag(lam_a) C_a^T and I + C_b diag(lam_b) C_b^T
     from their coordinates C in one orthonormal frame of both spans."""

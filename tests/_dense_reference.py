@@ -1,9 +1,10 @@
 """Dense, from-first-principles reference computations used as oracles.
 
 Everything here is built on explicit matrices and brute-force Gaussian
-transition densities. Nothing but the test-only helpers at the end
-imports the package's reduced-form algebra, so agreement between these
-oracles and the package is a real check and not a tautology.
+transition densities. Nothing but the test-only helpers at the end and
+forstner_distance (the reduced form that forstner_dense checks) imports
+the package's reduced-form algebra, so agreement between these oracles
+and the package is a real check and not a tautology.
 """
 
 import math
@@ -13,7 +14,8 @@ import numpy as np
 
 from drgmc.acceptance import dr_mmala_log_ratio
 from drgmc.linear_model import make_state
-from drgmc.operators import CovarianceOperator, LowRankSpectrum, apply_sqrtK_hat
+from drgmc.operators import (CovarianceOperator, LowRankSpectrum, apply_sqrtK_hat,
+                             forstner_pencil, householder_frame)
 from drgmc.proposals import (DiliOperators, StepParams, dili_propose,
                              dr_mhmc_propose, dr_mmala_propose, reduced_ngrad,
                              whitened_ngrad)
@@ -182,6 +184,17 @@ def forstner_dense(A, B):
     gam = eigh(A, B, eigvals_only=True)
     gam = np.clip(gam, 1e-300, None)
     return float(np.sqrt(np.sum(np.log(gam) ** 2)))
+
+
+def forstner_distance(spec_a, spec_b):
+    """d_F(A, B) = sqrt(sum_i ln^2 gamma_i) for A = I + V_a L_a V_a^T, B likewise,
+    from the coordinates R of one Householder QR [V_a, V_b] = Q R; the
+    complement of Q's span contributes ln^2(1) = 0. The reduced form the
+    LIS merge evaluates (operators.forstner_pencil), checked against
+    forstner_dense."""
+    _, R = householder_frame(np.hstack([spec_a.basis, spec_b.basis]))
+    return forstner_pencil(R[:, :spec_a.r], spec_a.eigenvalues,
+                           R[:, spec_a.r:], spec_b.eigenvalues)
 
 
 def analytic_gaussian_posterior(A, Sigma, C, y):

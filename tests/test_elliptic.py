@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from drgmc import elliptic
+from drgmc import chain, elliptic
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic, build_model, run_from_config
+from drgmc.proposals import StepParams
 
 from _dense_reference import loop_cell_areas, loop_edge_arrays, loop_observation_matrix
 
@@ -104,6 +105,52 @@ class TestForwardSolve:
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
 
+    @pytest.mark.parametrize("nx, ny", [(2, 9), (9, 2), (7, 5), (20, 20)])
+    def test_band_factor_is_the_grounded_stiffness(self, nx, ny):
+        # the band is filled by slices in _edge_arrays' face order, which
+        # test_tables_equal_the_loop_builds pins; L L^T must be the dense
+        # stiffness with node 0 grounded (its row and column removed)
+        mesh = elliptic.Mesh2D(nx, ny)
+        problem = elliptic.make_problem(mesh)
+        u = 0.5 * np.random.default_rng(nx * ny).standard_normal(problem.n)
+        res = elliptic.assemble_and_solve(u, problem)
+        ea, eb, n, kd = problem._ea, problem._eb, problem.n, nx + 1
+        A = np.zeros((n, n))
+        np.add.at(A, (ea, ea), res.t)
+        np.add.at(A, (eb, eb), res.t)
+        np.add.at(A, (ea, eb), -res.t)
+        np.add.at(A, (eb, ea), -res.t)
+        A = A[1:, 1:]
+        assert res.chol.shape == (kd + 1, n - 1)
+        L = np.zeros_like(A)
+        for d in range(kd + 1):  # LAPACK lower band storage: L[j + d, j] = chol[d, j]
+            j = np.arange(n - 1 - d)
+            L[j + d, j] = res.chol[d, j]
+        assert np.abs(L @ L.T - A).max() <= 1e-12 * np.abs(A).max()
+
+    def test_chain_rule_inputs_equal_the_eager_formulas(self):
+        # formed on first read, once, with the arithmetic of the formulas
+        # assemble_and_solve used to evaluate for every state
+        mesh = elliptic.Mesh2D(7, 5)
+        problem = elliptic.make_problem(mesh)
+        elliptic.generate_data(elliptic.true_field(mesh), problem, 10.0, 0)
+        u = 0.5 * np.random.default_rng(3).standard_normal(problem.n)
+        res = elliptic.assemble_and_solve(u, problem)
+        res.phi
+        assert res._rule is None  # a state that reads phi alone never forms them
+        ea, eb = problem._ea, problem._eb
+        k = np.exp(u)
+        ka, kb = k[ea], k[eb]
+        harm = 2.0 * ka * kb / (ka + kb)
+        t = harm * problem._geow
+        ca, cb, dpe = res.chain_rule
+        assert np.array_equal(res.t, t)
+        assert np.array_equal(ca, t * kb / (ka + kb))
+        assert np.array_equal(cb, t * ka / (ka + kb))
+        assert np.array_equal(dpe, res.p[ea] - res.p[eb])
+        res.grad, res.jac
+        assert res.chain_rule[0] is ca
+
     def test_mesh_refinement_consistency(self):
         # observations of the same smooth analytic field converge under
         # refinement (nested meshes; the bump in true_field is discontinuous
@@ -136,6 +183,46 @@ class TestForwardSolve:
         u[mesh.node_index(nx // 2, ny // 2)] = -800.0
         with pytest.raises(FloatingPointError, match="singular stiffness"):
             elliptic.assemble_and_solve(u, problem)
+
+
+class TestOverflow:
+    """Phi of a state whose residual O p - y overflows is +inf, and no
+    RuntimeWarning escapes: run with warnings as errors, a warning here
+    would escape chain._mh_step."""
+
+    @staticmethod
+    def overflowing(problem, u, inf_at=None):
+        state = elliptic.assemble_and_solve(u, problem)
+        state.p = state.p * 1e200  # O p stays finite, |O p - y|^2 does not
+        if inf_at is not None:  # O p reads 0 * inf = nan at the other sensors
+            state.p[inf_at] = np.inf
+        return state
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inf_at", [None, 7], ids=["square-overflows", "inf-in-p"])
+    def test_phi_is_inf(self, inf_at):
+        mesh, problem, u_true = small_problem(8)
+        assert elliptic.assemble_and_solve(u_true, problem).phi < np.inf
+        assert self.overflowing(problem, u_true, inf_at).phi == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_pcn_step_rejects_an_overflowing_candidate(self):
+        config = RunConfig(model="elliptic", nx=8, ny=8, algorithm="pcn")
+        model, extras = build_elliptic(config)
+        problem = extras["problem"]
+        start = model.state(np.zeros(model.n))
+        assert start.phi < np.inf
+        blown = chain.WhitenedModel(extras["cov"], lambda u: self.overflowing(problem, u),
+                                    counter=problem.solves)
+        steps = config.resolved_steps()
+        ctx = chain.KernelContext(model=blown, config=config, steps=steps,
+                                  params=StepParams(h=steps["h"], gamma_r=config.gamma_r,
+                                                    gamma_perp=config.gamma_perp,
+                                                    eps=steps["eps"]),
+                                  rng=np.random.default_rng(0))
+        state, outcome = chain._mh_step(chain._KERNELS["pcn"], ctx, start)
+        assert outcome == chain.REJECTED
+        assert state is start
 
 
 class TestData:
@@ -264,19 +351,20 @@ class TestAdjointCalculus:
         u = 0.3 * rng.standard_normal(problem.n)
         res = elliptic.assemble_and_solve(u, problem)
         ea, eb = problem._ea, problem._eb
+        ca, cb, dpe = res.chain_rule
 
         def assemble_ref(q):
-            s = res.dpe * (q[ea] - q[eb])
+            s = dpe * (q[ea] - q[eb])
             g = np.zeros(problem.n)
-            np.add.at(g, ea, -res.ca * s)
-            np.add.at(g, eb, -res.cb * s)
+            np.add.at(g, ea, -ca * s)
+            np.add.at(g, eb, -cb * s)
             return g
 
         def gnh_ref(w):
-            dt = res.ca * w[ea] + res.cb * w[eb]
+            dt = ca * w[ea] + cb * w[eb]
             r = np.zeros(problem.n)
-            np.add.at(r, ea, dt * res.dpe)
-            np.add.at(r, eb, -dt * res.dpe)
+            np.add.at(r, ea, dt * dpe)
+            np.add.at(r, eb, -dt * dpe)
             jw = problem.O @ res.solve(-r)
             return assemble_ref(res.solve(problem.O.T @ (jw / problem.sigma_eta ** 2)))
 

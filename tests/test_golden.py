@@ -12,7 +12,9 @@ the banded Cholesky solve in place of sparse LU, the dense observation
 matrix in place of sparse sensor sums, the LIS merge in the coordinates of
 one Householder QR in place of an SVD of the stacked bases) move the geometric
 kernels' samples by up to about 1e-11 (elliptic dili, 6.6e-12), and BLAS
-thread counts by about 1e-13. Bit-for-bit equality is a
+thread counts by about 1e-13. Forming each elliptic state's chain-rule
+inputs, residual and band by fewer passes reordered no arithmetic, and
+every chain stayed bit for bit. Bit-for-bit equality is a
 parent-versus-change check: run both trees with OPENBLAS_NUM_THREADS=1 and
 compare the records.
 

@@ -587,6 +587,25 @@ class TestCli:
         assert captured.err == f"run directory {out} already holds a run\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
+    @pytest.mark.parametrize("argv, match", [
+        # the automatic name holds every digit of the seed
+        (["--seed", "1" + "0" * 300],
+         r"automatic run directory name has 34\d characters \(at most 255\); "
+         r"name the directory with --out"),
+        (["--out", "a" * 300 + "/run"],
+         r"cannot create run directory a{300}/run: File name too long"),
+    ], ids=["300-digit-seed", "300-character-out"])
+    def test_unnamable_run_directory_is_one_line_and_no_directory(self, tmp_path, monkeypatch,
+                                                                  capsys, argv, match):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        assert cli.main(["run", "--model", "linear-gaussian", "--iterations", "40",
+                         "--burn-in", "10", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(match + "\n", captured.err)
+        assert not any(tmp_path.iterdir())
+
     def test_run_failure_writes_incomplete_manifest(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise RuntimeError("synthetic failure")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense_reference import forstner_dense
+from _dense_reference import forstner_dense, forstner_distance
 from drgmc import lis
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic, run_from_config
@@ -15,7 +15,7 @@ from drgmc.lis import (
     local_spectrum,
     update_lis,
 )
-from drgmc.operators import LowRankSpectrum, forstner_distance, randomized_eig
+from drgmc.operators import LowRankSpectrum, randomized_eig
 
 
 def initial_state(n):

@@ -19,7 +19,7 @@ HOT = {
     "operators.py": ("CovarianceOperator.sqrt_apply", "LowRankSpectrum.project",
                      "LowRankSpectrum.lift"),
     "linear_model.py": ("_LinearState",),
-    "elliptic.py": ("ForwardSolveResult.phi", "gradient"),
+    "elliptic.py": ("ForwardSolveResult", "assemble_and_solve", "gradient"),
     "lis.py": ("local_spectrum",),
     # WhitenedState.gnh_action is left out: chains do not call it
     "chain.py": ("_values", "_projected", "_pcn", "_inf_mala", "_dr_mmala", "_dr_mhmc",

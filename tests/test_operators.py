@@ -9,13 +9,12 @@ from drgmc.operators import (
     LowRankSpectrum,
     apply_sqrtK_hat,
     build_prior_covariance,
-    forstner_distance,
     randomized_eig,
 )
 from drgmc.lis import local_spectrum
 
 from _dense_reference import (apply_K_hat, broadcast_prior_covariance, dense_K,
-                              dense_sqrtK, forstner_dense)
+                              dense_sqrtK, forstner_dense, forstner_distance)
 
 
 def random_spectrum(n, r, seed=0, scale=10.0):
