@@ -314,10 +314,12 @@ def _chain_rule_assemble(problem, state, q):
 
 
 def gradient(state):
-    """grad Phi(u) via one adjoint solve against the state's factorization."""
+    """grad Phi(u) via one adjoint solve against the state's factorization;
+    an overflow raises FloatingPointError, as in assembly (a chain's ERROR)."""
     problem = state.problem
-    q = state.solve(problem.O.T.dot(state.residual / problem.sigma_eta ** 2))
-    return _chain_rule_assemble(problem, state, q)
+    with np.errstate(over="raise", invalid="raise"):
+        q = state.solve(problem.O.T.dot(state.residual / problem.sigma_eta ** 2))
+        return _chain_rule_assemble(problem, state, q)
 
 
 def jacobian(state):

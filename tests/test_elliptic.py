@@ -186,9 +186,9 @@ class TestForwardSolve:
 
 
 class TestOverflow:
-    """Phi of a state whose residual O p - y overflows is +inf, and no
-    RuntimeWarning escapes: run with warnings as errors, a warning here
-    would escape chain._mh_step."""
+    """Phi of a state whose residual O p - y overflows is +inf and its
+    gradient raises FloatingPointError, and no RuntimeWarning escapes: run
+    with warnings as errors, a warning here would escape chain._mh_step."""
 
     @staticmethod
     def overflowing(problem, u, inf_at=None):
@@ -206,12 +206,20 @@ class TestOverflow:
         assert self.overflowing(problem, u_true, inf_at).phi == np.inf
 
     @pytest.mark.filterwarnings("error")
-    def test_pcn_step_rejects_an_overflowing_candidate(self):
-        config = RunConfig(model="elliptic", nx=8, ny=8, algorithm="pcn")
+    @pytest.mark.parametrize("inf_at", [None, 7], ids=["square-overflows", "inf-in-p"])
+    def test_gradient_raises(self, inf_at):
+        mesh, problem, u_true = small_problem(8)
+        with pytest.raises(FloatingPointError):
+            self.overflowing(problem, u_true, inf_at).grad
+
+    def step_on_overflowing(self, algorithm):
+        """(start, next state, outcome) of one _mh_step from v = 0 whose
+        candidate is an overflowing state."""
+        config = RunConfig(model="elliptic", nx=8, ny=8, algorithm=algorithm)
         model, extras = build_elliptic(config)
         problem = extras["problem"]
         start = model.state(np.zeros(model.n))
-        assert start.phi < np.inf
+        assert start.phi < np.inf and np.isfinite(start.grad).all()
         blown = chain.WhitenedModel(extras["cov"], lambda u: self.overflowing(problem, u),
                                     counter=problem.solves)
         steps = config.resolved_steps()
@@ -220,8 +228,19 @@ class TestOverflow:
                                                     gamma_perp=config.gamma_perp,
                                                     eps=steps["eps"]),
                                   rng=np.random.default_rng(0))
-        state, outcome = chain._mh_step(chain._KERNELS["pcn"], ctx, start)
+        return (start, *chain._mh_step(chain._KERNELS[algorithm], ctx, start))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pcn_step_rejects_an_overflowing_candidate(self):
+        start, state, outcome = self.step_on_overflowing("pcn")
         assert outcome == chain.REJECTED
+        assert state is start
+
+    @pytest.mark.filterwarnings("error")
+    def test_inf_mala_step_rejects_an_overflowing_candidate(self):
+        # the candidate's gradient is read before its phi, and raises
+        start, state, outcome = self.step_on_overflowing("inf-mala")
+        assert outcome == chain.ERROR
         assert state is start
 
 

@@ -18,6 +18,11 @@ every chain stayed bit for bit. Bit-for-bit equality is a
 parent-versus-change check: run both trees with OPENBLAS_NUM_THREADS=1 and
 compare the records.
 
+Both models here (n = 81 and n = 8) lie below operators.SYMV_MIN_N, so
+their prior applies are all S.dot. test_desk_parity runs every kernel on
+the desk's 20 x 20 mesh (n = 441), where vector applies go through dsymv,
+against the same chain with every apply through S.dot.
+
 Which arrays a change may rewrite:
 
 * a change that alters what a chain samples regenerates the whole file:
@@ -58,6 +63,7 @@ from drgmc import linear_model
 from drgmc.chain import ALGORITHMS, WhitenedModel, run_chain
 from drgmc.config import RunConfig
 from drgmc.harness import build_elliptic
+from drgmc.operators import SYMV_MIN_N
 
 from test_acceptance import LINEAR_STEPS  # criterion 02's step sizes
 
@@ -108,6 +114,45 @@ def test_golden_run(golden, name, algorithm):
     record = RUNS[name](algorithm)
     _assert_chain_matches(record, golden, name, algorithm)
     assert np.array_equal(record.pde_solves, golden[_key(name, algorithm, "pde_solves")])
+
+
+class DotPrior:
+    """The prior factor with every apply through S.dot, the route below
+    operators.SYMV_MIN_N, at any n."""
+
+    def __init__(self, cov):
+        self.n, self.S = cov.n, cov.S
+
+    def sqrt_apply(self, x):
+        return self.S.dot(x)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    model, extras = build_elliptic(RunConfig(model="elliptic"))
+    assert model.n >= SYMV_MIN_N
+    return model, extras["cov"]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_desk_parity(desk, algorithm):
+    # seed 1 leaves every kernel's start within 200 iterations; from seeds
+    # 2 and 3 inf-mala accepts nothing and would compare only zeros
+    model, cov = desk
+    iterations = {"dr-inf-mmala": 60, "dr-inf-mhmc": 40}.get(algorithm, 200)
+    config = RunConfig(algorithm=algorithm, iterations=iterations,
+                       burn_in=iterations // 2, n_lag=5, seed=1)
+    model.cov = cov
+    record = run_chain(model, config)
+    model.cov = DotPrior(cov)
+    try:
+        reference = run_chain(model, config)
+    finally:
+        model.cov = cov
+    assert record.accepts.any()
+    assert np.array_equal(record.accepts, reference.accepts)
+    assert np.array_equal(record.pde_solves, reference.pde_solves)
+    assert np.max(np.abs(record.samples - reference.samples)) <= 1e-10
 
 
 FIELDS = ("accepts", "pde_solves", "samples")

@@ -4,8 +4,11 @@ On these sizes (n = 8 to 441) ``a @ b`` goes through numpy's gufunc
 dispatch and costs about 0.5 us more per call than ``a.dot(b)``, which
 reaches the same BLAS routine with the same result bit for bit
 (``tests/test_operators.py`` pins that). A linear-model iteration makes
-about 30 such products. This check finds every ``@`` in the hot modules
-and functions below; set-up and test-only code keep ``@``.
+about 30 such products. The one product that is neither is the prior
+factor on a vector at n >= ``operators.SYMV_MIN_N`` (the desk's n = 441):
+BLAS dsymv, which reads one triangle of S and so about half its bytes.
+This check finds every ``@`` in the hot modules and functions below;
+set-up and test-only code keep ``@``.
 """
 
 import ast

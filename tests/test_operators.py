@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg.blas import dsymv
+
 from drgmc.operators import (
+    SYMV_MIN_N,
     CovarianceOperator,
     LowRankSpectrum,
     apply_sqrtK_hat,
@@ -175,7 +178,9 @@ class TestDotMatchesMatmul:
     """The per-iteration products are ndarray.dot, and the golden chains
     hold them to the bit: each must equal its @ form exactly, on the
     layouts a chain hands them (contiguous vectors, a C-order block, the
-    transposed Jacobian, a column-sliced basis, an empty one)."""
+    transposed Jacobian, a column-sliced basis, an empty one). The one
+    exception is the prior factor on a vector at n >= SYMV_MIN_N, pinned
+    to its dsymv route exactly and to S @ x to roundoff."""
 
     @pytest.mark.parametrize("k", [3, 21])  # n = 9 and the desk's n = 441
     def test_sqrt_apply(self, k):
@@ -184,8 +189,26 @@ class TestDotMatchesMatmul:
         x = rng.standard_normal(cov.n)
         block = rng.standard_normal((cov.n, 25))
         jac = rng.standard_normal((25, cov.n))
-        for arg in (x, block, jac.T):
+        for arg in (block, jac.T):
             assert np.array_equal(cov.sqrt_apply(arg), cov.S @ arg)
+        if cov.n < SYMV_MIN_N:
+            assert np.array_equal(cov.sqrt_apply(x), cov.S @ x)
+        else:
+            assert np.array_equal(cov.sqrt_apply(x), dsymv(1.0, cov.S.T, x, lower=1))
+            assert np.allclose(cov.sqrt_apply(x), cov.S @ x, rtol=1e-13, atol=0)
+
+    def test_sqrt_apply_route_depends_on_n_only(self):
+        # either side of the crossover, and a vector of the wrong length
+        # is refused as S.dot refuses it, not read in part by dsymv
+        for n in (SYMV_MIN_N - 1, SYMV_MIN_N):
+            rng = np.random.default_rng(n)
+            A = rng.standard_normal((n, n))
+            cov = CovarianceOperator(A @ A.T + n * np.eye(n))
+            x = rng.standard_normal(n)
+            route = (cov.S @ x if n < SYMV_MIN_N else dsymv(1.0, cov.S.T, x, lower=1))
+            assert np.array_equal(cov.sqrt_apply(x), route)
+            with pytest.raises(ValueError):
+                cov.sqrt_apply(rng.standard_normal(n + 1))
 
     @pytest.mark.parametrize("n,m,rank", [(8, 4, 4), (441, 25, 30)])
     def test_project_and_lift(self, n, m, rank):
