@@ -36,8 +36,8 @@ class CovarianceOperator:
     is also the positivity test: a non-positive eigenvalue raises
     LinAlgError, a ValueError. sqrt_apply takes a vector at n >= SYMV_MIN_N
     through dsymv on the F-ordered view S.T, which reads one triangle (half
-    of S's bytes) and equals S.dot(x) to roundoff: 3.8 against 4.1 us at n =
-    160, 17 against 30 us at n = 441, a tie at 128-144 (1 BLAS thread, Haswell).
+    of S's bytes) and equals S.dot(x) to roundoff: 3.8 against 3.9 us at n =
+    160, 17 against 30 us at n = 441, a tie at 128-144 (1 BLAS thread, 2-core Xeon).
     """
 
     def __init__(self, C):

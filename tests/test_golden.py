@@ -142,7 +142,6 @@ def test_desk_parity(desk, algorithm):
     iterations = {"dr-inf-mmala": 60, "dr-inf-mhmc": 40}.get(algorithm, 200)
     config = RunConfig(algorithm=algorithm, iterations=iterations,
                        burn_in=iterations // 2, n_lag=5, seed=1)
-    model.cov = cov
     record = run_chain(model, config)
     model.cov = DotPrior(cov)
     try:

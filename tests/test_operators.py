@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
 from scipy.linalg.blas import dsymv
 
 from drgmc.operators import (
@@ -205,7 +204,7 @@ class TestDotMatchesMatmul:
             A = rng.standard_normal((n, n))
             cov = CovarianceOperator(A @ A.T + n * np.eye(n))
             x = rng.standard_normal(n)
-            route = (cov.S @ x if n < SYMV_MIN_N else dsymv(1.0, cov.S.T, x, lower=1))
+            route = cov.S @ x if n < SYMV_MIN_N else dsymv(1.0, cov.S.T, x, lower=1)
             assert np.array_equal(cov.sqrt_apply(x), route)
             with pytest.raises(ValueError):
                 cov.sqrt_apply(rng.standard_normal(n + 1))
